@@ -1,8 +1,7 @@
 //! Canonical k-mer seed index over a contig set.
 
 use bioseq::DnaSeq;
-use kmer::{Kmer, KmerIter};
-use std::collections::HashMap;
+use kmer::{CanonicalKmerIter, Kmer, KmerTable};
 
 /// One indexed seed occurrence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,30 +22,22 @@ pub struct SeedHit {
 #[derive(Debug)]
 pub struct SeedIndex {
     seed_k: usize,
-    map: HashMap<Kmer, Vec<SeedHit>>,
+    map: KmerTable<Vec<SeedHit>>,
     contig_lens: Vec<u32>,
 }
 
 impl SeedIndex {
     /// Index every k-mer of every contig.
     pub fn build(contigs: &[DnaSeq], seed_k: usize, max_occ: usize) -> SeedIndex {
-        let mut map: HashMap<Kmer, Vec<SeedHit>> = HashMap::new();
+        let mut map: KmerTable<Vec<SeedHit>> = KmerTable::new(seed_k);
         let mut contig_lens = Vec::with_capacity(contigs.len());
         for (ci, c) in contigs.iter().enumerate() {
             contig_lens.push(c.len() as u32);
-            if c.len() < seed_k {
-                continue;
-            }
-            for (pos, km) in KmerIter::new(c, seed_k) {
-                let canon = km.canonical();
-                map.entry(canon).or_default().push(SeedHit {
-                    contig: ci as u32,
-                    pos: pos as u32,
-                    fwd: canon == km,
-                });
+            for (pos, canon, fwd) in CanonicalKmerIter::new(c, seed_k) {
+                map.entry(&canon).push(SeedHit { contig: ci as u32, pos: pos as u32, fwd });
             }
         }
-        map.retain(|_, v| v.len() <= max_occ);
+        map.retain(|v| v.len() <= max_occ);
         SeedIndex { seed_k, map, contig_lens }
     }
 

@@ -43,7 +43,10 @@ impl Oriented {
 
 impl DbgGraph {
     /// Wrap a counted k-mer map.
+    ///
+    /// Panics if the map was counted at another k.
     pub fn new(k: usize, map: KmerCountMap) -> DbgGraph {
+        assert_eq!(map.k(), k, "k-mer map counted at another k");
         DbgGraph { k, map }
     }
 
@@ -67,9 +70,25 @@ impl DbgGraph {
         self.map.get(canon)
     }
 
+    /// The slot of a canonical k-mer's vertex: an index below
+    /// [`DbgGraph::slot_count`], for per-vertex side tables.
+    pub fn slot(&self, canon: &Kmer) -> Option<usize> {
+        self.map.slot(canon)
+    }
+
+    /// Number of slots; every vertex's slot is below it.
+    pub fn slot_count(&self) -> usize {
+        self.map.capacity()
+    }
+
+    /// Vertex counts in a slot returned by [`DbgGraph::slot`].
+    pub fn vertex_at(&self, slot: usize) -> &VertexCounts {
+        self.map.at(slot)
+    }
+
     /// Canonical k-mers in deterministic (sorted) order — traversal seeds.
     pub fn sorted_vertices(&self) -> Vec<Kmer> {
-        let mut keys: Vec<Kmer> = self.map.keys().copied().collect();
+        let mut keys: Vec<Kmer> = self.map.iter().map(|(km, _)| km).collect();
         keys.sort_unstable();
         keys
     }
@@ -97,11 +116,11 @@ impl DbgGraph {
         }
     }
 
-    /// Step the walk one base right: returns the next oriented vertex if it
-    /// exists in the graph.
-    pub fn step_right(&self, o: &Oriented, b: Base) -> Option<Oriented> {
+    /// Step the walk one base right: returns the next oriented vertex and
+    /// its slot if it exists in the graph.
+    pub fn step_right(&self, o: &Oriented, b: Base) -> Option<(Oriented, usize)> {
         let next = Oriented::from_walk_kmer(o.walk_kmer().shift_right(b));
-        self.map.contains_key(&next.canon).then_some(next)
+        self.slot(&next.canon).map(|slot| (next, slot))
     }
 }
 
@@ -127,7 +146,8 @@ mod tests {
         ));
         let ext = g.unique_right_ext(&start, 2).expect("unique ext");
         assert_eq!(ext, bioseq::Base::G);
-        let next = g.step_right(&start, ext).expect("next vertex");
+        let (next, slot) = g.step_right(&start, ext).expect("next vertex");
+        assert_eq!(g.slot(&next.canon), Some(slot));
         assert_eq!(next.walk_kmer().to_string(), "TACG");
     }
 

@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = DbgGraph::new(21, Default::default());
+        let g = DbgGraph::new(21, crate::KmerCountMap::new(21));
         let s = graph_stats(&g, 2);
         assert_eq!(s, GraphStats::default());
     }

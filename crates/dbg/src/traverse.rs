@@ -2,9 +2,8 @@
 
 use crate::graph::{DbgGraph, Oriented};
 use bioseq::DnaSeq;
-use kmer::Kmer;
+use kmer::SlotBits;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// A contiguous assembled sequence with its mean k-mer depth.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -37,16 +36,17 @@ impl Contig {
 /// from either side. Each canonical k-mer joins at most one contig; seeds
 /// are visited in sorted order so output is deterministic.
 pub fn generate_contigs(graph: &DbgGraph, min_votes: u16) -> Vec<Contig> {
-    let mut visited: HashSet<Kmer> = HashSet::with_capacity(graph.len());
+    let mut visited = SlotBits::new(graph.slot_count());
     let mut contigs = Vec::new();
     let mut next_id = 0u64;
 
     for seed in graph.sorted_vertices() {
-        if visited.contains(&seed) {
+        let seed_slot = graph.slot(&seed).expect("a sorted vertex is in the graph");
+        if visited.get(seed_slot) {
             continue;
         }
         let start = Oriented { canon: seed, fwd: true };
-        visited.insert(seed);
+        visited.set(seed_slot);
 
         // Walk right from the seed, then right from the seed's rc view
         // (= left of the seed), and stitch.
@@ -64,8 +64,7 @@ pub fn generate_contigs(graph: &DbgGraph, min_votes: u16) -> Vec<Contig> {
             seq.push(*b);
         }
 
-        let seed_count = graph.vertex(&seed).map_or(0, |v| v.count);
-        member_counts.push(seed_count);
+        member_counts.push(graph.vertex_at(seed_slot).count);
         let depth =
             member_counts.iter().map(|&c| f64::from(c)).sum::<f64>() / member_counts.len() as f64;
 
@@ -81,13 +80,13 @@ fn walk(
     graph: &DbgGraph,
     start: Oriented,
     min_votes: u16,
-    visited: &mut HashSet<Kmer>,
+    visited: &mut SlotBits,
 ) -> (Vec<bioseq::Base>, Vec<u32>) {
     let mut bases = Vec::new();
     let mut counts = Vec::new();
     let mut cur = start;
     while let Some(ext) = graph.unique_right_ext(&cur, min_votes) {
-        let Some(next) = graph.step_right(&cur, ext) else {
+        let Some((next, slot)) = graph.step_right(&cur, ext) else {
             break;
         };
         // Mutual agreement: next's walk-left unique extension must be the
@@ -96,11 +95,11 @@ fn walk(
         if graph.unique_left_ext(&next, min_votes) != Some(dropped) {
             break;
         }
-        if visited.contains(&next.canon) {
+        if visited.get(slot) {
             break; // already consumed (loop or another contig)
         }
-        visited.insert(next.canon);
-        counts.push(graph.vertex(&next.canon).map_or(0, |v| v.count));
+        visited.set(slot);
+        counts.push(graph.vertex_at(slot).count);
         bases.push(ext);
         cur = next;
     }

@@ -130,14 +130,23 @@ impl Kmer {
         out
     }
 
-    /// Reverse complement.
+    /// Reverse complement, in O(words): complement each word, reverse its
+    /// 2-bit groups, reverse the word order, then shift the bases down to
+    /// position 0 (by `64·⌈k/32⌉ − 2k` bits).
     pub fn revcomp(&self) -> Kmer {
         let k = self.k();
+        let nwords = k.div_ceil(32);
         let mut words = [0u64; KMER_WORDS];
-        for i in 0..k {
-            let c = self.code(i) ^ 3;
-            let j = k - 1 - i;
-            words[j / 32] |= u64::from(c) << ((j % 32) * 2);
+        for w in 0..nwords {
+            words[nwords - 1 - w] = reverse_groups(!self.words[w]);
+        }
+        // Fewer than 64 bits: the last word holds at least one base.
+        let shift = 64 * nwords - 2 * k;
+        if shift > 0 {
+            for w in 0..nwords {
+                let carry = if w + 1 < nwords { words[w + 1] << (64 - shift) } else { 0 };
+                words[w] = (words[w] >> shift) | carry;
+            }
         }
         Kmer { words, k: self.k }
     }
@@ -159,13 +168,15 @@ impl Kmer {
     }
 
     /// Lexicographic comparison by base sequence (not by packed words:
-    /// LSB-first packing does not preserve lexicographic order).
+    /// LSB-first packing does not preserve lexicographic order), in
+    /// O(words): the lowest differing 2-bit group decides.
     pub fn cmp_bases(&self, other: &Kmer) -> std::cmp::Ordering {
         debug_assert_eq!(self.k, other.k);
-        for i in 0..self.k() {
-            match self.code(i).cmp(&other.code(i)) {
-                std::cmp::Ordering::Equal => continue,
-                ord => return ord,
+        for (a, b) in self.words.iter().zip(&other.words) {
+            let diff = a ^ b;
+            if diff != 0 {
+                let at = diff.trailing_zeros() & !1;
+                return ((a >> at) & 3).cmp(&((b >> at) & 3));
             }
         }
         std::cmp::Ordering::Equal
@@ -184,6 +195,15 @@ impl std::fmt::Display for Kmer {
         }
         Ok(())
     }
+}
+
+/// `x` with the order of its 32 2-bit groups reversed.
+fn reverse_groups(x: u64) -> u64 {
+    const PAIRS: u64 = 0x3333_3333_3333_3333;
+    const NIBBLES: u64 = 0x0f0f_0f0f_0f0f_0f0f;
+    let x = ((x >> 2) & PAIRS) | ((x & PAIRS) << 2);
+    let x = ((x >> 4) & NIBBLES) | ((x & NIBBLES) << 4);
+    x.swap_bytes()
 }
 
 fn mask_high(words: &mut [u64; KMER_WORDS], k: usize) {
@@ -236,6 +256,54 @@ impl Iterator for KmerIter<'_> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         let n = (self.seq.len() + 1).saturating_sub(self.pos + self.k);
         (n, Some(n))
+    }
+}
+
+/// Iterator over the canonical k-mers of a sequence, left to right.
+///
+/// It keeps a rolling forward window and a rolling reverse-complement
+/// window, so each step costs O(words) rather than the O(k) of
+/// [`Kmer::canonical`] on a fresh k-mer.
+pub struct CanonicalKmerIter<'a> {
+    seq: &'a DnaSeq,
+    k: usize,
+    pos: usize,
+    /// The forward k-mer at `pos - 1` and its reverse complement.
+    cur: Option<(Kmer, Kmer)>,
+}
+
+impl<'a> CanonicalKmerIter<'a> {
+    /// Canonical k-mers of `seq`; yields nothing if `seq.len() < k`.
+    pub fn new(seq: &'a DnaSeq, k: usize) -> CanonicalKmerIter<'a> {
+        assert!((1..=MAX_K).contains(&k), "k={k} out of range");
+        CanonicalKmerIter { seq, k, pos: 0, cur: None }
+    }
+}
+
+impl Iterator for CanonicalKmerIter<'_> {
+    /// `(start_position, canonical kmer, fwd)`, where `fwd` is true when the
+    /// forward k-mer is the canonical one (ties, i.e. palindromes, included).
+    type Item = (usize, Kmer, bool);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.pos + self.k > self.seq.len() {
+            return None;
+        }
+        let (fwd, rc) = match self.cur {
+            Some((fwd, rc)) => {
+                let b = self.seq.base(self.pos + self.k - 1);
+                (fwd.shift_right(b), rc.shift_left(b.complement()))
+            }
+            None => {
+                let fwd = Kmer::from_seq(self.seq, 0, self.k);
+                (fwd, fwd.revcomp())
+            }
+        };
+        self.cur = Some((fwd, rc));
+        let at = self.pos;
+        self.pos += 1;
+        let is_fwd = fwd.cmp_bases(&rc) != std::cmp::Ordering::Greater;
+        Some((at, if is_fwd { fwd } else { rc }, is_fwd))
     }
 }
 
@@ -321,7 +389,69 @@ mod tests {
         proptest::collection::vec(0u8..4, k + extra..k + extra + 1).prop_map(DnaSeq::from_codes)
     }
 
+    /// Base-by-base reverse complement: the oracle for [`Kmer::revcomp`].
+    fn revcomp_oracle(km: &Kmer) -> Kmer {
+        let k = km.k();
+        let mut words = [0u64; KMER_WORDS];
+        for i in 0..k {
+            let j = k - 1 - i;
+            words[j / 32] |= u64::from(km.code(i) ^ 3) << ((j % 32) * 2);
+        }
+        Kmer::from_words(words, k)
+    }
+
+    /// Base-by-base comparison: the oracle for [`Kmer::cmp_bases`].
+    fn cmp_bases_oracle(a: &Kmer, b: &Kmer) -> std::cmp::Ordering {
+        (0..a.k())
+            .map(|i| a.code(i).cmp(&b.code(i)))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    }
+
     proptest! {
+        #[test]
+        fn revcomp_matches_oracle(codes in proptest::collection::vec(0u8..4, MAX_K)) {
+            let s = DnaSeq::from_codes(codes);
+            for k in 1..=MAX_K {
+                let km = Kmer::from_seq(&s, 0, k);
+                prop_assert_eq!(km.revcomp(), revcomp_oracle(&km), "k={}", k);
+            }
+        }
+
+        #[test]
+        fn cmp_bases_matches_oracle(
+            a in proptest::collection::vec(0u8..4, MAX_K),
+            b in proptest::collection::vec(0u8..4, MAX_K),
+            at in 0..MAX_K,
+            flip in 1u8..4,
+        ) {
+            // `near` differs from `a` in one base only.
+            let mut near = a.clone();
+            near[at] ^= flip;
+            let (a, b, near) =
+                (DnaSeq::from_codes(a), DnaSeq::from_codes(b), DnaSeq::from_codes(near));
+            for k in 1..=MAX_K {
+                let ka = Kmer::from_seq(&a, 0, k);
+                for other in [Kmer::from_seq(&b, 0, k), Kmer::from_seq(&near, 0, k), ka, ka.revcomp()] {
+                    prop_assert_eq!(ka.cmp_bases(&other), cmp_bases_oracle(&ka, &other), "k={}", k);
+                }
+            }
+        }
+
+        #[test]
+        fn canonical_iter_matches_canonical(
+            codes in proptest::collection::vec(0u8..4, 0..MAX_K + 40),
+        ) {
+            let s = DnaSeq::from_codes(codes);
+            for k in 1..=MAX_K {
+                let got: Vec<(usize, Kmer, bool)> = CanonicalKmerIter::new(&s, k).collect();
+                let want: Vec<(usize, Kmer, bool)> = KmerIter::new(&s, k)
+                    .map(|(pos, km)| (pos, km.canonical(), km.is_canonical()))
+                    .collect();
+                prop_assert_eq!(got, want, "k={}", k);
+            }
+        }
+
         #[test]
         fn iter_matches_direct(codes in proptest::collection::vec(0u8..4, 21..120)) {
             let s = DnaSeq::from_codes(codes);

@@ -7,13 +7,18 @@
 //! * [`ExtCounts`] — the *extension object* of MetaHipMer local assembly:
 //!   per-base occurrence counts split into quality tiers, with the
 //!   fork/dead-end classification rule used by mer-walks.
-//! * [`KmerIter`] — iterator over the k-mers of a sequence.
+//! * [`KmerIter`] / [`CanonicalKmerIter`] — iterators over the (forward or
+//!   canonical) k-mers of a sequence.
+//! * [`KmerTable`] — the open-addressing k-mer → value table behind k-mer
+//!   counting, the de Bruijn graph and the alignment seed index.
 
 pub mod ext;
 pub mod hash;
 pub mod kmer;
 pub mod spectrum;
+pub mod table;
 
 pub use ext::{ExtCounts, ExtVerdict, QUAL_TIER_CUTOFF};
-pub use kmer::{Kmer, KmerIter, MAX_K};
+pub use kmer::{CanonicalKmerIter, Kmer, KmerIter, MAX_K};
 pub use spectrum::Spectrum;
+pub use table::{KmerTable, SlotBits};

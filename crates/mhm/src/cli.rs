@@ -9,7 +9,9 @@
 
 use crate::iterative::{default_schedule, run_iterative};
 use crate::pipeline::{run_pipeline, EngineChoice, PipelineConfig};
-use crate::report::{render_breakdown, render_overlap, render_recovery, render_sanitizer};
+use crate::report::{
+    render_breakdown, render_overlap, render_recovery, render_rounds, render_sanitizer,
+};
 use crate::stats::{evaluate_against_refs, AssemblyStats};
 use bioseq::fastq::{self, NPolicy};
 use bioseq::DnaSeq;
@@ -249,9 +251,7 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
             schedule = vec![cfg.k];
         }
         let result = run_iterative(&pairs, &cfg, &schedule);
-        for r in &result.rounds {
-            report.push_str(&format!("round k={}: {}\n", r.k, r.stats.render()));
-        }
+        report.push_str(&render_rounds(&result));
         report.push('\n');
         report.push_str(&render_breakdown("iterative pipeline", &result.timings));
         let seqs: Vec<DnaSeq> =

@@ -28,6 +28,9 @@ pub struct RoundStats {
     pub contigs: usize,
     pub stats: AssemblyStats,
     pub bases_appended: usize,
+    /// Local-assembly tasks skipped after every recovery rung failed (their
+    /// contigs keep this round's sequence).
+    pub failed_tasks: usize,
 }
 
 /// Result of an iterative assembly.
@@ -37,6 +40,13 @@ pub struct IterativeResult {
     pub scaffolds: Vec<Scaffold>,
     pub rounds: Vec<RoundStats>,
     pub timings: PhaseTimings,
+}
+
+impl IterativeResult {
+    /// Local-assembly tasks skipped, summed over rounds.
+    pub fn failed_tasks(&self) -> usize {
+        self.rounds.iter().map(|r| r.failed_tasks).sum()
+    }
 }
 
 /// Weight given to contig pseudo-reads when re-counting k-mers (so contig
@@ -99,20 +109,16 @@ pub fn run_iterative(
         let tasks = make_tasks(&contigs, &cand_pairs, &cfg.locassm);
         // Per-task isolation on both engines: a task that fails every
         // recovery rung is skipped for this round, never fatal.
-        let results: Vec<ExtResult> = match &cfg.engine {
-            EngineChoice::Cpu => extend_all_cpu_isolated(&tasks, &cfg.locassm)
-                .into_iter()
-                .map(TaskOutcome::into_result)
-                .collect(),
+        let counted = |outcomes: Vec<TaskOutcome>| {
+            let failed = outcomes.iter().filter(|o| o.is_failed()).count();
+            (outcomes.into_iter().map(TaskOutcome::into_result).collect(), failed)
+        };
+        let (results, failed_tasks): (Vec<ExtResult>, usize) = match &cfg.engine {
+            EngineChoice::Cpu => counted(extend_all_cpu_isolated(&tasks, &cfg.locassm)),
             EngineChoice::Gpu { device, version } => {
                 let mut engine =
                     GpuLocalAssembler::new(device.clone(), cfg.locassm.clone(), *version);
-                engine
-                    .extend_tasks_outcomes(&tasks)
-                    .0
-                    .into_iter()
-                    .map(TaskOutcome::into_result)
-                    .collect()
+                counted(engine.extend_tasks_outcomes(&tasks).0)
             }
             EngineChoice::Overlap { device, version, schedule } => {
                 let driver = locassm::OverlapDriver {
@@ -121,13 +127,10 @@ pub fn run_iterative(
                     schedule: schedule.clone(),
                 };
                 match driver.run(&tasks, &cfg.locassm) {
-                    Ok(out) => out.results,
+                    Ok(out) => (out.results, out.failed_tasks),
                     // An invariant violation in one round degrades to the
                     // CPU reference rather than aborting the whole ladder.
-                    Err(_e) => extend_all_cpu_isolated(&tasks, &cfg.locassm)
-                        .into_iter()
-                        .map(TaskOutcome::into_result)
-                        .collect(),
+                    Err(_e) => counted(extend_all_cpu_isolated(&tasks, &cfg.locassm)),
                 }
             }
         };
@@ -140,6 +143,7 @@ pub fn run_iterative(
             contigs: contigs.len(),
             stats: AssemblyStats::of(&contigs),
             bases_appended: appended,
+            failed_tasks,
         });
     }
 
@@ -244,6 +248,41 @@ mod tests {
         let eval = crate::stats::evaluate_against_refs(&result.contigs, &refs, 31);
         assert!(eval.genome_fraction > 0.7, "genome fraction {:.3}", eval.genome_fraction);
         assert!(eval.precision > 0.9, "precision {:.3}", eval.precision);
+    }
+
+    #[test]
+    fn skipped_tasks_are_counted_and_reported() {
+        use gpusim::{Fault, FaultPlan};
+        let (_, pairs) = dataset(42, 0.0);
+        // Every launch hangs, so the device is lost and every task falls to
+        // the CPU rung; an out-of-range start k makes that rung panic too,
+        // so every task with reads ends on the skip rung.
+        let plan = FaultPlan {
+            faults: (0..64)
+                .map(|i| Fault::KernelHang { at_launch: i, after_cycles: 100 })
+                .collect(),
+        };
+        let mut gpu_cfg = PipelineConfig {
+            engine: EngineChoice::Gpu {
+                device: DeviceConfig::v100().with_fault_plan(plan),
+                version: KernelVersion::V2,
+            },
+            ..PipelineConfig::default()
+        };
+        gpu_cfg.locassm.start_k_idx = gpu_cfg.locassm.k_list.len();
+        let cpu_cfg = PipelineConfig { engine: EngineChoice::Cpu, ..gpu_cfg.clone() };
+        let gpu = run_iterative(&pairs, &gpu_cfg, &[21, 31]);
+        let cpu = run_iterative(&pairs, &cpu_cfg, &[21, 31]);
+        // The CPU engine's panic isolation skips the same tasks.
+        let per_round = |r: &IterativeResult| r.rounds.iter().map(|r| r.failed_tasks).collect();
+        let skipped: Vec<usize> = per_round(&gpu);
+        assert_eq!(skipped, per_round(&cpu));
+        assert!(skipped.iter().all(|&n| n > 0), "every round skips tasks: {skipped:?}");
+        assert_eq!(gpu.failed_tasks(), skipped.iter().sum::<usize>());
+        assert_eq!(gpu.contigs, cpu.contigs);
+        let report = crate::report::render_rounds(&gpu);
+        let line = format!("  {:<24} {}\n", "tasks skipped", gpu.failed_tasks());
+        assert!(report.contains(&line), "{report}");
     }
 
     #[test]

@@ -246,7 +246,7 @@ pub fn run_pipeline(
         let cutoff = spectrum.error_cutoff().unwrap_or(cfg.min_kmer_count);
         stats.min_count_used = cutoff.max(cfg.min_kmer_count);
         let mc = stats.min_count_used;
-        map.retain(|_, v| v.count >= mc);
+        map.retain(|v| v.count >= mc);
         map
     } else {
         stats.min_count_used = cfg.min_kmer_count;

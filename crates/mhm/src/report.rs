@@ -1,5 +1,6 @@
 //! Text rendering of breakdowns and series tables for the figure harnesses.
 
+use crate::iterative::IterativeResult;
 use crate::pipeline::{PhaseTimings, PipelineStats};
 
 /// Render a phase breakdown as a fixed-width table with percentage bars —
@@ -57,6 +58,18 @@ pub fn render_recovery(stats: &PipelineStats) -> String {
         return out;
     }
     format!("DEGRADED RUN — local-assembly recovery ladder fired:\n{out}")
+}
+
+/// Render an iterative run's per-round lines, then [`render_recovery`]'s
+/// `tasks skipped` line when any round skipped a local-assembly task.
+pub fn render_rounds(result: &IterativeResult) -> String {
+    let mut out = String::new();
+    for r in &result.rounds {
+        out.push_str(&format!("round k={}: {}\n", r.k, r.stats.render()));
+    }
+    let skipped = PipelineStats { la_failed_tasks: result.failed_tasks(), ..Default::default() };
+    out.push_str(&render_recovery(&skipped));
+    out
 }
 
 /// Render the `gpucheck` section of a `--sanitize` run: per-kind finding
