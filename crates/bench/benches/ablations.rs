@@ -71,24 +71,8 @@ fn bench_ablations(c: &mut Criterion) {
     }
 
     // --- CPU/GPU overlap driver (DESIGN.md ablation 5) ---
-    for frac in [0.0, 0.5, 1.0] {
-        let driver = locassm::OverlapDriver::static_split(frac);
-        let out = driver.run(&dump.tasks, &params).expect("driver runs");
-        println!(
-            "[overlap] cpu_bin2_fraction={frac}: cpu {} tasks / {:.4}s wall, gpu {} tasks / {:.4}s wall ({:.6}s sim)",
-            out.cpu_tasks,
-            out.cpu_wall_s,
-            out.gpu_tasks,
-            out.gpu_wall_s,
-            out.gpu_stats.as_ref().map_or(0.0, |s| s.seconds),
-        );
-        group.bench_function(format!("overlap_driver_frac{frac}"), |b| {
-            let d = locassm::OverlapDriver::static_split(frac);
-            b.iter(|| black_box(d.run(&dump.tasks, &params)))
-        });
-    }
     {
-        let driver = locassm::OverlapDriver::work_stealing();
+        let driver = locassm::OverlapDriver::default();
         let out = driver.run(&dump.tasks, &params).expect("driver runs");
         println!(
             "[overlap] work-steal: cpu {} tasks / {} est words, gpu {} tasks / {} est words, model makespan {:.6}s",
@@ -99,7 +83,7 @@ fn bench_ablations(c: &mut Criterion) {
             out.schedule.makespan_model_s(),
         );
         group.bench_function("overlap_driver_worksteal", |b| {
-            let d = locassm::OverlapDriver::work_stealing();
+            let d = locassm::OverlapDriver::default();
             b.iter(|| black_box(d.run(&dump.tasks, &params)))
         });
     }

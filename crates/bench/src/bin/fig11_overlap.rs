@@ -1,9 +1,8 @@
-//! Figure 11-style overlap study: static `cpu_bin2_fraction` split vs the
-//! work-stealing scheduler on a size-skewed seeded workload, plus the
-//! calibration ablation (oracle vs 10×-mis-seeded CPU rates, with and
-//! without the EWMA feedback loop), the multi-GPU striping comparison
-//! (round-robin vs LPT, homogeneous and mixed-fleet) and byte-identity
-//! checks across scheduler × calibration × fault configurations.
+//! Figure 11-style overlap study: the paper's fixed split (bin 3 on the
+//! GPU, bin 2 on the CPU) vs the work-stealing scheduler on a size-skewed
+//! seeded workload, plus the multi-GPU striping comparison (round-robin vs
+//! LPT, homogeneous and mixed-fleet) and byte-identity checks across
+//! scheduler × calibration × fault configurations.
 //!
 //! Emits `results/BENCH_overlap.json` (hand-rolled JSON; the workspace has
 //! no serde_json) so CI can accumulate the perf trajectory. `--tiny` runs
@@ -14,10 +13,10 @@
 use bioseq::{DnaSeq, Read};
 use gpusim::{DeviceConfig, Fault, FaultPlan};
 use locassm::gpu::pack::estimate_task_words;
-use locassm::gpu::{KernelVersion, MultiGpuAssembler, StripePolicy};
+use locassm::gpu::{GpuLocalAssembler, KernelVersion, MultiGpuAssembler, StripePolicy};
 use locassm::{
-    extend_all_cpu, CalibrationConfig, ContigEnd, ExtTask, LocalAssemblyParams, OverlapDriver,
-    SchedulePolicy, StealConfig,
+    extend_all_cpu, ContigEnd, ExtTask, LocalAssemblyParams, OverlapDriver, SchedulePolicy,
+    StealConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,66 +68,62 @@ fn main() {
 
     let reference = extend_all_cpu(&tasks, &params);
 
-    // --- calibrate: effective GPU throughput (est words per wall second,
+    // --- probe: effective GPU throughput (est words per wall second,
     // simulated), then model the CPU peer as a full many-core socket worth
-    // 2x one GPU's rate — the node shape where a static split hurts most,
-    // because it pins every bin-3 task on the GPU no matter how the rates
-    // compare. All device runs use the deliberately small test device: 48+
-    // warps saturate its occupancy, so kernel time scales with work
-    // (throughput regime). On an under-occupied V100 the latency floor
-    // dominates and no schedule can beat any other — a faithful effect,
-    // but not the one Figure 11 is about.
+    // 2x one GPU's rate — the node shape where the paper's fixed split
+    // hurts most, because it pins every bin-3 task on the GPU no matter
+    // how the rates compare. All device runs use the deliberately small
+    // test device: 48+ warps saturate its occupancy, so kernel time scales
+    // with work (throughput regime). On an under-occupied V100 the latency
+    // floor dominates and no schedule can beat any other — a faithful
+    // effect, but not the one Figure 11 is about.
     let device = DeviceConfig::tiny();
-    let probe = OverlapDriver { device: device.clone(), ..OverlapDriver::static_split(0.0) }
-        .run(&tasks, &params)
-        .expect("probe runs");
-    let probe_stats = probe.gpu_stats.as_ref().expect("probe uses the GPU");
+    let (_, probe_stats) =
+        GpuLocalAssembler::new(device.clone(), params.clone(), KernelVersion::V2)
+            .extend_tasks(&tasks);
     let gpu_rate = total_words as f64 / probe_stats.wall_s().max(1e-12);
     let cpu_rate = 2.0 * gpu_rate;
-    println!("calibrated GPU rate: {gpu_rate:.3e} est words/s (CPU peer modeled at 2x)");
+    println!("probed GPU rate: {gpu_rate:.3e} est words/s (CPU peer modeled at 2x)");
 
     // The CPU peer is *modeled* (host wall seconds here are simulator
-    // driving cost, not the modeled socket), so pin the calibration loop's
-    // observation source to the modeled rate: belief starts equal to truth
-    // and the schedule matches the constant-rate scheduler exactly.
+    // driving cost, not the modeled socket), so both schedules run with
+    // calibration off: the CPU clock prices every batch at `cpu_rate`.
     let steal_cfg = StealConfig {
         batch_words: 32 * 1024,
         cpu_words_per_s: cpu_rate,
-        calibration: CalibrationConfig {
-            cpu_true_words_per_s: Some(cpu_rate),
-            ..CalibrationConfig::default()
-        },
+        calibrate: false,
         ..StealConfig::default()
     };
-
-    // --- static 0.5 baseline: makespan is the slower of the two engine
-    // models at the calibrated rate.
-    let st = OverlapDriver { device: device.clone(), ..OverlapDriver::static_split(0.5) }
+    let paper_cfg = StealConfig { batch_words: u64::MAX, ..steal_cfg.clone() };
+    let run = |cfg: &StealConfig| {
+        let out = OverlapDriver {
+            device: device.clone(),
+            schedule: SchedulePolicy::WorkSteal(cfg.clone()),
+            ..Default::default()
+        }
         .run(&tasks, &params)
-        .expect("static runs");
-    assert_eq!(st.results, reference, "static split must be byte-identical");
-    let st_cpu_s = st.schedule.cpu_est_words as f64 / cpu_rate;
-    let st_gpu_s = st.gpu_stats.as_ref().map_or(0.0, |s| s.wall_s());
-    let static_makespan = st_cpu_s.max(st_gpu_s);
+        .expect("driver runs");
+        assert_eq!(out.results, reference, "{cfg:?} must be byte-identical");
+        out
+    };
+
+    // --- the paper's split: one bin-3 batch on the GPU, one bin-2 batch on
+    // the CPU.
+    let paper = run(&paper_cfg);
+    assert_eq!(paper.schedule.batches, 2, "the paper split is one heavy and one light batch");
+    let paper_makespan = paper.schedule.makespan_model_s();
 
     // --- work-stealing scheduler.
-    let ws = OverlapDriver {
-        device: device.clone(),
-        schedule: SchedulePolicy::WorkSteal(steal_cfg.clone()),
-        ..Default::default()
-    }
-    .run(&tasks, &params)
-    .expect("work-steal runs");
-    assert_eq!(ws.results, reference, "work-steal must be byte-identical");
+    let ws = run(&steal_cfg);
     let ws_makespan = ws.schedule.makespan_model_s();
-    let improvement = 100.0 * (static_makespan - ws_makespan) / static_makespan.max(1e-12);
+    let improvement = 100.0 * (paper_makespan - ws_makespan) / paper_makespan.max(1e-12);
 
     println!(
-        "\nstatic 0.5 split: cpu {} w / gpu {} w, model makespan {static_makespan:.6} s",
-        st.schedule.cpu_est_words, st.schedule.gpu_est_words
+        "\npaper split: cpu {} w / gpu {} w, model makespan {paper_makespan:.9} s",
+        paper.schedule.cpu_est_words, paper.schedule.gpu_est_words
     );
     println!(
-        "work-steal:       cpu {} w / gpu {} w (balance {:.2}), model makespan {ws_makespan:.6} s",
+        "work-steal:  cpu {} w / gpu {} w (balance {:.2}), model makespan {ws_makespan:.9} s",
         ws.schedule.cpu_est_words,
         ws.schedule.gpu_est_words,
         ws.schedule.word_balance()
@@ -141,196 +136,8 @@ fn main() {
         println!("double-buffer: {:.6} s pack hidden of {:.6} s", g.overlap_saved_s, g.pack_s);
     }
     assert!(
-        improvement >= 15.0,
-        "work-steal must beat the static split by >= 15%, got {improvement:.1}%"
-    );
-
-    // --- calibration ablation: seed the CPU-rate model 10x off in either
-    // direction and let the EWMA feedback loop recover. The CPU's "true"
-    // rate is pinned (observations are modeled at `cpu_rate`, not host
-    // wall), so every trajectory is deterministic and the *realized*
-    // makespan — the sum of observed engine times, belief-independent in
-    // its units — is comparable across runs. The fine 8 KiB granularity
-    // gives the estimator enough batches to converge within the run.
-    let ablate = |seed: f64, enabled: bool| {
-        let out = OverlapDriver {
-            device: device.clone(),
-            schedule: SchedulePolicy::WorkSteal(StealConfig {
-                batch_words: 8 * 1024,
-                cpu_words_per_s: seed,
-                calibration: CalibrationConfig {
-                    enabled,
-                    cpu_true_words_per_s: Some(cpu_rate),
-                    ..CalibrationConfig::default()
-                },
-                ..StealConfig::default()
-            }),
-            ..Default::default()
-        }
-        .run(&tasks, &params)
-        .expect("ablation run");
-        assert_eq!(
-            out.results, reference,
-            "calibration (seed {seed:.3e}, enabled {enabled}) must stay byte-identical"
-        );
-        out.schedule.calibration.expect("work-steal always reports calibration")
-    };
-    let oracle = ablate(cpu_rate, true);
-    let cal_hi = ablate(10.0 * cpu_rate, true);
-    let cal_lo = ablate(cpu_rate / 10.0, true);
-    let uncal_hi = ablate(10.0 * cpu_rate, false);
-    let uncal_lo = ablate(cpu_rate / 10.0, false);
-    let oracle_mk = oracle.realized_makespan_s();
-    println!("\ncalibration ablation (realized makespan, oracle = correctly-seeded):");
-    println!("  oracle seed:            {oracle_mk:.6} s ({} cpu updates)", oracle.cpu_updates);
-    for (name, rep) in [("10x-high + EWMA", &cal_hi), ("10x-low  + EWMA", &cal_lo)] {
-        let mk = rep.realized_makespan_s();
-        println!(
-            "  {name}: {mk:.6} s ({:.1}% of oracle, converged {:.3e} w/s)",
-            100.0 * mk / oracle_mk,
-            rep.cpu_words_per_s
-        );
-        assert!(
-            mk <= 1.2 * oracle_mk,
-            "{name} must converge within 20% of the oracle makespan: \
-             {mk:.6} vs {oracle_mk:.6}"
-        );
-    }
-    for (name, rep) in [("10x-high, no EWMA", &uncal_hi), ("10x-low,  no EWMA", &uncal_lo)] {
-        let mk = rep.realized_makespan_s();
-        println!("  {name}: {mk:.6} s ({:.1}% of oracle)", 100.0 * mk / oracle_mk);
-    }
-    // One mis-seed direction can luckily help (over-feeding the engine that
-    // is genuinely faster), so the contrast claim is about the worst case:
-    // without feedback, *some* 10x mis-seed blows the 20% budget that every
-    // calibrated trajectory stays inside.
-    let uncal_worst = uncal_hi.realized_makespan_s().max(uncal_lo.realized_makespan_s());
-    assert!(
-        uncal_worst > 1.2 * oracle_mk,
-        "a 10x mis-seed without calibration must cost more than the 20% \
-         convergence budget, got {uncal_worst:.6} vs oracle {oracle_mk:.6}"
-    );
-
-    // --- per-bin rate-model ablation: bins with genuinely different CPU
-    // cost profiles (bin 2 scattered at 0.4x the pooled figure, bin 3
-    // cache-friendly at 2.5x). The pooled EWMA must average the two and
-    // mis-model the CPU clock; the per-bin model prices each bin at its
-    // own converged rate, so its clock tracks the realized CPU time
-    // tighter. Model error here is the CPU-clock error |model − realized|
-    // / realized — the GPU clock advances by direct observation and never
-    // contributes model error.
-    let bin2_true = 0.4 * cpu_rate;
-    let bin3_true = 2.5 * cpu_rate;
-    let per_bin_run = |per_bin: bool| {
-        let out = OverlapDriver {
-            device: device.clone(),
-            schedule: SchedulePolicy::WorkSteal(StealConfig {
-                batch_words: 8 * 1024,
-                cpu_words_per_s: cpu_rate,
-                calibration: CalibrationConfig {
-                    per_bin,
-                    cpu_true_bin2_words_per_s: Some(bin2_true),
-                    cpu_true_bin3_words_per_s: Some(bin3_true),
-                    ..CalibrationConfig::default()
-                },
-                ..StealConfig::default()
-            }),
-            ..Default::default()
-        }
-        .run(&tasks, &params)
-        .expect("per-bin ablation run");
-        assert_eq!(
-            out.results, reference,
-            "per-bin model (per_bin {per_bin}) must stay byte-identical"
-        );
-        out.schedule
-    };
-    let cpu_model_err = |s: &locassm::ScheduleReport| {
-        let cal = s.calibration.as_ref().expect("work-steal reports calibration");
-        if cal.cpu_realized_s > 0.0 {
-            (s.cpu_model_s - cal.cpu_realized_s).abs() / cal.cpu_realized_s
-        } else {
-            0.0
-        }
-    };
-    let pooled_sched = per_bin_run(false);
-    let perbin_sched = per_bin_run(true);
-    let (pooled_err, perbin_err) = (cpu_model_err(&pooled_sched), cpu_model_err(&perbin_sched));
-    let perbin_cal = perbin_sched.calibration.as_ref().expect("calibration report");
-    println!("\nper-bin rate model (bin-2 true {bin2_true:.3e}, bin-3 true {bin3_true:.3e} w/s):");
-    println!("  pooled EWMA:  cpu-clock model error {:.2}%", 100.0 * pooled_err);
-    println!(
-        "  per-bin:      cpu-clock model error {:.2}% (bin-2 {:.3e} w/s x{}, bin-3 {:.3e} w/s x{})",
-        100.0 * perbin_err,
-        perbin_cal.cpu_bin2_words_per_s,
-        perbin_cal.cpu_bin2_updates,
-        perbin_cal.cpu_bin3_words_per_s,
-        perbin_cal.cpu_bin3_updates
-    );
-    assert!(
-        perbin_err <= pooled_err + 1e-9,
-        "per-bin model error must not exceed the pooled model's on a skewed mix: \
-         {perbin_err:.4} vs {pooled_err:.4}"
-    );
-
-    // --- adaptive drain-point batch sizing: coarse granularity makes the
-    // classic last-batch imbalance (one engine takes the final coarse
-    // chunk while the other idles). Adaptive sizing halves the steal
-    // granularity as the deque approaches `drain_factor x batch_words`,
-    // so the tail is dealt in slivers both engines can share. The slow
-    // engine here is the modeled CPU (a small host at half the GPU's
-    // rate): its cost is linear in words, so the overshoot is purely the
-    // last-batch effect with no launch-overhead confound, and rates are
-    // pinned so realized makespans are deterministic and comparable.
-    let coarse_words = (total_words / 4).max(1);
-    let drain_cpu_rate = 0.5 * gpu_rate;
-    let drain_run = |adaptive: bool| {
-        let out = OverlapDriver {
-            device: device.clone(),
-            schedule: SchedulePolicy::WorkSteal(StealConfig {
-                batch_words: coarse_words,
-                cpu_words_per_s: drain_cpu_rate,
-                adaptive_batch: adaptive,
-                drain_factor: 4.0,
-                min_batch_words: (coarse_words / 8).max(1),
-                calibration: CalibrationConfig {
-                    cpu_true_words_per_s: Some(drain_cpu_rate),
-                    ..CalibrationConfig::default()
-                },
-                ..StealConfig::default()
-            }),
-            ..Default::default()
-        }
-        .run(&tasks, &params)
-        .expect("drain ablation run");
-        assert_eq!(
-            out.results, reference,
-            "adaptive sizing (adaptive {adaptive}) must stay byte-identical"
-        );
-        out.schedule
-    };
-    let drain_static = drain_run(false);
-    let drain_adaptive = drain_run(true);
-    let drain_static_mk = drain_static.calibration.as_ref().expect("report").realized_makespan_s();
-    let drain_adaptive_mk =
-        drain_adaptive.calibration.as_ref().expect("report").realized_makespan_s();
-    let drain_gain = 100.0 * (drain_static_mk - drain_adaptive_mk) / drain_static_mk.max(1e-12);
-    println!("\nadaptive drain sizing (coarse batch {coarse_words} w):");
-    println!("  static granularity:   realized makespan {drain_static_mk:.6} s");
-    println!(
-        "  adaptive granularity: realized makespan {drain_adaptive_mk:.6} s \
-         ({drain_gain:.1}% better, {} drain splits, min issued {} w)",
-        drain_adaptive.drain_splits, drain_adaptive.min_issued_batch_words
-    );
-    assert!(drain_adaptive.drain_splits > 0, "the drain point must have fired");
-    assert!(
-        drain_adaptive.min_issued_batch_words >= 1,
-        "adaptive sizing must never issue a zero-word batch"
-    );
-    assert!(
-        drain_adaptive_mk < drain_static_mk,
-        "adaptive drain sizing must improve the realized makespan on the \
-         last-batch-imbalance scenario: {drain_adaptive_mk:.6} vs {drain_static_mk:.6}"
+        ws_makespan < paper_makespan,
+        "work-steal must beat the paper split: {ws_makespan:.9} vs {paper_makespan:.9} s"
     );
 
     // --- multi-GPU striping: round-robin vs LPT on the same skew.
@@ -411,70 +218,26 @@ fn main() {
             },
         ),
     ];
-    let calibrated = |seed: f64| {
+    let seeded = |seed: f64, calibrate: bool| {
         SchedulePolicy::WorkSteal(StealConfig {
             cpu_words_per_s: seed,
-            calibration: CalibrationConfig {
-                cpu_true_words_per_s: Some(cpu_rate),
-                ..CalibrationConfig::default()
-            },
+            calibrate,
             ..steal_cfg.clone()
         })
     };
     let schedules: Vec<(&str, SchedulePolicy)> = vec![
-        ("static-0.0", SchedulePolicy::Static { cpu_bin2_fraction: 0.0 }),
-        ("static-0.5", SchedulePolicy::Static { cpu_bin2_fraction: 0.5 }),
-        ("static-1.0", SchedulePolicy::Static { cpu_bin2_fraction: 1.0 }),
         ("ws-default", SchedulePolicy::WorkSteal(steal_cfg.clone())),
         (
             "ws-fine",
             SchedulePolicy::WorkSteal(StealConfig { batch_words: 8 * 1024, ..steal_cfg.clone() }),
         ),
-        // Every calibration trajectory — correctly seeded and 10x off both
-        // ways — must leave the assembled bytes untouched under every fault
-        // plan: calibration moves work between engines, never results.
-        ("ws-cal-oracle", calibrated(cpu_rate)),
-        ("ws-cal-mis-hi", calibrated(10.0 * cpu_rate)),
-        ("ws-cal-mis-lo", calibrated(cpu_rate / 10.0)),
-        // PR 5 refinements: bin-resolved rate pricing and adaptive drain
-        // sizing reshape the schedule, so they must also leave the bytes
-        // untouched — alone and stacked.
-        (
-            "ws-perbin",
-            SchedulePolicy::WorkSteal(StealConfig {
-                calibration: CalibrationConfig {
-                    per_bin: true,
-                    cpu_true_bin2_words_per_s: Some(0.4 * cpu_rate),
-                    cpu_true_bin3_words_per_s: Some(2.5 * cpu_rate),
-                    ..CalibrationConfig::default()
-                },
-                ..steal_cfg.clone()
-            }),
-        ),
-        (
-            "ws-adaptive",
-            SchedulePolicy::WorkSteal(StealConfig {
-                adaptive_batch: true,
-                drain_factor: 4.0,
-                min_batch_words: 1024,
-                ..steal_cfg.clone()
-            }),
-        ),
-        (
-            "ws-perbin-adaptive",
-            SchedulePolicy::WorkSteal(StealConfig {
-                adaptive_batch: true,
-                drain_factor: 4.0,
-                min_batch_words: 1024,
-                calibration: CalibrationConfig {
-                    per_bin: true,
-                    cpu_true_bin2_words_per_s: Some(0.4 * cpu_rate),
-                    cpu_true_bin3_words_per_s: Some(2.5 * cpu_rate),
-                    ..CalibrationConfig::default()
-                },
-                ..steal_cfg.clone()
-            }),
-        ),
+        ("paper-split", SchedulePolicy::WorkSteal(paper_cfg.clone())),
+        // A 10x mis-seeded CPU rate, held or calibrated from measured batch
+        // times, moves work between engines, never results.
+        ("ws-seed-hi", seeded(10.0 * cpu_rate, false)),
+        ("ws-seed-lo", seeded(cpu_rate / 10.0, false)),
+        ("ws-seed-hi-cal", seeded(10.0 * cpu_rate, true)),
+        ("ws-seed-lo-cal", seeded(cpu_rate / 10.0, true)),
     ];
     let mut identical_configs = 0usize;
     for (fname, plan) in &fault_plans {
@@ -501,7 +264,7 @@ fn main() {
     let _ = writeln!(json, "  \"tasks\": {n_tasks},");
     let _ = writeln!(json, "  \"est_words_total\": {total_words},");
     let _ = writeln!(json, "  \"gpu_rate_words_per_s\": {gpu_rate:.3},");
-    let _ = writeln!(json, "  \"static_makespan_s\": {static_makespan:.9},");
+    let _ = writeln!(json, "  \"paper_split_makespan_s\": {paper_makespan:.9},");
     let _ = writeln!(json, "  \"worksteal_makespan_s\": {ws_makespan:.9},");
     let _ = writeln!(json, "  \"improvement_pct\": {improvement:.3},");
     let _ = writeln!(json, "  \"worksteal_word_balance\": {:.4},", ws.schedule.word_balance());
@@ -516,44 +279,6 @@ fn main() {
     let _ = writeln!(json, "  \"balance_lpt\": {balance_lpt:.4},");
     let _ = writeln!(json, "  \"balance_mixed_rate_blind\": {balance_mixed_blind:.4},");
     let _ = writeln!(json, "  \"balance_mixed_rate_aware\": {balance_mixed_aware:.4},");
-    let _ = writeln!(json, "  \"calibration_oracle_makespan_s\": {oracle_mk:.9},");
-    let _ =
-        writeln!(json, "  \"calibration_mis_hi_makespan_s\": {:.9},", cal_hi.realized_makespan_s());
-    let _ =
-        writeln!(json, "  \"calibration_mis_lo_makespan_s\": {:.9},", cal_lo.realized_makespan_s());
-    let _ = writeln!(
-        json,
-        "  \"uncalibrated_mis_hi_makespan_s\": {:.9},",
-        uncal_hi.realized_makespan_s()
-    );
-    let _ = writeln!(
-        json,
-        "  \"uncalibrated_mis_lo_makespan_s\": {:.9},",
-        uncal_lo.realized_makespan_s()
-    );
-    let _ = writeln!(json, "  \"calibration_cpu_updates\": {},", cal_hi.cpu_updates);
-    let _ =
-        writeln!(json, "  \"calibration_rel_err_vs_realized\": {:.6},", oracle.rel_err_vs_realized);
-    let _ = writeln!(json, "  \"per_bin_pooled_model_err\": {pooled_err:.6},");
-    let _ = writeln!(json, "  \"per_bin_model_err\": {perbin_err:.6},");
-    let _ = writeln!(
-        json,
-        "  \"per_bin_cpu_bin2_words_per_s\": {:.3},",
-        perbin_cal.cpu_bin2_words_per_s
-    );
-    let _ = writeln!(
-        json,
-        "  \"per_bin_cpu_bin3_words_per_s\": {:.3},",
-        perbin_cal.cpu_bin3_words_per_s
-    );
-    let _ = writeln!(json, "  \"drain_static_makespan_s\": {drain_static_mk:.9},");
-    let _ = writeln!(json, "  \"drain_adaptive_makespan_s\": {drain_adaptive_mk:.9},");
-    let _ = writeln!(json, "  \"drain_splits\": {},", drain_adaptive.drain_splits);
-    let _ = writeln!(
-        json,
-        "  \"drain_min_issued_batch_words\": {},",
-        drain_adaptive.min_issued_batch_words
-    );
     let _ = writeln!(json, "  \"byte_identical_configs\": {identical_configs}");
     json.push_str("}\n");
     let out_path = std::path::Path::new("results").join("BENCH_overlap.json");

@@ -1,26 +1,19 @@
-//! Online rate calibration for the overlap scheduler (ROADMAP:
-//! "cost-model feedback").
+//! Online rate calibration for the overlap scheduler.
 //!
 //! The work-stealing scheduler of [`crate::schedule`] models each engine
 //! with a virtual clock; the CPU clock needs a throughput figure
 //! (estimated device-words per second) to convert batch cost into model
-//! seconds. PR 3 shipped that figure as a hard-coded constant
-//! (`StealConfig::cpu_words_per_s = 5e7`), which is exactly the kind of
-//! magic number MHM2's own cost model recalibrates per run. This module
-//! closes the loop: each engine's rate is an **EWMA over observed
-//! per-batch rates**, seeded from the configured constant (now demoted to
-//! a seed/override) and updated after every batch:
+//! seconds. The configured `StealConfig::cpu_words_per_s` is only the
+//! seed: with calibration on, each engine's rate is an **EWMA over
+//! observed per-batch rates**, updated after every batch:
 //!
 //! ```text
-//! rate ← (1 − α)·rate + α·(batch_words / observed_batch_seconds)
+//! rate ← (1 − α)·rate + α·(batch_words / observed_batch_seconds),  α = ALPHA
 //! ```
 //!
 //! The GPU side observes [`crate::gpu::GpuRunStats::wall_s`] (simulated
-//! exec + modeled pack − double-buffer savings); the CPU side observes
-//! either measured host wall seconds or, when
-//! [`CalibrationConfig::cpu_true_words_per_s`] is set, a *modeled* time at
-//! that rate — the deterministic observation source the tests and the
-//! fig11 ablation use, so convergence claims are reproducible.
+//! exec + modeled pack − double-buffer savings); the CPU side observes the
+//! measured host wall seconds of each batch.
 //!
 //! After every accepted CPU observation the scheduler **rebases** the CPU
 //! virtual clock to `words_done / rate`, so a badly seeded early estimate
@@ -28,28 +21,20 @@
 //! *current* belief about elapsed CPU-engine time, not a sum of stale
 //! per-batch guesses. (The GPU clock advances by direct observation and
 //! needs no rebase.)
-//!
-//! On top of the pooled loop, [`BinRateModel`] resolves rates **per bin**
-//! (paper §3: bin 2 = scattered small tasks, bin 3 = cache-friendly large
-//! ones have genuinely different per-word costs): each bin feeds its own
-//! [`RateEstimator`], the pooled EWMA stays as the prior, and a bin's own
-//! estimate is trusted only once it has
-//! [`CalibrationConfig::min_bin_obs`] observations. With per-bin
-//! resolution on, the CPU clock prices each bin's words at its own rate —
-//! `clock = bin2_words/rate₂ + bin3_words/rate₃` — instead of conflating
-//! both under one figure.
 
-use serde::{Deserialize, Serialize};
+/// EWMA smoothing weight: the fraction of each new observation blended
+/// into the estimate.
+pub const ALPHA: f64 = 0.5;
 
 /// EWMA throughput estimator in estimated device-words per second.
 ///
 /// ```
 /// use locassm::calibrate::RateEstimator;
 ///
-/// let mut est = RateEstimator::seeded(1.0e6, 0.5);
+/// let mut est = RateEstimator::seeded(1.0e6);
 /// assert_eq!(est.rate_or(0.0), 1.0e6);
 ///
-/// // One observed batch at 3e6 words/s moves the EWMA halfway (alpha 0.5).
+/// // One observed batch at 3e6 words/s moves the EWMA halfway (ALPHA 0.5).
 /// est.observe(3_000_000, 1.0);
 /// assert_eq!(est.rate_or(0.0), 2.0e6);
 /// assert_eq!(est.updates(), 1);
@@ -63,22 +48,21 @@ use serde::{Deserialize, Serialize};
 pub struct RateEstimator {
     seed: Option<f64>,
     rate: Option<f64>,
-    alpha: f64,
     updates: u64,
 }
 
 impl RateEstimator {
     /// Estimator seeded at `rate` words/s (the CPU engine: its seed is the
     /// configured `cpu_words_per_s`).
-    pub fn seeded(rate: f64, alpha: f64) -> RateEstimator {
-        RateEstimator { seed: Some(rate), rate: Some(rate), alpha, updates: 0 }
+    pub fn seeded(rate: f64) -> RateEstimator {
+        RateEstimator { seed: Some(rate), rate: Some(rate), updates: 0 }
     }
 
     /// Estimator with no prior: the first accepted observation becomes the
     /// estimate (the GPU engine: its clock never needed a rate constant,
     /// so there is nothing to seed from).
-    pub fn unseeded(alpha: f64) -> RateEstimator {
-        RateEstimator { seed: None, rate: None, alpha, updates: 0 }
+    pub fn unseeded() -> RateEstimator {
+        RateEstimator { seed: None, rate: None, updates: 0 }
     }
 
     /// Feed one observed batch: `words` of estimated cost retired in
@@ -95,7 +79,7 @@ impl RateEstimator {
         }
         self.rate = Some(match self.rate {
             None => obs,
-            Some(r) => (1.0 - self.alpha) * r + self.alpha * obs,
+            Some(r) => (1.0 - ALPHA) * r + ALPHA * obs,
         });
         self.updates += 1;
     }
@@ -114,222 +98,6 @@ impl RateEstimator {
     /// Accepted observations so far.
     pub fn updates(&self) -> u64 {
         self.updates
-    }
-}
-
-/// Per-bin throughput model: one [`RateEstimator`] per bin (bin 2 and
-/// bin 3) layered over the pooled estimator the PR 4 calibration loop
-/// introduced.
-///
-/// Bin-2 and bin-3 batches have different per-word cost profiles — bin 3
-/// is a cache-friendly sweep over a few large tables, bin 2 scatters over
-/// many tiny ones — so a single pooled words/s figure conflates the two.
-/// The model keeps the pooled EWMA as the *prior*: a bin's own estimate is
-/// only trusted once that bin has accumulated at least
-/// [`CalibrationConfig::min_bin_obs`] accepted observations; until then
-/// [`BinRateModel::rate_for`] answers with the pooled estimate, so early
-/// per-bin noise can never misprice a steal.
-///
-/// ```
-/// use locassm::calibrate::BinRateModel;
-///
-/// // Pooled seed 1e6 words/s, alpha 0.5, trust a bin after 2 observations.
-/// let mut model = BinRateModel::seeded(1.0e6, 0.5, true, 2);
-///
-/// // One bin-3 (heavy) observation: below min_bin_obs, the bin-resolved
-/// // rate still answers with the pooled estimate.
-/// model.observe(true, 2_000_000, 1.0); // 2e6 words/s observed
-/// assert_eq!(model.bin(true).updates(), 1);
-/// assert_eq!(model.rate_for(true, 0.0), model.pooled().rate_or(0.0));
-///
-/// // A second heavy observation crosses the threshold: the bin's own
-/// // estimate (2e6, adopted whole then confirmed) takes over.
-/// model.observe(true, 2_000_000, 1.0);
-/// assert!((model.rate_for(true, 0.0) - 2.0e6).abs() < 1e-6);
-/// // Bin 2 has no observations yet and still falls back to pooled.
-/// assert_eq!(model.rate_for(false, 0.0), model.pooled().rate_or(0.0));
-/// ```
-#[derive(Debug, Clone)]
-pub struct BinRateModel {
-    pooled: RateEstimator,
-    bin2: RateEstimator,
-    bin3: RateEstimator,
-    per_bin: bool,
-    min_bin_obs: u64,
-}
-
-impl BinRateModel {
-    /// Model whose pooled estimator is seeded at `rate` words/s (the CPU
-    /// engine). The per-bin estimators start unseeded: their first
-    /// accepted observation is adopted whole, exactly like the GPU's
-    /// pooled estimator in PR 4.
-    pub fn seeded(rate: f64, alpha: f64, per_bin: bool, min_bin_obs: u64) -> BinRateModel {
-        BinRateModel {
-            pooled: RateEstimator::seeded(rate, alpha),
-            bin2: RateEstimator::unseeded(alpha),
-            bin3: RateEstimator::unseeded(alpha),
-            per_bin,
-            min_bin_obs,
-        }
-    }
-
-    /// Model with no pooled prior (the GPU engine: its clock advances by
-    /// direct observation, so the estimators exist for reporting and steal
-    /// pricing only).
-    pub fn unseeded(alpha: f64, per_bin: bool, min_bin_obs: u64) -> BinRateModel {
-        BinRateModel {
-            pooled: RateEstimator::unseeded(alpha),
-            bin2: RateEstimator::unseeded(alpha),
-            bin3: RateEstimator::unseeded(alpha),
-            per_bin,
-            min_bin_obs,
-        }
-    }
-
-    /// Feed one observed batch into both the pooled estimator and the
-    /// estimator of the batch's bin (`heavy` = bin 3, otherwise bin 2).
-    /// Degenerate observations are rejected by [`RateEstimator::observe`].
-    pub fn observe(&mut self, heavy: bool, words: u64, seconds: f64) {
-        self.pooled.observe(words, seconds);
-        if heavy {
-            self.bin3.observe(words, seconds);
-        } else {
-            self.bin2.observe(words, seconds);
-        }
-    }
-
-    /// Bin-resolved rate: the bin's own estimate once it has at least
-    /// `min_bin_obs` accepted observations (and per-bin resolution is on),
-    /// the pooled estimate otherwise, `fallback` when nothing has been
-    /// seeded or observed at all.
-    pub fn rate_for(&self, heavy: bool, fallback: f64) -> f64 {
-        let bin = self.bin(heavy);
-        if self.per_bin && bin.updates() >= self.min_bin_obs {
-            bin.rate_or(self.pooled.rate_or(fallback))
-        } else {
-            self.pooled.rate_or(fallback)
-        }
-    }
-
-    /// The pooled (all-bins) estimator — PR 4's single rate.
-    pub fn pooled(&self) -> &RateEstimator {
-        &self.pooled
-    }
-
-    /// The estimator of one bin (`heavy` = bin 3, otherwise bin 2).
-    pub fn bin(&self, heavy: bool) -> &RateEstimator {
-        if heavy {
-            &self.bin3
-        } else {
-            &self.bin2
-        }
-    }
-
-    /// Whether per-bin resolution is on (off = [`BinRateModel::rate_for`]
-    /// always answers with the pooled estimate).
-    pub fn per_bin(&self) -> bool {
-        self.per_bin
-    }
-}
-
-/// Knobs of the calibration loop, carried inside
-/// [`crate::schedule::StealConfig`].
-///
-/// ```
-/// use locassm::calibrate::CalibrationConfig;
-///
-/// // The defaults are a valid, enabled, pooled-EWMA loop.
-/// let cfg = CalibrationConfig::default();
-/// assert!(cfg.validate().is_ok());
-/// assert!(!cfg.per_bin);
-///
-/// // Per-bin resolution needs the feedback loop itself to be on.
-/// let bad = CalibrationConfig { per_bin: true, ..CalibrationConfig::off() };
-/// assert!(bad.validate().is_err());
-/// let good = CalibrationConfig { per_bin: true, ..CalibrationConfig::default() };
-/// assert!(good.validate().is_ok());
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CalibrationConfig {
-    /// Feed observed batch times back into the virtual clocks. Off, the
-    /// scheduler behaves exactly as PR 3: the CPU clock runs at the
-    /// constant seed rate for the whole run.
-    pub enabled: bool,
-    /// EWMA smoothing weight in `(0, 1]`: the fraction of each new
-    /// observation blended into the estimate. 1.0 = trust only the latest
-    /// batch; small values smooth noisy wall clocks at the cost of slower
-    /// convergence.
-    pub alpha: f64,
-    /// Deterministic CPU observation source: when set, a CPU batch of `w`
-    /// words is "observed" to take `w / cpu_true_words_per_s` seconds
-    /// instead of its measured host wall time. This is how tests and the
-    /// fig11 calibration ablation model a known ground-truth CPU rate
-    /// (mis-seed the estimator, let it converge to this); production runs
-    /// leave it `None` and calibrate from real wall clocks.
-    pub cpu_true_words_per_s: Option<f64>,
-    /// Resolve rates per bin (see [`BinRateModel`]): bin-2 and bin-3
-    /// batches feed separate estimators, and the virtual clocks price each
-    /// bin's words at its own rate once the bin has [`Self::min_bin_obs`]
-    /// observations. Off (the default), the model behaves exactly as
-    /// PR 4's pooled EWMA. Requires [`Self::enabled`].
-    pub per_bin: bool,
-    /// Accepted observations a bin needs before its own estimate is
-    /// trusted over the pooled prior. Must be >= 1.
-    pub min_bin_obs: u64,
-    /// Deterministic bin-2 observation source: overrides
-    /// [`Self::cpu_true_words_per_s`] for light (bin-2) CPU batches, so
-    /// tests and the fig11 per-bin ablation can model bins with genuinely
-    /// different ground-truth rates.
-    pub cpu_true_bin2_words_per_s: Option<f64>,
-    /// Deterministic bin-3 observation source: overrides
-    /// [`Self::cpu_true_words_per_s`] for heavy (bin-3) CPU batches.
-    pub cpu_true_bin3_words_per_s: Option<f64>,
-}
-
-impl Default for CalibrationConfig {
-    fn default() -> Self {
-        CalibrationConfig {
-            enabled: true,
-            alpha: 0.5,
-            cpu_true_words_per_s: None,
-            per_bin: false,
-            min_bin_obs: 3,
-            cpu_true_bin2_words_per_s: None,
-            cpu_true_bin3_words_per_s: None,
-        }
-    }
-}
-
-impl CalibrationConfig {
-    /// Calibration disabled: the scheduler trusts the configured constant
-    /// (the explicit-override path of `--cpu-words-per-s`).
-    pub fn off() -> CalibrationConfig {
-        CalibrationConfig { enabled: false, ..CalibrationConfig::default() }
-    }
-
-    /// Reject out-of-domain knobs with a description of what is wrong.
-    pub fn validate(&self) -> Result<(), String> {
-        if !self.alpha.is_finite() || !(0.0..=1.0).contains(&self.alpha) || self.alpha == 0.0 {
-            return Err(format!("calibration alpha must be in (0, 1], got {}", self.alpha));
-        }
-        for (name, rate) in [
-            ("cpu_true_words_per_s", self.cpu_true_words_per_s),
-            ("cpu_true_bin2_words_per_s", self.cpu_true_bin2_words_per_s),
-            ("cpu_true_bin3_words_per_s", self.cpu_true_bin3_words_per_s),
-        ] {
-            if let Some(r) = rate {
-                if !r.is_finite() || r <= 0.0 {
-                    return Err(format!("{name} must be positive and finite, got {r}"));
-                }
-            }
-        }
-        if self.per_bin && !self.enabled {
-            return Err("per_bin rate resolution needs the calibration loop (enabled)".to_string());
-        }
-        if self.min_bin_obs == 0 {
-            return Err("min_bin_obs must be >= 1".to_string());
-        }
-        Ok(())
     }
 }
 
@@ -352,31 +120,7 @@ pub struct CalibrationReport {
     pub cpu_updates: u64,
     /// Accepted GPU observations.
     pub gpu_updates: u64,
-    /// Whether per-bin rate resolution was active (see [`BinRateModel`]).
-    pub per_bin: bool,
-    /// Converged CPU bin-2 estimate (words/s); 0.0 when the CPU engine
-    /// never finished a bin-2 batch.
-    pub cpu_bin2_words_per_s: f64,
-    /// Converged CPU bin-3 estimate (words/s); 0.0 when the CPU engine
-    /// never finished a bin-3 batch.
-    pub cpu_bin3_words_per_s: f64,
-    /// Accepted CPU bin-2 observations.
-    pub cpu_bin2_updates: u64,
-    /// Accepted CPU bin-3 observations.
-    pub cpu_bin3_updates: u64,
-    /// Converged GPU bin-2 estimate (words/s over `wall_s`); 0.0 when the
-    /// GPU engine never absorbed a bin-2 batch.
-    pub gpu_bin2_words_per_s: f64,
-    /// Converged GPU bin-3 estimate (words/s over `wall_s`); 0.0 when the
-    /// GPU engine never completed a bin-3 batch.
-    pub gpu_bin3_words_per_s: f64,
-    /// Accepted GPU bin-2 observations.
-    pub gpu_bin2_updates: u64,
-    /// Accepted GPU bin-3 observations.
-    pub gpu_bin3_updates: u64,
-    /// Realized CPU-engine seconds: the sum of observed batch times
-    /// (modeled at the true rate when one is configured, measured wall
-    /// otherwise).
+    /// Realized CPU-engine seconds: the sum of measured batch wall times.
     pub cpu_realized_s: f64,
     /// Realized GPU-engine seconds (sum of observed `wall_s` per batch).
     pub gpu_realized_s: f64,
@@ -415,7 +159,7 @@ mod tests {
         // update, from either side of the truth.
         for seed in [1e6, 1e9] {
             let truth = 1e8f64;
-            let mut est = RateEstimator::seeded(seed, 0.5);
+            let mut est = RateEstimator::seeded(seed);
             let mut prev_err = (seed - truth).abs();
             for _ in 0..20 {
                 est.observe(1_000_000, 1_000_000.0 / truth);
@@ -430,18 +174,18 @@ mod tests {
 
     #[test]
     fn unseeded_estimator_adopts_first_observation() {
-        let mut est = RateEstimator::unseeded(0.25);
+        let mut est = RateEstimator::unseeded();
         assert_eq!(est.rate_or(42.0), 42.0, "no prior: fallback");
         est.observe(500, 2.0);
         assert!((est.rate_or(0.0) - 250.0).abs() < 1e-12, "first obs adopted whole");
         est.observe(1000, 2.0);
-        // (1-α)·250 + α·500 = 312.5
-        assert!((est.rate_or(0.0) - 312.5).abs() < 1e-9);
+        // (1-α)·250 + α·500 = 375
+        assert!((est.rate_or(0.0) - 375.0).abs() < 1e-9);
     }
 
     #[test]
     fn degenerate_observations_rejected() {
-        let mut est = RateEstimator::seeded(100.0, 0.5);
+        let mut est = RateEstimator::seeded(100.0);
         est.observe(0, 1.0); // zero words
         est.observe(10, 0.0); // zero time
         est.observe(10, -1.0); // negative time
@@ -449,79 +193,6 @@ mod tests {
         est.observe(10, f64::INFINITY); // rate would be 0... inf seconds
         assert_eq!(est.updates(), 0, "no degenerate observation may count");
         assert_eq!(est.rate_or(0.0), 100.0, "estimate untouched");
-    }
-
-    #[test]
-    fn config_validation() {
-        assert!(CalibrationConfig::default().validate().is_ok());
-        assert!(CalibrationConfig::off().validate().is_ok());
-        for alpha in [0.0, -0.5, 1.5, f64::NAN] {
-            let cfg = CalibrationConfig { alpha, ..Default::default() };
-            assert!(cfg.validate().is_err(), "alpha {alpha} must be rejected");
-        }
-        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let cfg = CalibrationConfig { cpu_true_words_per_s: Some(rate), ..Default::default() };
-            assert!(cfg.validate().is_err(), "true rate {rate} must be rejected");
-            let cfg =
-                CalibrationConfig { cpu_true_bin2_words_per_s: Some(rate), ..Default::default() };
-            assert!(cfg.validate().is_err(), "bin-2 true rate {rate} must be rejected");
-            let cfg =
-                CalibrationConfig { cpu_true_bin3_words_per_s: Some(rate), ..Default::default() };
-            assert!(cfg.validate().is_err(), "bin-3 true rate {rate} must be rejected");
-        }
-        let cfg = CalibrationConfig { per_bin: true, enabled: false, ..Default::default() };
-        assert!(cfg.validate().is_err(), "per_bin without the loop must be rejected");
-        let cfg = CalibrationConfig { min_bin_obs: 0, ..Default::default() };
-        assert!(cfg.validate().is_err(), "zero min_bin_obs must be rejected");
-        let cfg = CalibrationConfig { per_bin: true, ..Default::default() };
-        assert!(cfg.validate().is_ok(), "per_bin with the loop on is fine");
-    }
-
-    #[test]
-    fn bin_model_trusts_bins_only_after_min_obs() {
-        let mut m = BinRateModel::seeded(1.0e6, 0.5, true, 3);
-        assert!(m.per_bin());
-        // Two bin-2 observations at 4e6: still below the threshold, so the
-        // bin-resolved answer is the pooled estimate (which has absorbed
-        // the same observations).
-        m.observe(false, 4_000_000, 1.0);
-        m.observe(false, 4_000_000, 1.0);
-        assert_eq!(m.bin(false).updates(), 2);
-        assert_eq!(m.rate_for(false, 0.0), m.pooled().rate_or(0.0));
-        // Third observation crosses min_bin_obs: the bin's own estimate —
-        // unseeded, so converged to exactly 4e6 after three constant
-        // observations — takes over, while the pooled estimate is still
-        // dragged by the 1e6 seed.
-        m.observe(false, 4_000_000, 1.0);
-        assert!((m.rate_for(false, 0.0) - 4.0e6).abs() < 1e-6);
-        assert!(m.pooled().rate_or(0.0) < 4.0e6);
-        // Bin 3 never observed: pooled fallback.
-        assert_eq!(m.rate_for(true, 0.0), m.pooled().rate_or(0.0));
-    }
-
-    #[test]
-    fn bin_model_with_per_bin_off_always_answers_pooled() {
-        let mut m = BinRateModel::seeded(1.0e6, 0.5, false, 1);
-        for _ in 0..5 {
-            m.observe(true, 8_000_000, 1.0);
-        }
-        assert_eq!(m.bin(true).updates(), 5, "bin estimators still learn");
-        assert_eq!(
-            m.rate_for(true, 0.0),
-            m.pooled().rate_or(0.0),
-            "per_bin off must price every bin at the pooled rate"
-        );
-    }
-
-    #[test]
-    fn bin_model_estimators_are_independent() {
-        let mut m = BinRateModel::unseeded(1.0, true, 1);
-        m.observe(false, 1_000, 1.0); // bin 2: 1e3 words/s
-        m.observe(true, 9_000, 1.0); // bin 3: 9e3 words/s
-        assert!((m.rate_for(false, 0.0) - 1.0e3).abs() < 1e-9);
-        assert!((m.rate_for(true, 0.0) - 9.0e3).abs() < 1e-9);
-        // The pooled estimator saw both (alpha 1.0 keeps the latest).
-        assert_eq!(m.pooled().updates(), 2);
     }
 
     #[test]

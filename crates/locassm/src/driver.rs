@@ -5,31 +5,23 @@
 //! reads), the CPU keeps extending bin-2 contigs; whatever bin-2 work
 //! remains when the GPU returns is offloaded too — a *dynamic* handoff.
 //!
-//! Two scheduling policies reproduce that:
-//!
-//! * [`SchedulePolicy::WorkSteal`] (default) — the deque scheduler of
-//!   [`crate::schedule`]: cost-estimated batches, GPU drains the
-//!   bin-3-first head, CPU steals from the bin-2 tail, whichever engine is
-//!   behind on its virtual clock takes the next batch.
-//! * [`SchedulePolicy::Static`] — the historical fixed `cpu_bin2_fraction`
-//!   split, kept as the comparison baseline. The CPU share is now dealt
-//!   **size-interleaved** (not a prefix of `bins.small`), so even the
-//!   static split is no longer biased by binning order.
+//! The deque scheduler of [`crate::schedule`] reproduces that:
+//! cost-estimated batches, the GPU drains the bin-3-first head, the CPU
+//! steals from the bin-2 tail, and whichever engine is behind on its
+//! virtual clock takes the next batch. The paper's fixed split is the same
+//! runner at `batch_words: u64::MAX` with calibration off.
 //!
 //! Functional output is engine-independent (the equivalence tests
-//! guarantee it), so the policy is purely a performance knob — exactly as
-//! in the paper. Both paths share task data by index; tasks are never
-//! deep-cloned per engine.
+//! guarantee it), so the schedule is purely a performance knob — exactly
+//! as in the paper. Tasks are shared with both engines by index; they are
+//! never deep-cloned per engine.
 
 use crate::binning::bin_tasks;
-use crate::cpu::extend_cpu_isolated_refs;
-use crate::gpu::pack::estimate_task_cost;
-use crate::gpu::{GpuLocalAssembler, GpuRunStats, KernelVersion};
+use crate::gpu::{GpuRunStats, KernelVersion};
 use crate::params::LocalAssemblyParams;
 use crate::schedule::{build_batches, run_work_steal, ScheduleReport, StealConfig};
 use crate::task::{ExtResult, ExtTask, TaskOutcome};
 use gpusim::DeviceConfig;
-use std::time::Instant;
 
 /// Why an overlapped run could not produce results at all. Per-task
 /// failures do NOT produce this — they degrade to skipped tasks, counted
@@ -44,8 +36,8 @@ pub enum DriverError {
         /// Results the engine actually returned.
         got: usize,
     },
-    /// The driver was configured with an out-of-domain knob (NaN or
-    /// out-of-range fraction, zero batch granularity, non-positive rate).
+    /// The driver was configured with an out-of-domain knob (zero batch
+    /// granularity, non-positive or non-finite rate).
     /// Rejected up front rather than silently misrouting work.
     BadConfig {
         /// Which knob was rejected, and why.
@@ -69,15 +61,7 @@ impl std::error::Error for DriverError {}
 /// How bin-2/bin-3 work is divided between the engines.
 #[derive(Debug, Clone)]
 pub enum SchedulePolicy {
-    /// Fixed split: this fraction of bin 2 stays on the CPU (0 = all bin 2
-    /// follows bin 3 onto the GPU; 1 = CPU does all of bin 2), dealt
-    /// size-interleaved. Bin 3 always goes to the GPU.
-    Static {
-        /// Fraction of bin-2 tasks kept on the CPU. Must be finite and in
-        /// `[0, 1]` — anything else is a [`DriverError::BadConfig`].
-        cpu_bin2_fraction: f64,
-    },
-    /// Deque work-stealing with cost-estimated batches (the tentpole).
+    /// Deque work-stealing with cost-estimated batches.
     WorkSteal(StealConfig),
 }
 
@@ -114,7 +98,7 @@ pub struct OverlapDriver {
     pub device: DeviceConfig,
     /// Kernel version the GPU engine launches.
     pub version: KernelVersion,
-    /// Scheduling policy (default: work-stealing).
+    /// Scheduling policy.
     pub schedule: SchedulePolicy,
 }
 
@@ -129,50 +113,17 @@ impl Default for OverlapDriver {
 }
 
 impl OverlapDriver {
-    /// The historical fixed-fraction driver (comparison baseline).
-    pub fn static_split(cpu_bin2_fraction: f64) -> OverlapDriver {
-        OverlapDriver {
-            schedule: SchedulePolicy::Static { cpu_bin2_fraction },
-            ..Default::default()
+    fn validate(cfg: &StealConfig) -> Result<(), DriverError> {
+        if cfg.batch_words == 0 {
+            return Err(DriverError::BadConfig { what: "batch_words must be >= 1".to_string() });
         }
-    }
-
-    /// The work-stealing driver with default steal granularity.
-    pub fn work_stealing() -> OverlapDriver {
-        OverlapDriver::default()
-    }
-
-    fn validate(&self) -> Result<(), DriverError> {
-        let bad = |what: String| Err(DriverError::BadConfig { what });
-        match &self.schedule {
-            SchedulePolicy::Static { cpu_bin2_fraction: f } => {
-                if !f.is_finite() || !(0.0..=1.0).contains(f) {
-                    return bad(format!("cpu_bin2_fraction must be in [0, 1], got {f}"));
-                }
-            }
-            SchedulePolicy::WorkSteal(cfg) => {
-                if cfg.batch_words == 0 {
-                    return bad("batch_words must be >= 1".to_string());
-                }
-                if !cfg.cpu_words_per_s.is_finite() || cfg.cpu_words_per_s <= 0.0 {
-                    return bad(format!(
-                        "cpu_words_per_s must be positive and finite, got {}",
-                        cfg.cpu_words_per_s
-                    ));
-                }
-                if !cfg.drain_factor.is_finite() || cfg.drain_factor <= 0.0 {
-                    return bad(format!(
-                        "drain_factor must be positive and finite, got {}",
-                        cfg.drain_factor
-                    ));
-                }
-                if cfg.min_batch_words == 0 {
-                    return bad("min_batch_words must be >= 1".to_string());
-                }
-                if let Err(what) = cfg.calibration.validate() {
-                    return bad(what);
-                }
-            }
+        if !cfg.cpu_words_per_s.is_finite() || cfg.cpu_words_per_s <= 0.0 {
+            return Err(DriverError::BadConfig {
+                what: format!(
+                    "cpu_words_per_s must be positive and finite, got {}",
+                    cfg.cpu_words_per_s
+                ),
+            });
         }
         Ok(())
     }
@@ -180,8 +131,8 @@ impl OverlapDriver {
     /// Run all tasks with CPU/GPU overlap.
     ///
     /// Device faults are handled inside the GPU engine's recovery ladder
-    /// (retry → shrink → reset → CPU fallback); if the whole GPU branch
-    /// panics, its remaining share is re-run on the CPU engine with
+    /// (retry → shrink → reset → CPU fallback); if the GPU engine panics,
+    /// its batch and the rest of the deque run on the CPU engine with
     /// per-task panic isolation, so a single bad task is skipped, never
     /// fatal.
     pub fn run(
@@ -189,40 +140,23 @@ impl OverlapDriver {
         tasks: &[ExtTask],
         params: &LocalAssemblyParams,
     ) -> Result<OverlapOutcome, DriverError> {
-        self.validate()?;
+        let SchedulePolicy::WorkSteal(cfg) = &self.schedule;
+        Self::validate(cfg)?;
         let bins = bin_tasks(tasks);
         let mut results: Vec<Option<TaskOutcome>> = vec![None; tasks.len()];
         for &i in &bins.zero {
             results[i] = Some(TaskOutcome::Done(ExtResult::empty()));
         }
-
-        let (report, gpu_stats, fell_back, cpu_wall, gpu_wall, cpu_tasks, gpu_tasks) =
-            match &self.schedule {
-                SchedulePolicy::WorkSteal(cfg) => {
-                    let batches = build_batches(tasks, &bins, params, cfg.batch_words);
-                    let run = run_work_steal(
-                        tasks,
-                        &batches,
-                        params,
-                        self.device.clone(),
-                        self.version,
-                        cfg,
-                        &mut results,
-                    );
-                    (
-                        run.report,
-                        run.gpu_stats,
-                        run.gpu_branch_fell_back,
-                        run.cpu_wall_s,
-                        run.gpu_wall_s,
-                        run.cpu_tasks,
-                        run.gpu_tasks,
-                    )
-                }
-                SchedulePolicy::Static { cpu_bin2_fraction } => {
-                    self.run_static(tasks, &bins, params, *cpu_bin2_fraction, &mut results)?
-                }
-            };
+        let batches = build_batches(tasks, &bins, params, cfg.batch_words);
+        let run = run_work_steal(
+            tasks,
+            &batches,
+            params,
+            self.device.clone(),
+            self.version,
+            cfg,
+            &mut results,
+        );
 
         let mut failed_tasks = 0usize;
         let mut missing = 0usize;
@@ -253,119 +187,15 @@ impl OverlapDriver {
         Ok(OverlapOutcome {
             results,
             zero_tasks: bins.zero.len(),
-            cpu_tasks,
-            gpu_tasks,
+            cpu_tasks: run.cpu_tasks,
+            gpu_tasks: run.gpu_tasks,
             failed_tasks,
-            gpu_branch_fell_back: fell_back,
-            cpu_wall_s: cpu_wall,
-            gpu_wall_s: gpu_wall,
-            gpu_stats,
-            schedule: report,
+            gpu_branch_fell_back: run.gpu_branch_fell_back,
+            cpu_wall_s: run.cpu_wall_s,
+            gpu_wall_s: run.gpu_wall_s,
+            gpu_stats: run.gpu_stats,
+            schedule: run.report,
         })
-    }
-
-    /// The fixed-fraction baseline: split bin 2 size-interleaved, bin 3 on
-    /// the GPU, both shares run back-to-back (rayon in this tree is the
-    /// vendored sequential stub, so join order is irrelevant to results).
-    #[allow(clippy::type_complexity)]
-    fn run_static(
-        &self,
-        tasks: &[ExtTask],
-        bins: &crate::binning::BinStats,
-        params: &LocalAssemblyParams,
-        fraction: f64,
-        results: &mut [Option<TaskOutcome>],
-    ) -> Result<(ScheduleReport, Option<GpuRunStats>, bool, f64, f64, usize, usize), DriverError>
-    {
-        // Deal bin 2 in descending size order, Bresenham-style, so the CPU
-        // share holds `fraction` of the *tasks* while both shares see the
-        // same size mix — the prefix-bias fix.
-        let cost = |i: usize| estimate_task_cost(&tasks[i], params);
-        let mut small: Vec<(u64, usize)> = bins.small.iter().map(|&i| (cost(i), i)).collect();
-        small.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let (mut cpu_idx, mut gpu_small) = (Vec::new(), Vec::new());
-        let mut cpu_words = 0u64;
-        let mut gpu_words: u64 = bins.large.iter().map(|&i| cost(i)).sum();
-        for (j, (w, i)) in small.into_iter().enumerate() {
-            let take = ((j + 1) as f64 * fraction) as usize > (j as f64 * fraction) as usize;
-            if take {
-                cpu_idx.push(i);
-                cpu_words += w;
-            } else {
-                gpu_small.push(i);
-                gpu_words += w;
-            }
-        }
-        let gpu_idx: Vec<usize> = bins.large.iter().copied().chain(gpu_small).collect();
-
-        let cpu_refs: Vec<&ExtTask> = cpu_idx.iter().map(|&i| &tasks[i]).collect();
-        let gpu_refs: Vec<&ExtTask> = gpu_idx.iter().map(|&i| &tasks[i]).collect();
-
-        let device = self.device.clone();
-        let version = self.version;
-        let params_gpu = params.clone();
-        let params_cpu = params.clone();
-
-        // Host-side overlap structure preserved: the GPU simulation runs on
-        // one branch of a rayon join while the CPU engine takes the other.
-        let ((gpu_branch, gpu_wall), (cpu_results, cpu_wall)) = rayon::join(
-            || {
-                let t = Instant::now();
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut engine = GpuLocalAssembler::new(device, params_gpu, version);
-                    engine.extend_tasks_outcomes_ref(&gpu_refs)
-                }));
-                (r, t.elapsed().as_secs_f64())
-            },
-            || {
-                let t = Instant::now();
-                let r = extend_cpu_isolated_refs(&cpu_refs, &params_cpu);
-                (r, t.elapsed().as_secs_f64())
-            },
-        );
-
-        // A panic of the whole GPU branch (engine bug, not a device fault —
-        // those are absorbed by the ladder) degrades to re-running its
-        // share on the CPU engine. The share is re-borrowed by index — the
-        // tasks themselves are never cloned.
-        let (gpu_results, gpu_stats, fell_back) = match gpu_branch {
-            Ok((r, s)) => (r, Some(s), false),
-            Err(_panic) => {
-                let refs: Vec<&ExtTask> = gpu_idx.iter().map(|&i| &tasks[i]).collect();
-                (extend_cpu_isolated_refs(&refs, params), None, true)
-            }
-        };
-
-        if cpu_results.len() != cpu_idx.len() {
-            return Err(DriverError::ResultMismatch {
-                expected: cpu_idx.len(),
-                got: cpu_results.len(),
-            });
-        }
-        if gpu_results.len() != gpu_idx.len() {
-            return Err(DriverError::ResultMismatch {
-                expected: gpu_idx.len(),
-                got: gpu_results.len(),
-            });
-        }
-
-        for (&i, r) in cpu_idx.iter().zip(cpu_results) {
-            results[i] = Some(r);
-        }
-        for (&i, r) in gpu_idx.iter().zip(gpu_results) {
-            results[i] = Some(r);
-        }
-
-        let report = ScheduleReport {
-            policy: "static",
-            batches: 2,
-            gpu_batches: usize::from(!gpu_idx.is_empty()),
-            cpu_batches: usize::from(!cpu_idx.is_empty()),
-            cpu_est_words: cpu_words,
-            gpu_est_words: gpu_words,
-            ..Default::default()
-        };
-        Ok((report, gpu_stats, fell_back, cpu_wall, gpu_wall, cpu_idx.len(), gpu_idx.len()))
     }
 }
 
@@ -408,6 +238,19 @@ mod tests {
         tasks
     }
 
+    /// The paper's fixed split: one bin-3 batch for the GPU, one bin-2
+    /// batch for the CPU.
+    fn paper_split() -> OverlapDriver {
+        OverlapDriver {
+            schedule: SchedulePolicy::WorkSteal(StealConfig {
+                batch_words: u64::MAX,
+                calibrate: false,
+                ..Default::default()
+            }),
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn work_steal_matches_pure_cpu() {
         let tasks = tasks_with_mixed_bins();
@@ -418,7 +261,6 @@ mod tests {
         assert_eq!(outcome.zero_tasks, 8);
         assert_eq!(outcome.failed_tasks, 0);
         assert!(!outcome.gpu_branch_fell_back);
-        assert_eq!(outcome.schedule.policy, "work-steal");
         assert_eq!(outcome.cpu_tasks + outcome.gpu_tasks + outcome.zero_tasks, tasks.len());
     }
 
@@ -426,42 +268,55 @@ mod tests {
     fn static_matches_pure_cpu() {
         let tasks = tasks_with_mixed_bins();
         let params = LocalAssemblyParams::for_tests();
-        let pure = extend_all_cpu(&tasks, &params);
-        let outcome = OverlapDriver::static_split(0.5).run(&tasks, &params).expect("driver runs");
-        assert_eq!(outcome.results, pure);
-        assert_eq!(outcome.schedule.policy, "static");
+        let outcome = paper_split().run(&tasks, &params).expect("driver runs");
+        assert_eq!(outcome.results, extend_all_cpu(&tasks, &params));
+        assert_eq!(outcome.schedule.batches, 2, "one heavy and one light batch");
         assert_eq!(outcome.cpu_tasks + outcome.gpu_tasks + outcome.zero_tasks, tasks.len());
     }
 
+    /// The split's two granularity extremes — one task per batch, and the
+    /// paper's one heavy plus one light batch — both reproduce the CPU
+    /// reference; only the paper split pins bin 2 to the CPU.
     #[test]
     fn split_fraction_extremes() {
         let tasks = tasks_with_mixed_bins();
         let params = LocalAssemblyParams::for_tests();
         let pure = extend_all_cpu(&tasks, &params);
-        for frac in [0.0, 1.0] {
-            let driver = OverlapDriver::static_split(frac);
-            let outcome = driver.run(&tasks, &params).expect("driver runs");
-            assert_eq!(outcome.results, pure, "fraction {frac}");
-            if frac == 0.0 {
-                assert_eq!(outcome.cpu_tasks, 0);
-            } else {
-                // All bin-2 on CPU; GPU still gets bin 3.
-                assert_eq!(outcome.cpu_tasks, 8);
-                assert_eq!(outcome.gpu_tasks, 8);
-            }
-        }
+        let finest = OverlapDriver {
+            schedule: SchedulePolicy::WorkSteal(StealConfig {
+                batch_words: 1,
+                calibrate: false,
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        let outcome = finest.run(&tasks, &params).expect("driver runs");
+        assert_eq!(outcome.results, pure, "one task per batch");
+        assert_eq!(outcome.schedule.batches, 16, "one batch per bin-2/3 task");
+        assert_eq!(outcome.cpu_tasks + outcome.gpu_tasks, 16);
+
+        let outcome = paper_split().run(&tasks, &params).expect("driver runs");
+        assert_eq!(outcome.results, pure, "paper split");
+        assert_eq!(outcome.cpu_tasks, 8, "the 8 bin-2 tasks run on the CPU");
+        assert_eq!(outcome.gpu_tasks, 8, "the 8 bin-3 tasks run on the GPU");
+        assert_eq!(outcome.schedule.gpu_absorbed_light, 0);
+    }
+
+    #[test]
+    fn bin3_always_on_gpu_in_static_mode() {
+        let tasks = tasks_with_mixed_bins();
+        let params = LocalAssemblyParams::for_tests();
+        let outcome = paper_split().run(&tasks, &params).expect("driver runs");
+        assert_eq!(outcome.schedule.cpu_stole_heavy, 0);
+        let stats = outcome.gpu_stats.expect("gpu ran");
+        assert_eq!(stats.device_tasks, 8, "the 8 bin-3 tasks");
+        assert!(stats.seconds > 0.0);
     }
 
     #[test]
     fn bad_config_is_rejected() {
         let tasks = tasks_with_mixed_bins();
         let params = LocalAssemblyParams::for_tests();
-        for frac in [f64::NAN, -0.1, 1.5, f64::INFINITY] {
-            let err = OverlapDriver::static_split(frac)
-                .run(&tasks, &params)
-                .expect_err("out-of-domain fraction must be rejected");
-            assert!(matches!(err, DriverError::BadConfig { .. }), "fraction {frac}: got {err:?}");
-        }
         let ws = |cfg: StealConfig| OverlapDriver {
             schedule: SchedulePolicy::WorkSteal(cfg),
             ..Default::default()
@@ -470,87 +325,15 @@ mod tests {
             .run(&tasks, &params)
             .expect_err("zero batch_words must be rejected");
         assert!(matches!(err, DriverError::BadConfig { .. }));
-        for rate in [0.0, -1.0, f64::NAN] {
-            let err = ws(StealConfig { cpu_words_per_s: rate, ..Default::default() })
-                .run(&tasks, &params)
-                .expect_err("bad cpu rate must be rejected");
-            assert!(matches!(err, DriverError::BadConfig { .. }), "rate {rate}");
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            for calibrate in [false, true] {
+                let err =
+                    ws(StealConfig { cpu_words_per_s: rate, calibrate, ..Default::default() })
+                        .run(&tasks, &params)
+                        .expect_err("bad cpu rate must be rejected");
+                assert!(matches!(err, DriverError::BadConfig { .. }), "rate {rate}");
+            }
         }
-        for df in [0.0, -2.0, f64::NAN, f64::INFINITY] {
-            let err =
-                ws(StealConfig { adaptive_batch: true, drain_factor: df, ..Default::default() })
-                    .run(&tasks, &params)
-                    .expect_err("bad drain_factor must be rejected");
-            assert!(matches!(err, DriverError::BadConfig { .. }), "drain_factor {df}");
-        }
-        let err = ws(StealConfig { min_batch_words: 0, ..Default::default() })
-            .run(&tasks, &params)
-            .expect_err("zero min_batch_words must be rejected");
-        assert!(matches!(err, DriverError::BadConfig { .. }));
-        use crate::calibrate::CalibrationConfig;
-        for cal in [
-            CalibrationConfig { alpha: 0.0, ..Default::default() },
-            CalibrationConfig { alpha: f64::NAN, ..Default::default() },
-            CalibrationConfig { cpu_true_words_per_s: Some(-1.0), ..Default::default() },
-            CalibrationConfig { per_bin: true, enabled: false, ..Default::default() },
-            CalibrationConfig { min_bin_obs: 0, ..Default::default() },
-        ] {
-            let err = ws(StealConfig { calibration: cal.clone(), ..Default::default() })
-                .run(&tasks, &params)
-                .expect_err("bad calibration config must be rejected");
-            assert!(matches!(err, DriverError::BadConfig { .. }), "calibration {cal:?}");
-        }
-    }
-
-    #[test]
-    fn per_bin_and_adaptive_match_pure_cpu() {
-        use crate::calibrate::CalibrationConfig;
-        let tasks = tasks_with_mixed_bins();
-        let params = LocalAssemblyParams::for_tests();
-        let pure = extend_all_cpu(&tasks, &params);
-        let driver = OverlapDriver {
-            schedule: SchedulePolicy::WorkSteal(StealConfig {
-                batch_words: 4 * 1024,
-                adaptive_batch: true,
-                min_batch_words: 256,
-                calibration: CalibrationConfig {
-                    per_bin: true,
-                    min_bin_obs: 1,
-                    cpu_true_bin2_words_per_s: Some(1.0e6),
-                    cpu_true_bin3_words_per_s: Some(4.0e6),
-                    ..Default::default()
-                },
-                ..Default::default()
-            }),
-            ..Default::default()
-        };
-        let outcome = driver.run(&tasks, &params).expect("driver runs");
-        assert_eq!(outcome.results, pure, "new knobs must not change results");
-        assert!(outcome.schedule.adaptive_batch);
-        assert!(outcome.schedule.min_issued_batch_words >= 1, "no issued batch may be zero words");
-        let cal = outcome.schedule.calibration.expect("work-steal reports calibration");
-        assert!(cal.per_bin);
-        assert_eq!(
-            cal.cpu_bin2_updates + cal.cpu_bin3_updates,
-            cal.cpu_updates,
-            "every CPU observation lands in exactly one bin"
-        );
-        assert_eq!(
-            cal.gpu_bin2_updates + cal.gpu_bin3_updates,
-            cal.gpu_updates,
-            "every GPU observation lands in exactly one bin"
-        );
-    }
-
-    #[test]
-    fn bin3_always_on_gpu_in_static_mode() {
-        let tasks = tasks_with_mixed_bins();
-        let params = LocalAssemblyParams::for_tests();
-        let driver = OverlapDriver::static_split(1.0);
-        let outcome = driver.run(&tasks, &params).expect("driver runs");
-        let stats = outcome.gpu_stats.expect("gpu ran");
-        assert_eq!(stats.device_tasks, 8, "the 8 bin-3 tasks");
-        assert!(stats.seconds > 0.0);
     }
 
     #[test]
@@ -561,8 +344,8 @@ mod tests {
         let pure = extend_all_cpu(&tasks, &params);
         // A denied allocation AND a hung kernel in the same run: the
         // ladder shrinks / resets / falls back, and the final extensions
-        // must be byte-identical to the fault-free run — under both
-        // scheduling policies.
+        // must be byte-identical to the fault-free run — under both the
+        // default schedule and the paper split.
         let plan = FaultPlan {
             faults: vec![
                 Fault::SlabOom { at_alloc: 0 },
@@ -576,7 +359,7 @@ mod tests {
             },
             OverlapDriver {
                 device: DeviceConfig::v100().with_fault_plan(plan.clone()),
-                ..OverlapDriver::static_split(0.5)
+                ..paper_split()
             },
         ] {
             let outcome = driver.run(&tasks, &params).expect("driver runs");
@@ -602,8 +385,7 @@ mod tests {
                 // Pin the rate: with calibration reading real host wall
                 // clocks the CPU would be recognized as fast and steal the
                 // batches this test needs on the GPU.
-                calibration: crate::calibrate::CalibrationConfig::off(),
-                ..Default::default()
+                calibrate: false,
             }),
             ..Default::default()
         };

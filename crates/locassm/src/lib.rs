@@ -49,12 +49,10 @@ pub mod summary;
 pub mod task;
 
 pub use binning::{bin_tasks, Bin, BinStats};
-pub use calibrate::{BinRateModel, CalibrationConfig, CalibrationReport, RateEstimator};
+pub use calibrate::{CalibrationReport, RateEstimator};
 pub use cpu::{extend_all_cpu, extend_all_cpu_isolated, extend_end_cpu};
 pub use driver::{DriverError, OverlapDriver, OverlapOutcome, SchedulePolicy};
 pub use params::{KShift, LocalAssemblyParams, ShiftDir, WalkState};
-pub use schedule::{
-    build_batches, drain_target, split_batch_at, ScheduleReport, StealConfig, TaskBatch,
-};
+pub use schedule::{build_batches, ScheduleReport, StealConfig, TaskBatch};
 pub use summary::{summarize, ExtSummary};
 pub use task::{apply_extensions, make_tasks, ContigEnd, ExtResult, ExtTask, TaskOutcome};

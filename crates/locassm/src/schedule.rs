@@ -18,85 +18,54 @@
 //! clock advances by [`GpuRunStats::wall_s`] (simulated kernel seconds plus
 //! the modeled pack cost minus double-buffer savings) and the CPU clock by
 //! `estimated words / rate`, where the rate starts at the configured
-//! `cpu_words_per_s` **seed** and — with calibration enabled — converges on
-//! the observed throughput via the EWMA of [`crate::calibrate`], rebasing
-//! the CPU clock after every observation. That keeps the schedule — and
-//! therefore every test and bench number — deterministic (observations are
-//! simulated or modeled, never host wall when a true rate is configured),
-//! while the actual task execution still runs on the host engines.
-//! Results are index-aligned and byte-identical to
+//! `cpu_words_per_s` **seed** and — with [`StealConfig::calibrate`] on —
+//! converges on the measured throughput via the EWMA of
+//! [`crate::calibrate`], rebasing the CPU clock after every observation.
+//! With calibration off the seed is the rate, so the schedule is fully
+//! deterministic; the actual task execution still runs on the host
+//! engines either way. Results are index-aligned and byte-identical to
 //! [`crate::cpu::extend_all_cpu`] regardless of who ran what (the
 //! engine-equivalence invariant).
 //!
-//! Two refinements layer on top of the PR 4 calibration loop, both off by
-//! default (the defaults reproduce the PR 4 schedule bit-for-bit):
-//!
-//! * **per-bin rates** ([`CalibrationConfig::per_bin`]) — bin-2 and bin-3
-//!   batches feed separate estimators via
-//!   [`crate::calibrate::BinRateModel`], and the CPU clock prices each
-//!   bin's words at its own rate, so cache-friendly bin-3 sweeps no longer
-//!   drag the estimate used to price scattered bin-2 steals;
-//! * **adaptive drain-point batch sizing**
-//!   ([`StealConfig::adaptive_batch`]) — `batch_words` becomes only the
-//!   initial granularity; once the remaining work approaches
-//!   `drain_factor × batch_words` the scheduler halves the steal
-//!   granularity geometrically ([`drain_target`]), splitting oversized
-//!   CPU steals ([`split_batch_at`]) so the tail is dealt in slivers and
-//!   the last batch cannot strand the CPU past the GPU's finish. Only
-//!   CPU-side pops shrink: CPU cost is linear in words, whereas splitting
-//!   GPU launches would add per-launch overhead exactly when batches get
-//!   small.
+//! The paper's fixed split (bin 3 on the GPU, bin 2 on the CPU) is this
+//! same runner at `batch_words: u64::MAX` with calibration off: one heavy
+//! batch at the head, one light batch at the tail, so the GPU takes bin 3
+//! and the CPU takes bin 2 (with no bin-3 tasks the GPU, first to move,
+//! takes the lone bin-2 batch).
 
 use crate::binning::BinStats;
-use crate::calibrate::{BinRateModel, CalibrationConfig, CalibrationReport};
+use crate::calibrate::{CalibrationReport, RateEstimator};
 use crate::cpu::extend_cpu_isolated_refs;
 use crate::gpu::pack::estimate_task_cost;
 use crate::gpu::{GpuLocalAssembler, GpuRunStats, KernelVersion};
 use crate::params::LocalAssemblyParams;
 use crate::task::{ExtTask, TaskOutcome};
 use gpusim::DeviceConfig;
-use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Knobs of the work-stealing scheduler.
 #[derive(Debug, Clone)]
 pub struct StealConfig {
     /// Steal granularity: target estimated device-words per batch. Smaller
-    /// batches balance better but pay more per-launch overhead. With
-    /// [`StealConfig::adaptive_batch`] on, this is only the *initial*
-    /// granularity — see [`drain_target`].
+    /// batches balance better but pay more per-launch overhead. `u64::MAX`
+    /// gives the paper's fixed split: one bin-3 batch and one bin-2 batch.
     pub batch_words: u64,
     /// Seed for the modeled CPU-engine throughput in estimated words per
     /// second — the virtual-clock cost of a batch on the CPU side. The
     /// default sits a few× below the simulated V100's effective rate,
     /// matching the paper's ~4.3× local-assembly speedup at node level.
-    /// With [`StealConfig::calibration`] enabled (the default) this is
-    /// only the starting estimate; observed batch times take over as the
-    /// run progresses. With calibration off it is the rate, full stop.
+    /// With [`StealConfig::calibrate`] on (the default) this is only the
+    /// starting estimate; measured batch times take over as the run
+    /// progresses. With calibration off it is the rate, full stop.
     pub cpu_words_per_s: f64,
     /// Double-buffer the GPU engine: pack batch N+1 on the host while the
     /// device executes batch N (modeled as saved wall seconds in
     /// [`GpuRunStats::overlap_saved_s`]).
     pub double_buffer: bool,
-    /// Online rate-calibration loop (see [`crate::calibrate`]).
-    pub calibration: CalibrationConfig,
-    /// Shrink steal batches geometrically as the deque approaches its
-    /// drain point (remaining work within [`StealConfig::drain_factor`] ×
-    /// the current granularity): an oversized popped batch is split and
-    /// its remainder pushed back, so the final batches are small enough
-    /// that neither engine idles behind one last coarse chunk. Off (the
-    /// default), batches are issued exactly as built — PR 4 behavior
-    /// bit-for-bit.
-    pub adaptive_batch: bool,
-    /// Drain-point threshold `k`: shrinking starts once the remaining
-    /// estimated words fit within `k × granularity`, and each halving
-    /// re-tests against the shrunken granularity (geometric descent). Must
-    /// be positive and finite.
-    pub drain_factor: f64,
-    /// Floor for the adaptive granularity in estimated words — batches
-    /// never shrink below this, so per-launch overhead stays bounded. Must
-    /// be >= 1; clamped to [`StealConfig::batch_words`] when larger.
-    pub min_batch_words: u64,
+    /// Feed observed batch times back into the virtual clocks (see
+    /// [`crate::calibrate`]). Off, the CPU clock runs at the constant seed
+    /// rate for the whole run.
+    pub calibrate: bool,
 }
 
 impl Default for StealConfig {
@@ -105,123 +74,9 @@ impl Default for StealConfig {
             batch_words: 64 * 1024,
             cpu_words_per_s: 5.0e7,
             double_buffer: true,
-            calibration: CalibrationConfig::default(),
-            adaptive_batch: false,
-            drain_factor: 4.0,
-            min_batch_words: 1024,
+            calibrate: true,
         }
     }
-}
-
-/// Target batch granularity given the estimated words still in the deque.
-///
-/// Away from the drain point (remaining work above
-/// `drain_factor × batch_words`) the answer is simply
-/// [`StealConfig::batch_words`]. Inside it, the granularity halves until
-/// the remaining work no longer fits within `drain_factor ×` the shrunken
-/// target (or the [`StealConfig::min_batch_words`] floor is hit) — a
-/// geometric descent that keeps the last few batches proportional to what
-/// is left, so the final chunk an engine takes is never large enough to
-/// leave the other engine idling. With [`StealConfig::adaptive_batch`]
-/// off, the answer is always `batch_words`.
-///
-/// The result is always >= 1: a zero-word batch can never be requested.
-///
-/// ```
-/// use locassm::schedule::{drain_target, StealConfig};
-///
-/// let cfg = StealConfig {
-///     batch_words: 64 * 1024,
-///     adaptive_batch: true,
-///     drain_factor: 4.0,
-///     min_batch_words: 1024,
-///     ..StealConfig::default()
-/// };
-/// // Far from the drain point: full granularity.
-/// assert_eq!(drain_target(10_000_000, &cfg), 64 * 1024);
-/// // Remaining work inside 4 x 64 KiB: halve until it no longer fits.
-/// assert_eq!(drain_target(200_000, &cfg), 64 * 1024 / 2);
-/// // Nearly drained: the floor holds, never zero.
-/// assert_eq!(drain_target(100, &cfg), 1024);
-/// assert_eq!(drain_target(0, &cfg), 1024);
-/// // Adaptive sizing off: the static granularity, always.
-/// let off = StealConfig { adaptive_batch: false, ..cfg };
-/// assert_eq!(drain_target(100, &off), 64 * 1024);
-/// ```
-pub fn drain_target(remaining_words: u64, cfg: &StealConfig) -> u64 {
-    let base = cfg.batch_words.max(1);
-    if !cfg.adaptive_batch {
-        return base;
-    }
-    let floor = cfg.min_batch_words.clamp(1, base);
-    let mut target = base;
-    while target > floor && (remaining_words as f64) <= cfg.drain_factor * target as f64 {
-        target = (target / 2).max(floor);
-    }
-    target
-}
-
-/// Split `batch` so its head holds ≈`target_words` of estimated cost,
-/// returning the remainder as a new batch (same bin) — or `None` when the
-/// batch is already within `target_words`, or holds a single task (a lone
-/// oversized task can not be subdivided; the engine's internal memory
-/// batching still protects the device).
-///
-/// Tasks stay in batch order and every piece keeps at least one task, so a
-/// split can never produce a zero-word batch (per-task cost is clamped to
-/// >= 1 word by [`crate::gpu::pack::estimate_task_cost`]).
-///
-/// ```
-/// use bioseq::DnaSeq;
-/// use locassm::gpu::pack::estimate_task_words;
-/// use locassm::schedule::{split_batch_at, TaskBatch};
-/// use locassm::{ContigEnd, ExtTask, LocalAssemblyParams};
-///
-/// let params = LocalAssemblyParams::for_tests();
-/// let tasks: Vec<ExtTask> = (0..4)
-///     .map(|i| ExtTask { contig: i, end: ContigEnd::Right, tail: DnaSeq::new(), reads: vec![] })
-///     .collect();
-/// let costs: Vec<u64> = tasks.iter().map(|t| estimate_task_words(t, &params)).collect();
-/// let total: u64 = costs.iter().sum();
-///
-/// let mut batch = TaskBatch { idx: vec![0, 1, 2, 3], est_words: total, heavy: false };
-/// let rest = split_batch_at(&mut batch, costs[0], &tasks, &params).expect("oversized: splits");
-/// // Conservation: every estimated word lands in exactly one piece, and
-/// // both pieces keep at least one task (never a zero-word batch).
-/// assert_eq!(batch.est_words + rest.est_words, total);
-/// assert!(batch.est_words >= 1 && rest.est_words >= 1);
-/// assert_eq!(batch.idx.len() + rest.idx.len(), 4);
-///
-/// // A batch already within the target is not split.
-/// let mut small = TaskBatch { idx: vec![0], est_words: costs[0], heavy: true };
-/// assert!(split_batch_at(&mut small, costs[0], &tasks, &params).is_none());
-/// ```
-pub fn split_batch_at(
-    batch: &mut TaskBatch,
-    target_words: u64,
-    tasks: &[ExtTask],
-    params: &LocalAssemblyParams,
-) -> Option<TaskBatch> {
-    if batch.est_words <= target_words || batch.idx.len() < 2 {
-        return None;
-    }
-    let mut cut = 0usize;
-    let mut head_words = 0u64;
-    for (n, &i) in batch.idx.iter().enumerate() {
-        head_words += estimate_task_cost(&tasks[i], params);
-        cut = n + 1;
-        if head_words >= target_words {
-            break;
-        }
-    }
-    if cut >= batch.idx.len() {
-        return None;
-    }
-    let rest_idx = batch.idx.split_off(cut);
-    let rest =
-        TaskBatch { idx: rest_idx, est_words: batch.est_words - head_words, heavy: batch.heavy };
-    batch.est_words = head_words;
-    Some(rest)
 }
 
 /// One deque entry: an index share into the caller's task slice.
@@ -239,16 +94,14 @@ pub struct TaskBatch {
 /// model behind the makespan claims.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleReport {
-    /// `"static"` or `"work-steal"`.
-    pub policy: &'static str,
-    /// Batches handed out (2 for the static split).
+    /// Batches handed out.
     pub batches: usize,
     /// Batches the GPU engine drained from the head.
     pub gpu_batches: usize,
     /// Batches the CPU engine stole from the tail.
     pub cpu_batches: usize,
-    /// Heavy (bin-3) batches the CPU stole — dynamic rebalance the static
-    /// split can never do.
+    /// Heavy (bin-3) batches the CPU stole — dynamic rebalance the paper's
+    /// fixed split can never do.
     pub cpu_stole_heavy: usize,
     /// Light (bin-2) batches the GPU absorbed after draining bin 3.
     pub gpu_absorbed_light: usize,
@@ -260,20 +113,9 @@ pub struct ScheduleReport {
     pub cpu_model_s: f64,
     /// GPU virtual clock at the end of the run (simulated + pack seconds).
     pub gpu_model_s: f64,
-    /// Whether adaptive drain-point batch sizing was on for this run.
-    pub adaptive_batch: bool,
-    /// Batches split at the drain point (the remainder pushed back onto
-    /// the deque); 0 with adaptive sizing off.
-    pub drain_splits: usize,
-    /// Smallest estimated-words total over all issued (post-split)
-    /// batches; 0 when no batch was issued. Never 0 when batches ran —
-    /// adaptive sizing cannot produce a zero-word batch.
-    pub min_issued_batch_words: u64,
-    /// What the calibration loop learned (work-steal runs only; `None`
-    /// for the static split, whose shares are fixed up front).
+    /// What the calibration loop learned (always set by a scheduled run).
     pub calibration: Option<CalibrationReport>,
 }
-
 impl ScheduleReport {
     /// Modeled overlap makespan: both engines run concurrently, so the run
     /// ends when the slower clock does.
@@ -375,91 +217,42 @@ pub(crate) struct StealRun {
 
 /// CPU-engine virtual clock with the calibration loop folded in.
 ///
-/// Each finished CPU batch yields an observation `(est_words, seconds)`
-/// where `seconds` is either the measured host wall time or — when a
-/// deterministic true rate is configured — the modeled time at that rate.
+/// Each finished CPU batch yields an observation `(est_words, seconds)`.
 /// With calibration enabled the EWMA absorbs the observation and the clock
-/// is **rebased** to `words_done / rate`, so the schedule's view of
-/// elapsed CPU time always reflects the current estimate rather than a sum
-/// of possibly mis-seeded per-batch advances; a 10×-wrong seed is forgiven
-/// as soon as the estimate converges. With calibration off the clock
-/// advances at the constant seed rate, exactly the pre-calibration
-/// behavior.
-///
-/// With per-bin resolution on, the rebase prices each bin's words at its
-/// own bin-resolved rate — `bin2_words/rate₂ + bin3_words/rate₃` — so a
-/// clock that has mostly seen cache-friendly bin-3 sweeps does not
-/// mis-price a scattered bin-2 steal (and vice versa). A bin falls back to
-/// the pooled estimate until it has `min_bin_obs` observations.
+/// is **rebased** to `words_done / rate`, so the schedule's view of elapsed
+/// CPU time always reflects the current estimate rather than a sum of
+/// possibly mis-seeded per-batch advances; a 10×-wrong seed is forgiven as
+/// soon as the estimate converges. With calibration off the clock advances
+/// at the constant seed rate.
 struct CpuClock {
-    model: BinRateModel,
+    est: RateEstimator,
     seed: f64,
     enabled: bool,
-    per_bin: bool,
-    true_pooled: Option<f64>,
-    true_bin2: Option<f64>,
-    true_bin3: Option<f64>,
     clock: f64,
     words_done: u64,
-    bin2_words: u64,
-    bin3_words: u64,
     realized_s: f64,
 }
 
 impl CpuClock {
     fn new(cfg: &StealConfig) -> CpuClock {
-        let cal = &cfg.calibration;
         CpuClock {
-            model: BinRateModel::seeded(
-                cfg.cpu_words_per_s,
-                cal.alpha,
-                cal.per_bin,
-                cal.min_bin_obs.max(1),
-            ),
+            est: RateEstimator::seeded(cfg.cpu_words_per_s),
             seed: cfg.cpu_words_per_s,
-            enabled: cal.enabled,
-            per_bin: cal.enabled && cal.per_bin,
-            true_pooled: cal.cpu_true_words_per_s,
-            true_bin2: cal.cpu_true_bin2_words_per_s,
-            true_bin3: cal.cpu_true_bin3_words_per_s,
+            enabled: cfg.calibrate,
             clock: 0.0,
             words_done: 0,
-            bin2_words: 0,
-            bin3_words: 0,
             realized_s: 0.0,
         }
     }
 
-    /// The deterministic observation source for one bin, if configured:
-    /// the bin-specific true rate wins over the pooled one.
-    fn true_rate(&self, heavy: bool) -> Option<f64> {
-        let bin = if heavy { self.true_bin3 } else { self.true_bin2 };
-        bin.or(self.true_pooled)
-    }
-
-    /// Account one finished CPU batch: `est_words` of cost (from a `heavy`
-    /// = bin-3 batch or a bin-2 one) retired in `measured_s` host wall
-    /// seconds.
-    fn advance(&mut self, est_words: u64, heavy: bool, measured_s: f64) {
-        let observed_s = match self.true_rate(heavy) {
-            Some(r) => est_words as f64 / r,
-            None => measured_s,
-        };
+    /// Account one finished CPU batch: `est_words` of cost retired in
+    /// `seconds`.
+    fn advance(&mut self, est_words: u64, seconds: f64) {
         self.words_done += est_words;
-        if heavy {
-            self.bin3_words += est_words;
-        } else {
-            self.bin2_words += est_words;
-        }
-        self.realized_s += observed_s.max(0.0);
+        self.realized_s += seconds.max(0.0);
         if self.enabled {
-            self.model.observe(heavy, est_words, observed_s);
-            self.clock = if self.per_bin {
-                self.bin2_words as f64 / self.model.rate_for(false, self.seed)
-                    + self.bin3_words as f64 / self.model.rate_for(true, self.seed)
-            } else {
-                self.words_done as f64 / self.model.pooled().rate_or(self.seed)
-            };
+            self.est.observe(est_words, seconds);
+            self.clock = self.words_done as f64 / self.est.rate_or(self.seed);
         } else {
             self.clock += est_words as f64 / self.seed;
         }
@@ -479,55 +272,33 @@ pub(crate) fn run_work_steal(
 ) -> StealRun {
     let mut engine = GpuLocalAssembler::new(device, params.clone(), version)
         .with_double_buffer(cfg.double_buffer);
-    let mut report = ScheduleReport {
-        policy: "work-steal",
-        batches: batches.len(),
-        adaptive_batch: cfg.adaptive_batch,
-        ..Default::default()
-    };
+    let mut report = ScheduleReport { batches: batches.len(), ..Default::default() };
     let mut gpu_stats = GpuRunStats::default();
     let mut gpu_ran = false;
     let mut gpu_dead = false;
     let mut fell_back = false;
     let (mut cpu_wall, mut gpu_wall) = (0.0f64, 0.0f64);
     let mut cpu = CpuClock::new(cfg);
-    let mut gpu_model = BinRateModel::unseeded(
-        cfg.calibration.alpha,
-        cfg.calibration.per_bin,
-        cfg.calibration.min_bin_obs.max(1),
-    );
+    let mut gpu_est = RateEstimator::unseeded();
     let mut gpu_realized = 0.0f64;
     let mut gpu_clock = 0.0f64;
     let (mut cpu_tasks, mut gpu_tasks) = (0usize, 0usize);
-    // The deque proper: the GPU pops the heavy head, the CPU pops the
-    // light tail. With adaptive sizing on, split remainders are pushed
-    // back onto the end they were popped from, preserving the head/tail
-    // discipline.
-    let mut deque: VecDeque<TaskBatch> = batches.to_vec().into();
-    let mut remaining_words: u64 = deque.iter().map(|b| b.est_words).sum();
-    let mut min_issued: Option<u64> = None;
+    // The deque proper, as two cursors over the built batches: the GPU
+    // pops the heavy head, the CPU pops the light tail.
+    let (mut head, mut tail) = (0usize, batches.len());
 
-    while !deque.is_empty() {
+    while head < tail {
         // The engine whose virtual clock is behind takes the next batch;
         // the GPU from the heavy head, the CPU from the light tail. Ties go
         // to the GPU (the paper launches the GPU first).
         let gpu_turn = !gpu_dead && gpu_clock <= cpu.clock;
-        let popped = if gpu_turn { deque.pop_front() } else { deque.pop_back() };
-        let Some(mut batch) = popped else { break };
-        // Adaptive sizing shrinks *steal* batches only: CPU cost is linear
-        // in words, so dealing the tail in slivers is free there, while
-        // splitting GPU launches would add a per-launch overhead exactly
-        // when batches get small. The GPU keeps draining at the built
-        // granularity; the CPU's steals shrink toward the drain point.
-        if cfg.adaptive_batch && !gpu_turn {
-            let target = drain_target(remaining_words, cfg);
-            if let Some(rest) = split_batch_at(&mut batch, target, tasks, params) {
-                deque.push_back(rest);
-                report.drain_splits += 1;
-            }
-        }
-        remaining_words = remaining_words.saturating_sub(batch.est_words);
-        min_issued = Some(min_issued.map_or(batch.est_words, |m| m.min(batch.est_words)));
+        let batch = if gpu_turn {
+            head += 1;
+            &batches[head - 1]
+        } else {
+            tail -= 1;
+            &batches[tail]
+        };
 
         if gpu_turn {
             let refs: Vec<&ExtTask> = batch.idx.iter().map(|&i| &tasks[i]).collect();
@@ -543,7 +314,7 @@ pub(crate) fn run_work_steal(
                     }
                     gpu_clock += stats.wall_s();
                     gpu_realized += stats.wall_s().max(0.0);
-                    gpu_model.observe(batch.heavy, batch.est_words, stats.wall_s());
+                    gpu_est.observe(batch.est_words, stats.wall_s());
                     if stats.recovery.device_lost {
                         // Reset budget exhausted: route the rest of the
                         // deque to the CPU instead of the per-task fallback.
@@ -564,41 +335,31 @@ pub(crate) fn run_work_steal(
                     // deque drains CPU-side from here on.
                     gpu_dead = true;
                     fell_back = true;
-                    let s = run_batch_cpu(tasks, &batch, params, results, &mut report);
+                    let s = run_batch_cpu(tasks, batch, params, results, &mut report);
                     cpu_wall += s;
-                    cpu.advance(batch.est_words, batch.heavy, s);
+                    cpu.advance(batch.est_words, s);
                     cpu_tasks += batch.idx.len();
                 }
             }
         } else {
-            let s = run_batch_cpu(tasks, &batch, params, results, &mut report);
+            let s = run_batch_cpu(tasks, batch, params, results, &mut report);
             cpu_wall += s;
-            cpu.advance(batch.est_words, batch.heavy, s);
+            cpu.advance(batch.est_words, s);
             cpu_tasks += batch.idx.len();
         }
     }
 
     report.cpu_model_s = cpu.clock;
     report.gpu_model_s = gpu_clock;
-    report.min_issued_batch_words = min_issued.unwrap_or(0);
     let realized = cpu.realized_s.max(gpu_realized);
     let model = report.makespan_model_s();
     report.calibration = Some(CalibrationReport {
         enabled: cpu.enabled,
-        per_bin: cpu.per_bin,
         cpu_seed_words_per_s: cpu.seed,
-        cpu_words_per_s: cpu.model.pooled().rate_or(cpu.seed),
-        gpu_words_per_s: gpu_model.pooled().rate_or(0.0),
-        cpu_updates: cpu.model.pooled().updates(),
-        gpu_updates: gpu_model.pooled().updates(),
-        cpu_bin2_words_per_s: cpu.model.bin(false).rate_or(0.0),
-        cpu_bin3_words_per_s: cpu.model.bin(true).rate_or(0.0),
-        cpu_bin2_updates: cpu.model.bin(false).updates(),
-        cpu_bin3_updates: cpu.model.bin(true).updates(),
-        gpu_bin2_words_per_s: gpu_model.bin(false).rate_or(0.0),
-        gpu_bin3_words_per_s: gpu_model.bin(true).rate_or(0.0),
-        gpu_bin2_updates: gpu_model.bin(false).updates(),
-        gpu_bin3_updates: gpu_model.bin(true).updates(),
+        cpu_words_per_s: cpu.est.rate_or(cpu.seed),
+        gpu_words_per_s: gpu_est.rate_or(0.0),
+        cpu_updates: cpu.est.updates(),
+        gpu_updates: gpu_est.updates(),
         cpu_realized_s: cpu.realized_s,
         gpu_realized_s: gpu_realized,
         rel_err_vs_realized: if realized > 0.0 { (model - realized).abs() / realized } else { 0.0 },
@@ -615,7 +376,7 @@ pub(crate) fn run_work_steal(
 }
 
 /// Run one batch on the CPU engine; returns its measured host wall
-/// seconds (the calibration loop's fallback observation source).
+/// seconds (the calibration loop's observation).
 fn run_batch_cpu(
     tasks: &[ExtTask],
     batch: &TaskBatch,
@@ -703,23 +464,19 @@ mod tests {
 
     #[test]
     fn cpu_clock_rebases_after_convergence_but_constant_when_off() {
-        // Seeded 10× too slow against a deterministic true rate: the
-        // calibrated clock must end near words/true_rate (the mis-seed is
-        // rebased away), while the uncalibrated clock stays at the seed's
-        // reading for the same batches.
-        let mk = |enabled: bool| StealConfig {
+        // Seeded 10× too slow against batches that really run at 1e4
+        // words/s: the calibrated clock must end near words/true_rate (the
+        // mis-seed is rebased away), while the uncalibrated clock stays at
+        // the seed's reading for the same batches.
+        let mk = |calibrate: bool| StealConfig {
             cpu_words_per_s: 1.0e3,
-            calibration: CalibrationConfig {
-                enabled,
-                cpu_true_words_per_s: Some(1.0e4),
-                ..Default::default()
-            },
+            calibrate,
             ..Default::default()
         };
         let (mut on, mut off) = (CpuClock::new(&mk(true)), CpuClock::new(&mk(false)));
         for _ in 0..10 {
-            on.advance(1_000, false, f64::NAN); // measured wall unused: true rate set
-            off.advance(1_000, false, f64::NAN);
+            on.advance(1_000, 1_000.0 / 1.0e4);
+            off.advance(1_000, 1_000.0 / 1.0e4);
         }
         let oracle = 10_000.0 / 1.0e4; // 1.0 s of true CPU time
         assert!((off.clock - 10.0).abs() < 1e-9, "constant seed clock: {}", off.clock);
@@ -728,94 +485,9 @@ mod tests {
             "rebased clock must track the converged rate: {} vs {oracle}",
             on.clock
         );
-        assert_eq!(on.model.pooled().updates(), 10);
+        assert_eq!(on.est.updates(), 10);
+        assert_eq!(off.est.updates(), 0, "calibration off observes nothing");
         assert_eq!(on.realized_s, off.realized_s, "realized time is belief-independent");
-    }
-
-    #[test]
-    fn per_bin_clock_prices_each_bin_at_its_own_rate() {
-        // True rates: bin 2 at 1e3 words/s, bin 3 at 4e3 words/s. The
-        // pooled clock mixes them; the per-bin clock must converge to the
-        // exact per-bin sum once both bins pass min_bin_obs.
-        let mk = |per_bin: bool| StealConfig {
-            cpu_words_per_s: 2.0e3,
-            calibration: CalibrationConfig {
-                per_bin,
-                min_bin_obs: 1,
-                cpu_true_bin2_words_per_s: Some(1.0e3),
-                cpu_true_bin3_words_per_s: Some(4.0e3),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let (mut per, mut pooled) = (CpuClock::new(&mk(true)), CpuClock::new(&mk(false)));
-        for _ in 0..6 {
-            per.advance(1_000, false, f64::NAN);
-            per.advance(1_000, true, f64::NAN);
-            pooled.advance(1_000, false, f64::NAN);
-            pooled.advance(1_000, true, f64::NAN);
-        }
-        // 6k bin-2 words at 1e3 = 6 s, 6k bin-3 words at 4e3 = 1.5 s.
-        let oracle = 6.0 + 1.5;
-        assert!(
-            (per.clock - oracle).abs() / oracle < 1e-9,
-            "per-bin clock must be exact: {} vs {oracle}",
-            per.clock
-        );
-        assert!(
-            (pooled.clock - oracle).abs() / oracle > 0.05,
-            "pooled clock must conflate the two rates: {} vs {oracle}",
-            pooled.clock
-        );
-        assert_eq!(per.realized_s, pooled.realized_s, "realized time is belief-independent");
-    }
-
-    #[test]
-    fn drain_target_descends_geometrically_and_never_zero() {
-        let cfg = StealConfig {
-            batch_words: 1024,
-            adaptive_batch: true,
-            drain_factor: 2.0,
-            min_batch_words: 64,
-            ..Default::default()
-        };
-        assert_eq!(drain_target(1_000_000, &cfg), 1024, "far from drain: full granularity");
-        assert_eq!(drain_target(2048, &cfg), 512);
-        assert_eq!(drain_target(1024, &cfg), 256);
-        for remaining in [512, 64, 1, 0] {
-            let t = drain_target(remaining, &cfg);
-            assert!(t >= 64, "floor must hold: {t} for remaining {remaining}");
-        }
-        // min_batch_words above batch_words clamps to batch_words.
-        let weird = StealConfig { min_batch_words: 1 << 40, batch_words: 1024, ..cfg.clone() };
-        assert_eq!(drain_target(0, &weird), 1024);
-        // Degenerate batch_words = 0 would divide by zero without the max.
-        let zero = StealConfig { batch_words: 0, ..cfg };
-        assert!(drain_target(0, &zero) >= 1);
-    }
-
-    #[test]
-    fn split_batch_keeps_order_and_words() {
-        let tasks: Vec<ExtTask> = (0..8).map(|i| task_with_reads(i, 4)).collect();
-        let params = LocalAssemblyParams::for_tests();
-        let costs: Vec<u64> = (0..8).map(|i| estimate_task_cost(&tasks[i], &params)).collect();
-        let total: u64 = costs.iter().sum();
-        let mut batch = TaskBatch { idx: (0..8).collect(), est_words: total, heavy: false };
-        let target = costs[0] + costs[1]; // cut after the second task
-        let rest = split_batch_at(&mut batch, target, &tasks, &params)
-            .expect("an 8-task batch above target must split");
-        assert_eq!(batch.idx, vec![0, 1]);
-        assert_eq!(rest.idx, (2..8).collect::<Vec<_>>());
-        assert_eq!(batch.est_words + rest.est_words, total, "no words lost");
-        assert!(batch.est_words >= 1 && rest.est_words >= 1, "no zero-word piece");
-        assert!(!rest.heavy, "bin flag inherited");
-
-        // A single-task batch can never be split, no matter the target.
-        let mut lone = TaskBatch { idx: vec![3], est_words: costs[3], heavy: true };
-        assert!(split_batch_at(&mut lone, 1, &tasks, &params).is_none());
-        // A batch already within target is left alone.
-        let mut small = TaskBatch { idx: vec![0, 1], est_words: 10, heavy: false };
-        assert!(split_batch_at(&mut small, 10, &tasks, &params).is_none());
     }
 
     #[test]

@@ -81,6 +81,20 @@ impl CliArgs {
     pub fn has(&self, key: &str) -> bool {
         self.switches.iter().any(|s| s == key)
     }
+
+    /// Reject any `--flag` or `--switch` whose name is not in `known`,
+    /// naming the offender (the alphabetically first one when several).
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
+        let mut names: Vec<&str> =
+            self.flags.keys().chain(self.switches.iter()).map(String::as_str).collect();
+        names.sort_unstable();
+        match names.into_iter().find(|n| !known.contains(n)) {
+            Some(n) => {
+                Err(format!("unknown flag --{n} for {} (see mhm2rs --help)", self.subcommand))
+            }
+            None => Ok(()),
+        }
+    }
 }
 
 /// Usage text.
@@ -93,25 +107,19 @@ USAGE:
 
   mhm2rs assemble --r1 FILE --r2 FILE --out DIR
       [--k N] [--gpu] [--kernel v1|v2] [--iterative] [--refs FILE] [--sanitize]
-      [--overlap] [--cpu-bin2-fraction F] [--calibrate] [--cpu-words-per-s R]
-      [--per-bin-rates] [--adaptive-batch]
+      [--overlap] [--calibrate] [--cpu-words-per-s R]
       Assemble paired FASTQ into contigs.fasta + scaffolds.fasta.
       --sanitize runs the GPU engine under gpucheck (memcheck + racecheck +
       synccheck) and appends its findings to the report; implies --gpu.
       --overlap runs local assembly on the CPU/GPU overlap driver with the
-      work-stealing scheduler; --cpu-bin2-fraction F switches it to the
-      static split keeping fraction F of bin-2 tasks on the CPU (implies
-      --overlap; F must be in [0,1]).
+      work-stealing scheduler, calibrating its CPU-throughput model from
+      measured batch times.
       --cpu-words-per-s R pins the scheduler's CPU-throughput model to R
       words/s and turns the online rate calibration OFF — R is an explicit
       override, trusted as-is. Add --calibrate to use R only as the seed
       and let observed batch times take over.
-      --per-bin-rates resolves the calibrated rates per bin (bin-2 vs
-      bin-3 estimators with the pooled EWMA as prior; implies --calibrate).
-      --adaptive-batch shrinks steal batches geometrically near the drain
-      point so the last batch cannot strand an engine idle.
-      Any of these scheduler flags implies --overlap; all conflict with
-      --cpu-bin2-fraction (the static split has no rate model or deque).
+      Either scheduler flag implies --overlap.
+      Unknown flags are rejected.
 ";
 
 /// Entry point shared by main() and the tests.
@@ -126,6 +134,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
 
 /// `simulate`: write a preset dataset to disk.
 pub fn run_simulate(cli: &CliArgs) -> Result<String, String> {
+    cli.reject_unknown(&["out", "preset", "scale"])?;
     let out = PathBuf::from(cli.require("out")?);
     let scale: f64 = cli.get_num("scale", 0.05)?;
     let preset = match cli.get("preset").unwrap_or("arctic") {
@@ -155,6 +164,20 @@ pub fn run_simulate(cli: &CliArgs) -> Result<String, String> {
 
 /// `assemble`: FASTQ in, FASTA out.
 pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
+    cli.reject_unknown(&[
+        "r1",
+        "r2",
+        "out",
+        "k",
+        "gpu",
+        "kernel",
+        "iterative",
+        "refs",
+        "sanitize",
+        "overlap",
+        "calibrate",
+        "cpu-words-per-s",
+    ])?;
     let r1_path = cli.require("r1")?;
     let r2_path = cli.require("r2")?;
     let out = PathBuf::from(cli.require("out")?);
@@ -180,22 +203,7 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
             Some(rate)
         }
     };
-    let per_bin = cli.has("per-bin-rates");
-    let adaptive = cli.has("adaptive-batch");
-    if (calibrate || rate_override.is_some() || per_bin || adaptive)
-        && cli.get("cpu-bin2-fraction").is_some()
-    {
-        return Err("--calibrate/--cpu-words-per-s/--per-bin-rates/--adaptive-batch need the \
-             work-stealing scheduler and cannot be combined with the static \
-             --cpu-bin2-fraction split"
-            .to_string());
-    }
-    let overlap = cli.has("overlap")
-        || cli.get("cpu-bin2-fraction").is_some()
-        || calibrate
-        || rate_override.is_some()
-        || per_bin
-        || adaptive;
+    let overlap = cli.has("overlap") || calibrate || rate_override.is_some();
     if sanitize || overlap || cli.has("gpu") || cli.get("kernel").is_some() {
         let version = match cli.get("kernel").unwrap_or("v2") {
             "v1" => KernelVersion::V1,
@@ -207,36 +215,14 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
             device = device.with_sanitizer(SanitizerConfig::full());
         }
         cfg.engine = if overlap {
-            let schedule = match cli.get("cpu-bin2-fraction") {
-                Some(v) => {
-                    let frac: f64 = v
-                        .parse()
-                        .map_err(|_| format!("--cpu-bin2-fraction: cannot parse {v:?}"))?;
-                    if !frac.is_finite() || !(0.0..=1.0).contains(&frac) {
-                        return Err(format!("--cpu-bin2-fraction must be in [0, 1], got {frac}"));
-                    }
-                    locassm::SchedulePolicy::Static { cpu_bin2_fraction: frac }
-                }
-                None => {
-                    let mut steal = locassm::StealConfig::default();
-                    if let Some(rate) = rate_override {
-                        steal.cpu_words_per_s = rate;
-                        // An explicit rate is a statement of fact: hold it
-                        // unless the user also asked for the feedback loop
-                        // (--per-bin-rates implies it — per-bin resolution
-                        // is meaningless without observations).
-                        if !calibrate && !per_bin {
-                            steal.calibration = locassm::CalibrationConfig::off();
-                        }
-                    }
-                    if per_bin {
-                        steal.calibration.enabled = true;
-                        steal.calibration.per_bin = true;
-                    }
-                    steal.adaptive_batch = adaptive;
-                    locassm::SchedulePolicy::WorkSteal(steal)
-                }
-            };
+            let mut steal = locassm::StealConfig::default();
+            if let Some(rate) = rate_override {
+                // An explicit rate is a statement of fact: hold it unless
+                // the user also asked for the feedback loop.
+                steal.cpu_words_per_s = rate;
+                steal.calibrate = calibrate;
+            }
+            let schedule = locassm::SchedulePolicy::WorkSteal(steal);
             EngineChoice::Overlap { device, version, schedule }
         } else {
             EngineChoice::Gpu { device, version }
@@ -475,24 +461,6 @@ mod tests {
         let ws = std::fs::read_to_string(dir.join("asm_ws/contigs.fasta")).unwrap();
         assert_eq!(cpu, ws);
 
-        // Static split via --cpu-bin2-fraction (implies --overlap).
-        let report = run(&argv(&format!(
-            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm_st \
-             --cpu-bin2-fraction 0.5"
-        )))
-        .expect("static overlap assemble");
-        assert!(report.contains("overlap scheduler (static)"), "{report}");
-        let st = std::fs::read_to_string(dir.join("asm_st/contigs.fasta")).unwrap();
-        assert_eq!(cpu, st);
-
-        // Out-of-range fraction is rejected up front.
-        let err = run(&argv(&format!(
-            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm_bad \
-             --cpu-bin2-fraction 1.5"
-        )))
-        .expect_err("bad fraction must be rejected");
-        assert!(err.contains("cpu-bin2-fraction"), "{err}");
-
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -533,7 +501,7 @@ mod tests {
         let cal = std::fs::read_to_string(dir.join("asm_cal/contigs.fasta")).unwrap();
         assert_eq!(cpu, cal);
 
-        // Bad rates and the static-split conflict are rejected up front.
+        // Bad rates are rejected up front.
         for bad in ["0", "-5", "nan", "inf", "squid"] {
             let err = run(&argv(&format!(
                 "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq \
@@ -542,76 +510,26 @@ mod tests {
             .expect_err("bad rate must be rejected");
             assert!(err.contains("cpu-words-per-s"), "{bad}: {err}");
         }
-        let err = run(&argv(&format!(
-            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm_bad \
-             --calibrate --cpu-bin2-fraction 0.5"
-        )))
-        .expect_err("static split has no rate model");
-        assert!(err.contains("static"), "{err}");
 
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn per_bin_and_adaptive_flags_drive_the_scheduler() {
-        let dir = std::env::temp_dir().join(format!("mhm2rs_perbin_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let out = dir.to_string_lossy().to_string();
-        run(&argv(&format!("simulate --out {out} --preset arctic --scale 0.01")))
-            .expect("simulate");
-
-        run(&argv(&format!(
-            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm"
-        )))
-        .expect("cpu assemble");
-        let cpu = std::fs::read_to_string(dir.join("asm/contigs.fasta")).unwrap();
-
-        // --per-bin-rates alone: implies --overlap and --calibrate; the
-        // report shows bin-resolved pricing; contigs stay byte-identical.
-        let report = run(&argv(&format!(
-            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm_pb \
-             --per-bin-rates"
-        )))
-        .expect("per-bin assemble");
-        assert!(report.contains("overlap scheduler (work-steal)"), "{report}");
-        assert!(report.contains("on (EWMA feedback)"), "{report}");
-        assert!(report.contains("per-bin rates"), "{report}");
-        let pb = std::fs::read_to_string(dir.join("asm_pb/contigs.fasta")).unwrap();
-        assert_eq!(cpu, pb);
-
-        // --per-bin-rates with a pinned rate: the override seeds the model
-        // but per-bin resolution forces the feedback loop back on.
-        let report = run(&argv(&format!(
-            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm_pbr \
-             --per-bin-rates --cpu-words-per-s 1e6"
-        )))
-        .expect("per-bin + pinned-seed assemble");
-        assert!(report.contains("on (EWMA feedback)"), "{report}");
-        assert!(report.contains("seed 1.000e6"), "{report}");
-
-        // --adaptive-batch: implies --overlap; the report carries the
-        // drain-split line; contigs stay byte-identical.
-        let report = run(&argv(&format!(
-            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm_ab \
-             --adaptive-batch"
-        )))
-        .expect("adaptive assemble");
-        assert!(report.contains("overlap scheduler (work-steal)"), "{report}");
-        assert!(report.contains("adaptive batches"), "{report}");
-        let ab = std::fs::read_to_string(dir.join("asm_ab/contigs.fasta")).unwrap();
-        assert_eq!(cpu, ab);
-
-        // Both conflict with the static split.
-        for flag in ["--per-bin-rates", "--adaptive-batch"] {
-            let err = run(&argv(&format!(
-                "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq \
-                 --out {out}/asm_bad {flag} --cpu-bin2-fraction 0.5"
-            )))
-            .expect_err("static split conflict must be rejected");
-            assert!(err.contains("static"), "{flag}: {err}");
+    fn unknown_flags_are_rejected_by_name() {
+        // Deleted scheduler flags and typos must fail loudly: silently
+        // dropping `--overlpa` would run the CPU engine instead.
+        for (extra, name) in [
+            ("--cpu-bin2-fraction 0.5", "--cpu-bin2-fraction"),
+            ("--per-bin-rates", "--per-bin-rates"),
+            ("--adaptive-batch", "--adaptive-batch"),
+            ("--overlpa", "--overlpa"),
+        ] {
+            let err = run(&argv(&format!("assemble --r1 a.fq --r2 b.fq --out asm {extra}")))
+                .expect_err("unknown flag must be rejected");
+            assert!(err.contains(&format!("unknown flag {name} ")), "{extra}: {err}");
         }
-
-        let _ = std::fs::remove_dir_all(&dir);
+        let err = run(&argv("simulate --out sim --sclae 0.1")).expect_err("typo in simulate");
+        assert!(err.contains("unknown flag --sclae "), "{err}");
     }
 
     #[test]

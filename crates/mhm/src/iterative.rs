@@ -10,15 +10,15 @@
 //! diagram; scaffolding runs once at the end.
 
 use crate::merge::merge_reads;
-use crate::pipeline::{EngineChoice, Phase, PhaseTimings, PipelineConfig};
+use crate::pipeline::{run_local_assembly, EngineChoice, Phase, PhaseTimings, PipelineConfig};
 use crate::scaffold::{scaffold_contigs, Scaffold};
 use crate::stats::AssemblyStats;
 use align::{collect_candidates, SeedIndex};
 use bioseq::{DnaSeq, PairedRead, Read};
 use dbg::{count_kmers, generate_contigs, DbgGraph};
 use gpusim::DeviceConfig;
-use locassm::gpu::{GpuLocalAssembler, KernelVersion};
-use locassm::{apply_extensions, extend_all_cpu_isolated, make_tasks, ExtResult, TaskOutcome};
+use locassm::gpu::{KernelVersion, RecoveryStats};
+use locassm::{apply_extensions, make_tasks};
 use std::time::Instant;
 
 /// Per-round statistics.
@@ -31,6 +31,9 @@ pub struct RoundStats {
     /// Local-assembly tasks skipped after every recovery rung failed (their
     /// contigs keep this round's sequence).
     pub failed_tasks: usize,
+    /// Recovery-ladder counters of this round's GPU engine (GPU and overlap
+    /// engines only).
+    pub recovery: Option<RecoveryStats>,
 }
 
 /// Result of an iterative assembly.
@@ -47,6 +50,16 @@ impl IterativeResult {
     pub fn failed_tasks(&self) -> usize {
         self.rounds.iter().map(|r| r.failed_tasks).sum()
     }
+
+    /// Recovery-ladder counters summed over rounds; `None` when no round
+    /// ran a GPU engine.
+    pub fn recovery(&self) -> Option<RecoveryStats> {
+        self.rounds.iter().filter_map(|r| r.recovery.as_ref()).fold(None, |sum, r| {
+            let mut sum = sum.unwrap_or_default();
+            sum.absorb(r);
+            Some(sum)
+        })
+    }
 }
 
 /// Weight given to contig pseudo-reads when re-counting k-mers (so contig
@@ -54,6 +67,12 @@ impl IterativeResult {
 const CONTIG_PSEUDO_WEIGHT: usize = 2;
 
 /// Run the iterative pipeline over `k_schedule` (ascending).
+///
+/// # Panics
+///
+/// Panics if `k_schedule` is empty, or if the overlap driver rejects its
+/// configuration or breaks an internal invariant
+/// ([`locassm::DriverError`]).
 pub fn run_iterative(
     pairs: &[PairedRead],
     cfg: &PipelineConfig,
@@ -107,33 +126,9 @@ pub fn run_iterative(
         let cand_pairs: Vec<(Vec<Read>, Vec<Read>)> =
             cands.into_iter().map(|c| (c.right, c.left)).collect();
         let tasks = make_tasks(&contigs, &cand_pairs, &cfg.locassm);
-        // Per-task isolation on both engines: a task that fails every
-        // recovery rung is skipped for this round, never fatal.
-        let counted = |outcomes: Vec<TaskOutcome>| {
-            let failed = outcomes.iter().filter(|o| o.is_failed()).count();
-            (outcomes.into_iter().map(TaskOutcome::into_result).collect(), failed)
-        };
-        let (results, failed_tasks): (Vec<ExtResult>, usize) = match &cfg.engine {
-            EngineChoice::Cpu => counted(extend_all_cpu_isolated(&tasks, &cfg.locassm)),
-            EngineChoice::Gpu { device, version } => {
-                let mut engine =
-                    GpuLocalAssembler::new(device.clone(), cfg.locassm.clone(), *version);
-                counted(engine.extend_tasks_outcomes(&tasks).0)
-            }
-            EngineChoice::Overlap { device, version, schedule } => {
-                let driver = locassm::OverlapDriver {
-                    device: device.clone(),
-                    version: *version,
-                    schedule: schedule.clone(),
-                };
-                match driver.run(&tasks, &cfg.locassm) {
-                    Ok(out) => (out.results, out.failed_tasks),
-                    // An invariant violation in one round degrades to the
-                    // CPU reference rather than aborting the whole ladder.
-                    Err(_e) => counted(extend_all_cpu_isolated(&tasks, &cfg.locassm)),
-                }
-            }
-        };
+        let la = run_local_assembly(&tasks, &cfg.locassm, &cfg.engine)
+            .unwrap_or_else(|e| panic!("local assembly at k={k}: {e}"));
+        let results = la.results;
         let appended: usize = results.iter().map(|r| r.appended.len()).sum();
         contigs = apply_extensions(&contigs, &tasks, &results);
         timings.add(Phase::LocalAssembly, t.elapsed().as_secs_f64());
@@ -143,7 +138,8 @@ pub fn run_iterative(
             contigs: contigs.len(),
             stats: AssemblyStats::of(&contigs),
             bases_appended: appended,
-            failed_tasks,
+            failed_tasks: la.failed_tasks,
+            recovery: la.gpu.map(|g| g.recovery),
         });
     }
 
@@ -283,6 +279,27 @@ mod tests {
         let report = crate::report::render_rounds(&gpu);
         let line = format!("  {:<24} {}\n", "tasks skipped", gpu.failed_tasks());
         assert!(report.contains(&line), "{report}");
+        // The recovery counters of every round are summed, not dropped.
+        let recovery = gpu.recovery().expect("the GPU engine reports recovery");
+        assert!(recovery.device_lost);
+        assert!(recovery.device_resets >= 2, "one reset budget per round: {recovery:?}");
+        assert!(report.contains("device lost"), "{report}");
+        assert!(report.contains("device resets"), "{report}");
+        assert_eq!(cpu.recovery(), None, "the CPU engine has no ladder");
+    }
+
+    #[test]
+    fn every_engine_assembles_the_cpu_contigs() {
+        let (_, pairs) = dataset(42, 0.0);
+        let cpu = run_iterative(&pairs, &PipelineConfig::default(), &[21, 31]);
+        for engine in [gpu_engine_choice(), overlap_engine_choice()] {
+            let cfg = PipelineConfig { engine, ..PipelineConfig::default() };
+            let out = run_iterative(&pairs, &cfg, &[21, 31]);
+            assert_eq!(out.contigs, cpu.contigs, "{:?}", cfg.engine);
+            assert_eq!(out.failed_tasks(), 0);
+            let recovery = out.recovery().expect("a GPU engine ran every round");
+            assert!(!recovery.any_recovery(), "healthy device: {recovery:?}");
+        }
     }
 
     #[test]

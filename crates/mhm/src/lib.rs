@@ -34,7 +34,8 @@ pub use errors::{ErrorKind, PipelineError};
 pub use iterative::{run_iterative, IterativeResult};
 pub use merge::{merge_reads, MergeParams, MergeStats};
 pub use pipeline::{
-    run_pipeline, EngineChoice, Phase, PhaseTimings, PipelineConfig, PipelineResult,
+    run_local_assembly, run_pipeline, EngineChoice, LocalAssemblyRun, Phase, PhaseTimings,
+    PipelineConfig, PipelineResult,
 };
 pub use scaffold::{scaffold_contigs, Scaffold, ScaffoldParams};
 pub use scaling::{PaperAnchors, ScalingError, ScalingModel};

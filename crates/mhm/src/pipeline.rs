@@ -11,7 +11,8 @@ use gpusim::DeviceConfig;
 use locassm::gpu::{GpuLocalAssembler, GpuRunStats, KernelVersion, RecoveryStats};
 use locassm::{
     apply_extensions, bin_tasks, extend_all_cpu_isolated, make_tasks, summarize, BinStats,
-    ExtResult, ExtSummary, LocalAssemblyParams, TaskOutcome,
+    DriverError, ExtResult, ExtSummary, ExtTask, LocalAssemblyParams, OverlapDriver,
+    ScheduleReport, TaskOutcome,
 };
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -113,8 +114,7 @@ pub enum EngineChoice {
     /// Simulated-GPU engine with the given device and kernel version.
     Gpu { device: DeviceConfig, version: KernelVersion },
     /// CPU/GPU overlap driver (paper §4.3): both engines share the task
-    /// list under a [`locassm::SchedulePolicy`] — work-stealing by
-    /// default, or the static `cpu_bin2_fraction` split.
+    /// list under the work-stealing [`locassm::SchedulePolicy`].
     Overlap { device: DeviceConfig, version: KernelVersion, schedule: locassm::SchedulePolicy },
 }
 
@@ -219,6 +219,64 @@ pub struct PipelineStats {
     pub fasta_bytes: usize,
 }
 
+/// What local assembly produced, whichever engine ran it.
+#[derive(Debug)]
+pub struct LocalAssemblyRun {
+    /// Results, index-aligned with the input tasks.
+    pub results: Vec<ExtResult>,
+    /// Tasks skipped after every recovery rung failed (their contigs keep
+    /// their current sequence).
+    pub failed_tasks: usize,
+    /// Simulated device stats, recovery counters included (GPU and overlap
+    /// engines only).
+    pub gpu: Option<GpuRunStats>,
+    /// What the overlap scheduler did (overlap engine only).
+    pub schedule: Option<ScheduleReport>,
+}
+
+/// Extend every task on the configured engine: the one engine dispatch
+/// behind [`run_pipeline`] and [`crate::run_iterative`].
+///
+/// Every engine isolates tasks: a task that fails every rung of the
+/// recovery ladder is skipped and counted, never fatal. An `Err` means the
+/// overlap driver was misconfigured or broke an internal invariant.
+pub fn run_local_assembly(
+    tasks: &[ExtTask],
+    params: &LocalAssemblyParams,
+    engine: &EngineChoice,
+) -> Result<LocalAssemblyRun, DriverError> {
+    let counted = |outcomes: Vec<TaskOutcome>| {
+        let failed = outcomes.iter().filter(|o| o.is_failed()).count();
+        (outcomes.into_iter().map(TaskOutcome::into_result).collect(), failed)
+    };
+    Ok(match engine {
+        EngineChoice::Cpu => {
+            let (results, failed_tasks) = counted(extend_all_cpu_isolated(tasks, params));
+            LocalAssemblyRun { results, failed_tasks, gpu: None, schedule: None }
+        }
+        EngineChoice::Gpu { device, version } => {
+            let mut engine = GpuLocalAssembler::new(device.clone(), params.clone(), *version);
+            let (outcomes, gpu) = engine.extend_tasks_outcomes(tasks);
+            let (results, failed_tasks) = counted(outcomes);
+            LocalAssemblyRun { results, failed_tasks, gpu: Some(gpu), schedule: None }
+        }
+        EngineChoice::Overlap { device, version, schedule } => {
+            let driver = OverlapDriver {
+                device: device.clone(),
+                version: *version,
+                schedule: schedule.clone(),
+            };
+            let out = driver.run(tasks, params)?;
+            LocalAssemblyRun {
+                results: out.results,
+                failed_tasks: out.failed_tasks,
+                gpu: out.gpu_stats,
+                schedule: Some(out.schedule),
+            }
+        }
+    })
+}
+
 /// Run the full pipeline on a set of read pairs.
 ///
 /// Recoverable device faults (injected or genuine OOM/launch failures) are
@@ -294,42 +352,15 @@ pub fn run_pipeline(
     stats.tasks = tasks.len();
     stats.bins = bin_tasks(&tasks);
     let t = Instant::now();
-    // Either engine yields per-task outcomes: a task that fails every rung
-    // of the recovery ladder is skipped (contig keeps its sequence), never
-    // fatal to the run.
-    let (results, la_failed): (Vec<ExtResult>, usize) = match &cfg.engine {
-        EngineChoice::Cpu => {
-            let outcomes = extend_all_cpu_isolated(&tasks, &cfg.locassm);
-            let failed = outcomes.iter().filter(|o| o.is_failed()).count();
-            (outcomes.into_iter().map(TaskOutcome::into_result).collect(), failed)
-        }
-        EngineChoice::Gpu { device, version } => {
-            let mut engine = GpuLocalAssembler::new(device.clone(), cfg.locassm.clone(), *version);
-            let (outcomes, gpu_stats) = engine.extend_tasks_outcomes(&tasks);
-            stats.la_gpu_sim_seconds = Some(gpu_stats.seconds);
-            stats.recovery = Some(gpu_stats.recovery.clone());
-            stats.gpu = Some(gpu_stats);
-            let failed = outcomes.iter().filter(|o| o.is_failed()).count();
-            (outcomes.into_iter().map(TaskOutcome::into_result).collect(), failed)
-        }
-        EngineChoice::Overlap { device, version, schedule } => {
-            let driver = locassm::OverlapDriver {
-                device: device.clone(),
-                version: *version,
-                schedule: schedule.clone(),
-            };
-            let out = driver
-                .run(&tasks, &cfg.locassm)
-                .map_err(|e| PipelineError::engine(Phase::LocalAssembly, e))?;
-            stats.la_gpu_sim_seconds = out.gpu_stats.as_ref().map(|s| s.seconds);
-            stats.recovery = out.gpu_stats.as_ref().map(|s| s.recovery.clone());
-            stats.gpu = out.gpu_stats;
-            stats.overlap = Some(out.schedule);
-            (out.results, out.failed_tasks)
-        }
-    };
-    stats.la_failed_tasks = la_failed;
+    let la = run_local_assembly(&tasks, &cfg.locassm, &cfg.engine)
+        .map_err(|e| PipelineError::engine(Phase::LocalAssembly, e))?;
     stats.la_wall_seconds = t.elapsed().as_secs_f64();
+    stats.la_failed_tasks = la.failed_tasks;
+    stats.la_gpu_sim_seconds = la.gpu.as_ref().map(|s| s.seconds);
+    stats.recovery = la.gpu.as_ref().map(|s| s.recovery.clone());
+    stats.gpu = la.gpu;
+    stats.overlap = la.schedule;
+    let results = la.results;
     stats.bases_appended = results.iter().map(|r| r.appended.len()).sum();
     stats.ext_summary = summarize(&results);
     let extended = apply_extensions(&contigs, &tasks, &results);

@@ -61,14 +61,18 @@ pub fn render_recovery(stats: &PipelineStats) -> String {
 }
 
 /// Render an iterative run's per-round lines, then [`render_recovery`]'s
-/// `tasks skipped` line when any round skipped a local-assembly task.
+/// section over the recovery counters and skipped tasks summed over rounds.
 pub fn render_rounds(result: &IterativeResult) -> String {
     let mut out = String::new();
     for r in &result.rounds {
         out.push_str(&format!("round k={}: {}\n", r.k, r.stats.render()));
     }
-    let skipped = PipelineStats { la_failed_tasks: result.failed_tasks(), ..Default::default() };
-    out.push_str(&render_recovery(&skipped));
+    let summed = PipelineStats {
+        recovery: result.recovery(),
+        la_failed_tasks: result.failed_tasks(),
+        ..Default::default()
+    };
+    out.push_str(&render_recovery(&summed));
     out
 }
 
@@ -92,7 +96,7 @@ pub fn render_overlap(stats: &PipelineStats) -> String {
     let Some(sched) = &stats.overlap else {
         return String::new();
     };
-    let mut out = format!("\noverlap scheduler ({})\n", sched.policy);
+    let mut out = String::from("\noverlap scheduler (work-steal)\n");
     let mut line = |label: &str, value: String| {
         out.push_str(&format!("  {label:<24} {value}\n"));
     };
@@ -115,15 +119,6 @@ pub fn render_overlap(stats: &PipelineStats) -> String {
     if sched.gpu_absorbed_light > 0 {
         line("bin-2 absorbed by GPU", sched.gpu_absorbed_light.to_string());
     }
-    if sched.adaptive_batch {
-        line(
-            "adaptive batches",
-            format!(
-                "{} drain splits, min issued {} w",
-                sched.drain_splits, sched.min_issued_batch_words
-            ),
-        );
-    }
     if sched.makespan_model_s() > 0.0 {
         line("model makespan", format!("{:.6} s", sched.makespan_model_s()));
     }
@@ -144,33 +139,6 @@ pub fn render_overlap(stats: &PipelineStats) -> String {
                 "gpu rate (words/s)",
                 format!("{:.3e} ({} updates)", cal.gpu_words_per_s, cal.gpu_updates),
             );
-        }
-        if cal.per_bin {
-            line("per-bin rates", "on (bin-resolved clock pricing)".to_string());
-            if cal.cpu_bin2_updates > 0 {
-                line(
-                    "cpu bin-2 rate",
-                    format!("{:.3e} ({} updates)", cal.cpu_bin2_words_per_s, cal.cpu_bin2_updates),
-                );
-            }
-            if cal.cpu_bin3_updates > 0 {
-                line(
-                    "cpu bin-3 rate",
-                    format!("{:.3e} ({} updates)", cal.cpu_bin3_words_per_s, cal.cpu_bin3_updates),
-                );
-            }
-            if cal.gpu_bin2_updates > 0 {
-                line(
-                    "gpu bin-2 rate",
-                    format!("{:.3e} ({} updates)", cal.gpu_bin2_words_per_s, cal.gpu_bin2_updates),
-                );
-            }
-            if cal.gpu_bin3_updates > 0 {
-                line(
-                    "gpu bin-3 rate",
-                    format!("{:.3e} ({} updates)", cal.gpu_bin3_words_per_s, cal.gpu_bin3_updates),
-                );
-            }
         }
         if cal.realized_makespan_s() > 0.0 {
             line(
@@ -287,7 +255,6 @@ mod tests {
     fn overlap_section_reports_shares_and_steals() {
         let stats = PipelineStats {
             overlap: Some(locassm::ScheduleReport {
-                policy: "work-steal",
                 batches: 6,
                 gpu_batches: 4,
                 cpu_batches: 2,
@@ -312,7 +279,6 @@ mod tests {
     fn overlap_section_reports_calibration() {
         let stats = PipelineStats {
             overlap: Some(locassm::ScheduleReport {
-                policy: "work-steal",
                 batches: 4,
                 gpu_batches: 2,
                 cpu_batches: 2,
@@ -328,7 +294,6 @@ mod tests {
                     cpu_realized_s: 0.25,
                     gpu_realized_s: 0.75,
                     rel_err_vs_realized: 0.05,
-                    ..Default::default()
                 }),
                 ..Default::default()
             }),
@@ -353,60 +318,6 @@ mod tests {
         assert!(s.contains("off (seed rate held)"), "{s}");
         assert!(!s.contains("gpu rate"), "{s}");
         assert!(!s.contains("realized makespan"), "{s}");
-    }
-
-    #[test]
-    fn overlap_section_reports_per_bin_and_adaptive() {
-        let stats = PipelineStats {
-            overlap: Some(locassm::ScheduleReport {
-                policy: "work-steal",
-                batches: 8,
-                gpu_batches: 5,
-                cpu_batches: 5,
-                cpu_est_words: 400,
-                gpu_est_words: 600,
-                adaptive_batch: true,
-                drain_splits: 2,
-                min_issued_batch_words: 128,
-                calibration: Some(locassm::CalibrationReport {
-                    enabled: true,
-                    per_bin: true,
-                    cpu_seed_words_per_s: 1.0e6,
-                    cpu_words_per_s: 2.0e6,
-                    cpu_updates: 5,
-                    cpu_bin2_words_per_s: 1.5e6,
-                    cpu_bin2_updates: 3,
-                    cpu_bin3_words_per_s: 6.0e6,
-                    cpu_bin3_updates: 2,
-                    gpu_words_per_s: 9.0e6,
-                    gpu_updates: 5,
-                    gpu_bin3_words_per_s: 9.5e6,
-                    gpu_bin3_updates: 5,
-                    ..Default::default()
-                }),
-                ..Default::default()
-            }),
-            ..Default::default()
-        };
-        let s = render_overlap(&stats);
-        assert!(s.contains("2 drain splits, min issued 128 w"), "{s}");
-        assert!(s.contains("per-bin rates"), "{s}");
-        assert!(s.contains("cpu bin-2 rate"), "{s}");
-        assert!(s.contains("1.500e6 (3 updates)"), "{s}");
-        assert!(s.contains("cpu bin-3 rate"), "{s}");
-        assert!(s.contains("gpu bin-3 rate"), "{s}");
-        assert!(!s.contains("gpu bin-2 rate"), "unfired bins stay silent: {s}");
-
-        // Per-bin off, adaptive off: the new lines vanish entirely.
-        let mut off = stats;
-        if let Some(sched) = &mut off.overlap {
-            sched.adaptive_batch = false;
-            sched.calibration.as_mut().unwrap().per_bin = false;
-        }
-        let s = render_overlap(&off);
-        assert!(!s.contains("adaptive batches"), "{s}");
-        assert!(!s.contains("per-bin rates"), "{s}");
-        assert!(!s.contains("bin-2 rate"), "{s}");
     }
 
     #[test]

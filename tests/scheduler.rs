@@ -1,21 +1,21 @@
 //! Overlap-scheduler integration tests.
 //!
 //! The scheduler is a performance feature with a correctness contract: no
-//! matter how tasks are split between the CPU and GPU engines — statically,
-//! by work stealing, or mid-flight after an injected fault — the extension
-//! results must be byte-identical to the pure-CPU reference, in task order.
-//! These tests drive that contract across randomized task mixes and fault
-//! plans, and pin the two load-balance claims: LPT striping must balance a
-//! skew that defeats round-robin, and the static bin-2 split must deal
-//! sizes instead of cutting a prefix.
+//! matter how tasks are split between the CPU and GPU engines — by the
+//! paper's fixed split, by work stealing, or mid-flight after an injected
+//! fault — the extension results must be byte-identical to the pure-CPU
+//! reference, in task order. These tests drive that contract across
+//! randomized task mixes and fault plans, and pin the load-balance claims:
+//! LPT striping must balance a skew that defeats round-robin, and work
+//! stealing must beat the paper's split on a skewed workload.
 
 use bioseq::{DnaSeq, Read};
 use gpusim::{DeviceConfig, Fault, FaultPlan};
 use locassm::gpu::pack::{estimate_task_cost, estimate_task_words};
-use locassm::gpu::{KernelVersion, MultiGpuAssembler, StripePolicy};
+use locassm::gpu::{GpuLocalAssembler, KernelVersion, MultiGpuAssembler, StripePolicy};
 use locassm::{
-    bin_tasks, build_batches, extend_all_cpu, CalibrationConfig, ContigEnd, ExtTask,
-    LocalAssemblyParams, OverlapDriver, SchedulePolicy, StealConfig,
+    bin_tasks, build_batches, extend_all_cpu, ContigEnd, ExtTask, LocalAssemblyParams,
+    OverlapDriver, SchedulePolicy, StealConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -48,6 +48,12 @@ fn tasks_from_counts(counts: &[usize], seed: u64) -> Vec<ExtTask> {
         .collect()
 }
 
+/// The paper's fixed split: one bin-3 batch for the GPU, one bin-2 batch
+/// for the CPU, the CPU priced at `cpu_words_per_s`.
+fn paper_split(cpu_words_per_s: f64) -> StealConfig {
+    StealConfig { batch_words: u64::MAX, cpu_words_per_s, calibrate: false, ..Default::default() }
+}
+
 fn fault_plan(kind: usize) -> FaultPlan {
     match kind {
         0 => FaultPlan::default(),
@@ -71,14 +77,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Work stealing must reproduce the pure-CPU reference byte-for-byte
-    /// across arbitrary bin mixes, steal granularities, and fault plans —
-    /// including plans that kill the device partway through the deque.
+    /// across arbitrary bin mixes, steal granularities, calibration on and
+    /// off, and fault plans — including plans that kill the device partway
+    /// through the deque.
     #[test]
     fn work_steal_is_byte_identical_across_mixes_and_faults(
         counts in proptest::collection::vec(0usize..=24, 1..=28),
         seed in 0u64..1_000,
         fault_kind in 0usize..3,
-        batch_kib in (0usize..3).prop_map(|i| [2u64, 16, 64][i]),
+        batch_words in (0usize..3).prop_map(|i| [2u64 * 1024, 16 * 1024, 64 * 1024][i]),
+        calibrate in any::<bool>(),
     ) {
         let tasks = tasks_from_counts(&counts, seed);
         let params = LocalAssemblyParams::for_tests();
@@ -88,7 +96,8 @@ proptest! {
             device: DeviceConfig::tiny().with_fault_plan(fault_plan(fault_kind)),
             version: KernelVersion::V2,
             schedule: SchedulePolicy::WorkSteal(StealConfig {
-                batch_words: batch_kib * 1024,
+                batch_words,
+                calibrate,
                 ..StealConfig::default()
             }),
         };
@@ -103,15 +112,15 @@ proptest! {
         );
     }
 
-    /// The static split must also hold the identity contract under faults —
-    /// the recovery ladder and the panic fallback both end at the same CPU
-    /// reference code.
+    /// The paper's fixed split must also hold the identity contract under
+    /// faults, whatever the CPU is priced at — the recovery ladder and the
+    /// panic fallback both end at the same CPU reference code.
     #[test]
     fn static_split_is_byte_identical_across_fractions_and_faults(
         counts in proptest::collection::vec(0usize..=24, 1..=20),
         seed in 0u64..1_000,
         fault_kind in 0usize..3,
-        frac in (0usize..3).prop_map(|i| [0.0f64, 0.3, 1.0][i]),
+        cpu_words_per_s in (0usize..3).prop_map(|i| [1.0e3f64, 1.0e6, 1.0e9][i]),
     ) {
         let tasks = tasks_from_counts(&counts, seed);
         let params = LocalAssemblyParams::for_tests();
@@ -119,7 +128,8 @@ proptest! {
 
         let driver = OverlapDriver {
             device: DeviceConfig::tiny().with_fault_plan(fault_plan(fault_kind)),
-            ..OverlapDriver::static_split(frac)
+            version: KernelVersion::V2,
+            schedule: SchedulePolicy::WorkSteal(paper_split(cpu_words_per_s)),
         };
         let out = driver.run(&tasks, &params).expect("driver must not error");
         prop_assert_eq!(&out.results, &reference);
@@ -156,50 +166,11 @@ fn lpt_striping_balances_skew_that_defeats_round_robin() {
     assert!(lpt >= 0.9, "LPT striping should balance the skew, got {lpt:.3}");
 }
 
-/// Regression for the prefix-bias bug: with bin-2 tasks arriving in
-/// ascending size order, a `cpu_bin2_fraction=0.5` split must deal the
-/// tasks so both engines get comparable estimated words — the old prefix
-/// cut handed the CPU the smallest half of the work.
+/// The work-steal makespan model must beat the paper's fixed split on a
+/// skewed workload when the CPU peer is fast enough to help with bin 3 —
+/// the scheduler-level version of the Figure 11 harness claim.
 #[test]
-fn static_split_deals_bin2_sizes_instead_of_prefix() {
-    // 36 bin-2 tasks in ascending size order (1,..,9 read counts, blocked),
-    // the adversarial input for a prefix cut. No bin-3 tasks, so the GPU's
-    // scheduled words are purely its bin-2 share.
-    let mut counts: Vec<usize> = (0..36).map(|i| 1 + i / 4).collect();
-    counts.iter_mut().for_each(|c| *c = (*c).min(9));
-    let tasks = tasks_from_counts(&counts, 7);
-    let params = LocalAssemblyParams::for_tests();
-
-    let out = OverlapDriver { device: DeviceConfig::tiny(), ..OverlapDriver::static_split(0.5) }
-        .run(&tasks, &params)
-        .expect("static split runs");
-    assert_eq!(out.results, extend_all_cpu(&tasks, &params));
-
-    let total: u64 = tasks.iter().map(|t| estimate_task_words(t, &params)).sum();
-    let (cpu_w, gpu_w) = (out.schedule.cpu_est_words, out.schedule.gpu_est_words);
-    assert_eq!(cpu_w + gpu_w, total, "every estimated word lands on exactly one engine");
-    let (lo, hi) = (cpu_w.min(gpu_w), cpu_w.max(gpu_w));
-    assert!(
-        lo as f64 >= 0.8 * hi as f64,
-        "half split must deal comparable est-words shares, got cpu {cpu_w} / gpu {gpu_w}"
-    );
-
-    // The prefix cut would have produced a far worse share: the smallest
-    // half of the tasks carries well under 80% of the larger half's words.
-    let sorted_words: Vec<u64> = tasks.iter().map(|t| estimate_task_words(t, &params)).collect();
-    let prefix_cpu: u64 = sorted_words[..18].iter().sum();
-    let prefix_gpu: u64 = sorted_words[18..].iter().sum();
-    assert!(
-        (prefix_cpu as f64) < 0.8 * prefix_gpu as f64,
-        "workload no longer adversarial for a prefix cut: {prefix_cpu} vs {prefix_gpu}"
-    );
-}
-
-/// The work-steal makespan model must beat a static half split on a skewed
-/// workload when the CPU peer is fast enough to help with bin-3 — the
-/// scheduler-level version of the Figure 11 harness claim.
-#[test]
-fn work_steal_model_beats_static_half_split_on_skew() {
+fn work_steal_model_beats_paper_split_on_skew() {
     const STRIDE: usize = 4;
     let counts: Vec<usize> =
         (0..64).map(|i| if i % STRIDE == 0 { 18 + i % 5 } else { 1 + (i % 8) }).collect();
@@ -207,45 +178,31 @@ fn work_steal_model_beats_static_half_split_on_skew() {
     let params = LocalAssemblyParams::for_tests();
     let total: u64 = tasks.iter().map(|t| estimate_task_words(t, &params)).sum();
 
-    // Calibrate the GPU once (single amortized run), then model the CPU
-    // peer at twice that rate, as in the fig11 harness.
-    let probe = OverlapDriver { device: DeviceConfig::tiny(), ..OverlapDriver::static_split(0.0) }
+    // Probe the GPU once (single amortized run), then model the CPU peer
+    // at twice that rate, as in the fig11 harness. Calibration stays off,
+    // so both schedules price the CPU at exactly that rate.
+    let (_, probe) =
+        GpuLocalAssembler::new(DeviceConfig::tiny(), params.clone(), KernelVersion::V2)
+            .extend_tasks(&tasks);
+    let cpu_rate = 2.0 * total as f64 / probe.wall_s().max(1e-12);
+    let run = |cfg: StealConfig| {
+        OverlapDriver {
+            device: DeviceConfig::tiny(),
+            schedule: SchedulePolicy::WorkSteal(cfg),
+            ..Default::default()
+        }
         .run(&tasks, &params)
-        .expect("probe runs");
-    let gpu_rate = total as f64 / probe.gpu_stats.as_ref().unwrap().wall_s().max(1e-12);
+        .expect("driver runs")
+    };
 
-    let st = OverlapDriver { device: DeviceConfig::tiny(), ..OverlapDriver::static_split(0.5) }
-        .run(&tasks, &params)
-        .expect("static runs");
-    let static_makespan = (st.schedule.cpu_est_words as f64 / (2.0 * gpu_rate))
-        .max(st.gpu_stats.as_ref().unwrap().wall_s());
+    let paper = run(paper_split(cpu_rate));
+    assert_eq!(paper.results, extend_all_cpu(&tasks, &params));
+    assert_eq!(paper.schedule.cpu_stole_heavy, 0, "the paper split never steals");
+    let ws = run(StealConfig { batch_words: 32 * 1024, ..paper_split(cpu_rate) });
+    assert_eq!(ws.results, paper.results, "schedules must agree on results");
 
-    let ws = OverlapDriver {
-        device: DeviceConfig::tiny(),
-        schedule: SchedulePolicy::WorkSteal(StealConfig {
-            batch_words: 32 * 1024,
-            cpu_words_per_s: 2.0 * gpu_rate,
-            // Deterministic observations at the seed rate: calibration is
-            // a no-op on the schedule, and the model stays pinned to the
-            // probe-derived CPU rate this test reasons about.
-            calibration: CalibrationConfig {
-                cpu_true_words_per_s: Some(2.0 * gpu_rate),
-                ..Default::default()
-            },
-            ..StealConfig::default()
-        }),
-        ..Default::default()
-    }
-    .run(&tasks, &params)
-    .expect("work-steal runs");
-    assert_eq!(ws.results, st.results, "schedules must agree on results");
-
-    let improvement = (static_makespan - ws.schedule.makespan_model_s()) / static_makespan;
-    assert!(
-        improvement >= 0.15,
-        "work-steal should beat static 0.5 by >= 15%, got {:.1}%",
-        100.0 * improvement
-    );
+    let (paper_s, ws_s) = (paper.schedule.makespan_model_s(), ws.schedule.makespan_model_s());
+    assert!(ws_s < paper_s, "work-steal must beat the paper split: {ws_s:.9} vs {paper_s:.9} s");
     assert!(ws.schedule.cpu_stole_heavy > 0, "the win must come from stealing bin-3 work");
 }
 
@@ -282,8 +239,8 @@ fn task_cost_is_clamped_to_at_least_one_word() {
 }
 
 /// A device death mid-run must not poison the CPU rate estimate: the CPU
-/// absorbs the rest of the deque, its observations keep arriving at the
-/// (deterministic) true rate, and the EWMA keeps converging.
+/// absorbs the rest of the deque, its measured batch times keep arriving,
+/// and the EWMA moves off an absurdly low seed.
 #[test]
 fn gpu_death_does_not_poison_cpu_rate_estimate() {
     let counts: Vec<usize> = (0..64).map(|i| 1 + (i % 12)).collect();
@@ -291,17 +248,13 @@ fn gpu_death_does_not_poison_cpu_rate_estimate() {
     let params = LocalAssemblyParams::for_tests();
     let reference = extend_all_cpu(&tasks, &params);
 
-    let true_rate = 5.0e6;
+    let seed = 10.0; // words/s: a 2 KiB batch would take minutes at this rate
     let out = OverlapDriver {
         device: DeviceConfig::tiny().with_fault_plan(fault_plan(2)), // hang storm → device lost
         version: KernelVersion::V2,
         schedule: SchedulePolicy::WorkSteal(StealConfig {
             batch_words: 2 * 1024,
-            cpu_words_per_s: true_rate / 10.0, // 10× mis-seeded
-            calibration: CalibrationConfig {
-                cpu_true_words_per_s: Some(true_rate),
-                ..Default::default()
-            },
+            cpu_words_per_s: seed,
             ..StealConfig::default()
         }),
     }
@@ -316,39 +269,32 @@ fn gpu_death_does_not_poison_cpu_rate_estimate() {
         "CPU must have absorbed several batches, got {}",
         cal.cpu_updates
     );
-    let ratio = cal.cpu_words_per_s / true_rate;
     assert!(
-        (0.8..=1.25).contains(&ratio),
-        "estimate must converge to the true rate despite the dead GPU: {:.3e} vs {true_rate:.3e}",
+        cal.cpu_words_per_s.is_finite() && cal.cpu_words_per_s > 100.0 * seed,
+        "estimate must move off the low seed: {:.3e}",
         cal.cpu_words_per_s
-    );
-    assert!(
-        cal.cpu_words_per_s > cal.cpu_seed_words_per_s,
-        "estimate must have moved off the low seed"
     );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Calibration sweep: random true-rate × seed-rate mis-matches (up to
-    /// 100× in either direction) under every fault plan. (a) results stay
-    /// byte-identical to the CPU reference; (b) whenever the CPU engine ran
-    /// at all, the converged estimate is no farther from the truth than the
-    /// seed was (EWMA against constant-truth observations moves toward the
-    /// truth monotonically, so this holds for every update count).
+    /// Calibration sweep: seeds up to 100× off in either direction under
+    /// every fault plan. (a) results stay byte-identical to the CPU
+    /// reference; (b) the CPU clock is rebased to the converged estimate
+    /// (`words / rate`), so a mis-seed is forgotten once observations
+    /// arrive, while with calibration off the seed prices every word.
     #[test]
     fn calibration_is_identity_preserving_and_convergent(
         counts in proptest::collection::vec(0usize..=24, 1..=24),
         seed in 0u64..1_000,
         fault_kind in 0usize..3,
-        true_exp in -1i32..=1,
         seed_exp in -1i32..=1,
+        calibrate in any::<bool>(),
     ) {
         let tasks = tasks_from_counts(&counts, seed);
         let params = LocalAssemblyParams::for_tests();
         let reference = extend_all_cpu(&tasks, &params);
-        let true_rate = 5.0e6 * 100f64.powi(true_exp);
         let seed_rate = 5.0e6 * 100f64.powi(seed_exp);
 
         let out = OverlapDriver {
@@ -357,10 +303,7 @@ proptest! {
             schedule: SchedulePolicy::WorkSteal(StealConfig {
                 batch_words: 8 * 1024,
                 cpu_words_per_s: seed_rate,
-                calibration: CalibrationConfig {
-                    cpu_true_words_per_s: Some(true_rate),
-                    ..Default::default()
-                },
+                calibrate,
                 ..StealConfig::default()
             }),
         }
@@ -368,198 +311,26 @@ proptest! {
         .expect("driver runs");
         prop_assert_eq!(&out.results, &reference);
 
-        let cal = out.schedule.calibration.as_ref().expect("calibration report attached");
-        prop_assert_eq!(cal.cpu_seed_words_per_s, seed_rate);
-        if cal.cpu_updates > 0 {
-            let err_final = (cal.cpu_words_per_s / true_rate).ln().abs();
-            let err_seed = (seed_rate / true_rate).ln().abs();
-            prop_assert!(
-                err_final <= err_seed + 1e-9,
-                "estimate {:.3e} drifted farther from truth {:.3e} than seed {:.3e}",
-                cal.cpu_words_per_s, true_rate, seed_rate
-            );
-        }
-    }
-
-    /// Per-bin calibration: with bin-2 and bin-3 truths set 10x apart, each
-    /// bin's estimate must converge to *its own* truth — independently of
-    /// the skew of the mix — and results stay byte-identical. Observations
-    /// arrive at a constant per-bin truth and the bin estimators start
-    /// unseeded, so any bin that fired at all must sit exactly on its truth.
-    #[test]
-    fn per_bin_estimates_converge_independently_under_skewed_mixes(
-        light in proptest::collection::vec(1usize..=6, 0..=20),
-        heavy in proptest::collection::vec(12usize..=24, 0..=12),
-        seed in 0u64..1_000,
-        fault_kind in 0usize..3,
-    ) {
-        // Arbitrary skew: anywhere from all-bin-2 to all-bin-3.
-        let mut counts: Vec<usize> = light.iter().chain(heavy.iter()).copied().collect();
-        if counts.is_empty() {
-            counts.push(3);
-        }
-        let tasks = tasks_from_counts(&counts, seed);
-        let params = LocalAssemblyParams::for_tests();
-        let reference = extend_all_cpu(&tasks, &params);
-        let (bin2_true, bin3_true) = (2.0e6, 2.0e7);
-
-        let out = OverlapDriver {
-            device: DeviceConfig::tiny().with_fault_plan(fault_plan(fault_kind)),
-            version: KernelVersion::V2,
-            schedule: SchedulePolicy::WorkSteal(StealConfig {
-                batch_words: 4 * 1024,
-                cpu_words_per_s: 5.0e6,
-                calibration: CalibrationConfig {
-                    per_bin: true,
-                    min_bin_obs: 2,
-                    cpu_true_bin2_words_per_s: Some(bin2_true),
-                    cpu_true_bin3_words_per_s: Some(bin3_true),
-                    ..Default::default()
-                },
-                ..StealConfig::default()
-            }),
-        }
-        .run(&tasks, &params)
-        .expect("driver runs");
-        prop_assert_eq!(&out.results, &reference);
-
-        let cal = out.schedule.calibration.as_ref().expect("calibration report attached");
-        prop_assert!(cal.per_bin);
-        if cal.cpu_bin2_updates > 0 {
-            let rel = (cal.cpu_bin2_words_per_s / bin2_true - 1.0).abs();
-            prop_assert!(rel < 1e-9, "bin-2 estimate {:.6e} != truth {bin2_true:.6e}",
-                cal.cpu_bin2_words_per_s);
-        }
-        if cal.cpu_bin3_updates > 0 {
-            let rel = (cal.cpu_bin3_words_per_s / bin3_true - 1.0).abs();
-            prop_assert!(rel < 1e-9, "bin-3 estimate {:.6e} != truth {bin3_true:.6e}",
-                cal.cpu_bin3_words_per_s);
-        }
-        // Every CPU observation landed in exactly one bin.
-        prop_assert_eq!(cal.cpu_bin2_updates + cal.cpu_bin3_updates, cal.cpu_updates);
-    }
-
-    /// Adaptive drain sizing must never issue a zero-word batch, for any
-    /// combination of granularity, drain factor, and floor — and the split
-    /// bookkeeping must conserve both results and estimated words.
-    #[test]
-    fn adaptive_sizing_never_issues_a_zero_word_batch(
-        counts in proptest::collection::vec(0usize..=24, 1..=24),
-        seed in 0u64..1_000,
-        fault_kind in 0usize..3,
-        batch_kib in (0usize..3).prop_map(|i| [2u64, 8, 64][i]),
-        drain_factor in (0usize..3).prop_map(|i| [1.5f64, 4.0, 16.0][i]),
-        min_batch_words in (0usize..3).prop_map(|i| [1u64, 512, 1 << 20][i]),
-    ) {
-        let tasks = tasks_from_counts(&counts, seed);
-        let params = LocalAssemblyParams::for_tests();
-        let reference = extend_all_cpu(&tasks, &params);
-        // Bin-1 tasks (no reads) are answered host-side before the deque is
-        // built, so only read-bearing tasks contribute scheduled words.
-        let total: u64 = tasks
-            .iter()
-            .filter(|t| !t.reads.is_empty())
-            .map(|t| estimate_task_words(t, &params))
-            .sum();
-
-        let out = OverlapDriver {
-            device: DeviceConfig::tiny().with_fault_plan(fault_plan(fault_kind)),
-            version: KernelVersion::V2,
-            schedule: SchedulePolicy::WorkSteal(StealConfig {
-                batch_words: batch_kib * 1024,
-                adaptive_batch: true,
-                drain_factor,
-                min_batch_words,
-                ..StealConfig::default()
-            }),
-        }
-        .run(&tasks, &params)
-        .expect("driver runs");
-        prop_assert_eq!(&out.results, &reference);
         let sched = &out.schedule;
-        prop_assert!(sched.adaptive_batch);
-        if sched.batches > 0 {
-            prop_assert!(
-                sched.min_issued_batch_words >= 1,
-                "issued a zero-word batch (drain_splits {})", sched.drain_splits
-            );
+        let cal = sched.calibration.as_ref().expect("calibration report attached");
+        prop_assert_eq!(cal.enabled, calibrate);
+        prop_assert_eq!(cal.cpu_seed_words_per_s, seed_rate);
+        let words = sched.cpu_est_words as f64;
+        if calibrate {
+            prop_assert!(cal.cpu_updates <= sched.cpu_batches as u64);
+            prop_assert_eq!(sched.cpu_model_s, words / cal.cpu_words_per_s);
+        } else {
+            prop_assert_eq!(cal.cpu_updates, 0);
+            prop_assert_eq!(cal.cpu_words_per_s, seed_rate);
+            let rel = (sched.cpu_model_s - words / seed_rate).abs() / (words / seed_rate).max(1e-300);
+            prop_assert!(rel < 1e-9, "seed clock {} vs {}", sched.cpu_model_s, words / seed_rate);
         }
-        prop_assert_eq!(sched.cpu_est_words + sched.gpu_est_words, total);
-    }
-
-    /// Off-switch contract: with `per_bin` and `adaptive_batch` both off,
-    /// the schedule must be identical to the PR 4 scheduler no matter what
-    /// the (inert) new knobs are set to — same batch counts, same steal
-    /// decisions, bit-identical virtual clocks — under every fault plan.
-    #[test]
-    fn disabled_features_reproduce_the_baseline_schedule(
-        counts in proptest::collection::vec(0usize..=24, 1..=24),
-        seed in 0u64..1_000,
-        fault_kind in 0usize..3,
-        drain_factor in (0usize..3).prop_map(|i| [1.5f64, 7.0, 64.0][i]),
-        min_batch_words in (0usize..3).prop_map(|i| [1u64, 4096, 1 << 20][i]),
-        min_bin_obs in 1u64..=9,
-    ) {
-        let tasks = tasks_from_counts(&counts, seed);
-        let params = LocalAssemblyParams::for_tests();
-        let reference = extend_all_cpu(&tasks, &params);
-        let run = |cfg: StealConfig| {
-            OverlapDriver {
-                device: DeviceConfig::tiny().with_fault_plan(fault_plan(fault_kind)),
-                version: KernelVersion::V2,
-                schedule: SchedulePolicy::WorkSteal(cfg),
-            }
-            .run(&tasks, &params)
-            .expect("driver runs")
-        };
-        // Pin the observation source: without a configured truth the
-        // calibration loop observes host wall seconds, and the CPU clock
-        // would not be reproducible across the two runs being compared.
-        let base = run(StealConfig {
-            calibration: CalibrationConfig {
-                cpu_true_words_per_s: Some(5.0e6),
-                ..Default::default()
-            },
-            ..StealConfig::default()
-        });
-        let knobbed = run(StealConfig {
-            adaptive_batch: false,
-            drain_factor,
-            min_batch_words,
-            calibration: CalibrationConfig {
-                per_bin: false,
-                min_bin_obs,
-                cpu_true_words_per_s: Some(5.0e6),
-                ..Default::default()
-            },
-            ..StealConfig::default()
-        });
-        prop_assert_eq!(&base.results, &reference);
-        prop_assert_eq!(&knobbed.results, &reference);
-
-        let (a, b) = (&base.schedule, &knobbed.schedule);
-        prop_assert_eq!(a.batches, b.batches);
-        prop_assert_eq!(a.gpu_batches, b.gpu_batches);
-        prop_assert_eq!(a.cpu_batches, b.cpu_batches);
-        prop_assert_eq!(a.cpu_stole_heavy, b.cpu_stole_heavy);
-        prop_assert_eq!(a.gpu_absorbed_light, b.gpu_absorbed_light);
-        prop_assert_eq!(a.cpu_est_words, b.cpu_est_words);
-        prop_assert_eq!(a.gpu_est_words, b.gpu_est_words);
-        // The CPU clock is fully modeled, so it must agree to the bit. The
-        // GPU clock includes host-measured pack seconds and is not
-        // bit-reproducible run-to-run, so it is not compared here.
-        prop_assert_eq!(a.cpu_model_s.to_bits(), b.cpu_model_s.to_bits());
-        prop_assert_eq!(a.min_issued_batch_words, b.min_issued_batch_words);
-        prop_assert_eq!(a.drain_splits, 0);
-        prop_assert_eq!(b.drain_splits, 0);
-        prop_assert!(!b.adaptive_batch);
-        let bc = b.calibration.as_ref().expect("calibration report attached");
-        prop_assert!(!bc.per_bin);
     }
 
     /// All-empty-tasks degenerate input: every task is bin 1 (answered
     /// host-side), nothing reaches the deque, and the run stays
-    /// byte-identical with a well-formed report under any policy.
+    /// byte-identical with a well-formed report under the default schedule
+    /// and the paper's split.
     #[test]
     fn all_empty_tasks_never_wedge_the_scheduler(
         n in 1usize..=20,
@@ -569,14 +340,14 @@ proptest! {
         let tasks = tasks_from_counts(&counts, 5);
         let params = LocalAssemblyParams::for_tests();
         let reference = extend_all_cpu(&tasks, &params);
-        let driver = if work_steal {
-            OverlapDriver::default()
-        } else {
-            OverlapDriver::static_split(0.5)
-        };
-        let out = OverlapDriver { device: DeviceConfig::tiny(), ..driver }
-            .run(&tasks, &params)
-            .expect("driver runs");
+        let steal = if work_steal { StealConfig::default() } else { paper_split(5.0e7) };
+        let out = OverlapDriver {
+            device: DeviceConfig::tiny(),
+            schedule: SchedulePolicy::WorkSteal(steal),
+            ..Default::default()
+        }
+        .run(&tasks, &params)
+        .expect("driver runs");
         prop_assert_eq!(&out.results, &reference);
         prop_assert_eq!(out.zero_tasks, n);
         prop_assert_eq!(out.cpu_tasks + out.gpu_tasks, 0);
