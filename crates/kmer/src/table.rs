@@ -236,6 +236,12 @@ impl<V> KmerTable<V> {
     pub fn values(&self) -> impl Iterator<Item = &V> + '_ {
         self.slots().map(|slot| &self.vals[slot])
     }
+
+    /// Values, mutably, in slot order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> + '_ {
+        let used = &self.used;
+        self.vals.iter_mut().enumerate().filter(|(slot, _)| used.get(*slot)).map(|(_, v)| v)
+    }
 }
 
 #[cfg(test)]
@@ -273,6 +279,20 @@ mod tests {
         *t.entry(&kmer(&[0, 1, 2, 3])) = 1;
         assert_eq!(t.get(&kmer(&[0, 1, 2])), None);
         assert_eq!(t.get(&kmer(&[0, 1, 2, 3])), Some(&1));
+    }
+
+    #[test]
+    fn values_mut_edits_in_place_in_slot_order() {
+        let mut t: KmerTable<u32> = KmerTable::new(3);
+        let (a, b) = (kmer(&[0, 1, 2]), kmer(&[3, 3, 0]));
+        *t.entry(&a) = 1;
+        *t.entry(&b) = 2;
+        for v in t.values_mut() {
+            *v *= 10;
+        }
+        assert_eq!((t.get(&a), t.get(&b)), (Some(&10), Some(&20)));
+        let walked: Vec<u32> = t.values().copied().collect();
+        assert_eq!(t.values_mut().map(|v| *v).collect::<Vec<_>>(), walked);
     }
 
     proptest! {

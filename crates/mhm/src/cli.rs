@@ -229,7 +229,8 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
         };
     }
 
-    let mut report = String::new();
+    // Every measured second below ran on this many threads.
+    let mut report = format!("threads {}\n", rayon::current_num_threads());
     let (contigs, scaffolds) = if cli.has("iterative") {
         let max_read = pairs.iter().map(|p| p.r1.len().max(p.r2.len())).max().unwrap_or(150);
         let mut schedule = default_schedule(max_read);
@@ -399,6 +400,29 @@ mod tests {
         .expect("gpu assemble");
         let gpu = std::fs::read_to_string(dir.join("asm_gpu/contigs.fasta")).unwrap();
         assert_eq!(cpu, gpu);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn report_names_its_thread_count_above_the_phase_table() {
+        let dir = std::env::temp_dir().join(format!("mhm2rs_threads_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = dir.to_string_lossy().to_string();
+        run(&argv(&format!("simulate --out {out} --preset arctic --scale 0.01")))
+            .expect("simulate");
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        let report = pool
+            .install(|| {
+                run(&argv(&format!(
+                    "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm"
+                )))
+            })
+            .expect("assemble");
+        let lines: Vec<&str> = report.lines().collect();
+        let threads = lines.iter().position(|l| *l == "threads 3").expect("threads line");
+        let table = lines.iter().position(|l| *l == "pipeline").expect("phase table");
+        assert!(threads < table, "{report}");
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -5,7 +5,7 @@ use bioseq::DnaSeq;
 use datagen::{generate_community, simulate_reads, Community, CommunityConfig, ReadSimConfig};
 use gpusim::DeviceConfig;
 use locassm::gpu::KernelVersion;
-use mhm::{run_pipeline, EngineChoice, Phase, PipelineConfig};
+use mhm::{run_iterative, run_pipeline, EngineChoice, Phase, PipelineConfig, Scaffold};
 
 fn community(n_species: usize, seed: u64) -> Community {
     generate_community(&CommunityConfig {
@@ -198,4 +198,62 @@ fn phase_timings_all_positive_total() {
     for p in Phase::ALL {
         assert!(result.timings.get(p) >= 0.0, "{p:?} negative");
     }
+}
+
+/// Contigs and rendered scaffolds from `run` at 2 and 4 threads are
+/// byte-identical to the 1-thread run.
+fn assert_thread_count_invariant(run: impl Fn() -> (Vec<DnaSeq>, Vec<Scaffold>) + Send + Sync) {
+    let at = |threads: usize| {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        let (contigs, scaffolds) = pool.install(&run);
+        let rendered: Vec<DnaSeq> = scaffolds.iter().map(|s| s.render(&contigs)).collect();
+        (contigs, rendered)
+    };
+    let one = at(1);
+    assert!(!one.0.is_empty());
+    for threads in [2, 4] {
+        assert!(at(threads) == one, "{threads} threads differ from 1 thread");
+    }
+}
+
+fn thread_count_pairs() -> Vec<bioseq::PairedRead> {
+    reads_for(&community(2, 800), 900, 801)
+}
+
+fn assert_engine_thread_count_invariant(engine: EngineChoice) {
+    let pairs = thread_count_pairs();
+    let cfg = PipelineConfig { engine, ..Default::default() };
+    assert_thread_count_invariant(|| {
+        let r = run_pipeline(&pairs, &cfg).expect("pipeline runs");
+        (r.contigs, r.scaffolds)
+    });
+}
+
+#[test]
+fn cpu_engine_output_is_thread_count_invariant() {
+    assert_engine_thread_count_invariant(EngineChoice::Cpu);
+}
+
+#[test]
+fn gpu_engine_output_is_thread_count_invariant() {
+    let device = DeviceConfig::v100();
+    assert_engine_thread_count_invariant(EngineChoice::Gpu { device, version: KernelVersion::V2 });
+}
+
+#[test]
+fn overlap_engine_output_is_thread_count_invariant() {
+    assert_engine_thread_count_invariant(EngineChoice::Overlap {
+        device: DeviceConfig::v100(),
+        version: KernelVersion::V2,
+        schedule: locassm::SchedulePolicy::WorkSteal(locassm::StealConfig::default()),
+    });
+}
+
+#[test]
+fn iterative_output_is_thread_count_invariant() {
+    let pairs = thread_count_pairs();
+    assert_thread_count_invariant(|| {
+        let r = run_iterative(&pairs, &PipelineConfig::default(), &[21, 33]);
+        (r.contigs, r.scaffolds)
+    });
 }
