@@ -1,22 +1,23 @@
 //! Figure 11-style overlap study: the paper's fixed split (bin 3 on the
 //! GPU, bin 2 on the CPU) vs the work-stealing scheduler on a size-skewed
 //! seeded workload, plus the multi-GPU striping comparison (round-robin vs
-//! LPT, homogeneous and mixed-fleet) and byte-identity checks across
-//! scheduler × calibration × fault configurations.
+//! `stripe_lpt`, homogeneous and mixed-fleet) and byte-identity checks
+//! across scheduler × calibration × fault configurations.
 //!
 //! Emits `results/BENCH_overlap.json` (hand-rolled JSON; the workspace has
-//! no serde_json) so CI can accumulate the perf trajectory. `--tiny` runs
-//! a reduced workload for the CI smoke job. The acceptance thresholds are
+//! no serde_json). Every field is modeled and deterministic, so CI runs the
+//! full preset and diffs the file against the committed one; `--tiny` runs
+//! a reduced workload for a quick check. The acceptance thresholds are
 //! asserted, so a scheduling regression fails the harness, not just the
 //! numbers in a file.
 
 use bioseq::{DnaSeq, Read};
 use gpusim::{DeviceConfig, Fault, FaultPlan};
 use locassm::gpu::pack::estimate_task_words;
-use locassm::gpu::{GpuLocalAssembler, KernelVersion, MultiGpuAssembler, StripePolicy};
+use locassm::gpu::{stripe_lpt, GpuLocalAssembler, KernelVersion};
 use locassm::{
-    extend_all_cpu, ContigEnd, ExtTask, LocalAssemblyParams, OverlapDriver, SchedulePolicy,
-    StealConfig,
+    extend_all_cpu, ContigEnd, ExtResult, ExtTask, LocalAssemblyParams, OverlapDriver,
+    SchedulePolicy, StealConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -140,17 +141,35 @@ fn main() {
         "work-steal must beat the paper split: {ws_makespan:.9} vs {paper_makespan:.9} s"
     );
 
-    // --- multi-GPU striping: round-robin vs LPT on the same skew.
-    let balance_of = |policy: StripePolicy| {
-        let multi =
-            MultiGpuAssembler::new(device.clone(), params.clone(), KernelVersion::V2, N_DEVICES)
-                .with_stripe_policy(policy);
-        let (results, stats) = multi.extend_tasks(&tasks);
-        assert_eq!(results, reference, "{policy:?} striping must be byte-identical");
-        stats.balance_efficiency()
+    // --- multi-GPU striping: round-robin vs LPT on the same skew. Each
+    // shard runs on its own engine; balance is sum of device seconds over
+    // (makespan x devices). A sequential loop is exact: simulated seconds
+    // do not depend on host threads.
+    let balance_of = |fleet: &[DeviceConfig], shards: &[Vec<usize>]| {
+        let mut results = vec![ExtResult::empty(); tasks.len()];
+        let seconds: Vec<f64> = fleet
+            .iter()
+            .zip(shards)
+            .map(|(config, idx)| {
+                let shard: Vec<&ExtTask> = idx.iter().map(|&i| &tasks[i]).collect();
+                let (outcomes, stats) =
+                    GpuLocalAssembler::new(config.clone(), params.clone(), KernelVersion::V2)
+                        .extend_tasks_outcomes_ref(&shard);
+                for (&i, outcome) in idx.iter().zip(outcomes) {
+                    results[i] = outcome.into_result();
+                }
+                stats.seconds
+            })
+            .collect();
+        assert_eq!(results, reference, "striped runs must be byte-identical");
+        let makespan = seconds.iter().copied().fold(0.0, f64::max);
+        seconds.iter().sum::<f64>() / (makespan * seconds.len() as f64)
     };
-    let balance_rr = balance_of(StripePolicy::RoundRobin);
-    let balance_lpt = balance_of(StripePolicy::WordsLpt);
+    let fleet = vec![device.clone(); N_DEVICES];
+    let round_robin: Vec<Vec<usize>> =
+        (0..N_DEVICES).map(|d| (d..n_tasks).step_by(N_DEVICES).collect()).collect();
+    let balance_rr = balance_of(&fleet, &round_robin);
+    let balance_lpt = balance_of(&fleet, &stripe_lpt(&tasks, &params, &[1.0; N_DEVICES]));
     println!("\nmulti-GPU balance ({N_DEVICES} devices): round-robin {balance_rr:.3}, LPT {balance_lpt:.3}");
     assert!(balance_rr < 0.6, "skew must defeat round-robin striping, got {balance_rr:.3}");
     assert!(balance_lpt >= 0.9, "LPT striping must balance the skew, got {balance_lpt:.3}");
@@ -164,28 +183,13 @@ fn main() {
         dram_gbps: device.dram_gbps * 0.5,
         ..device.clone()
     };
-    let mixed_configs = || {
-        let mut fleet = vec![device.clone(); N_DEVICES - 1];
-        fleet.push(slow_device.clone());
-        fleet
-    };
-    let mixed_balance_of = |rates: Option<Vec<f64>>| {
-        let mut multi = MultiGpuAssembler::with_device_configs(
-            mixed_configs(),
-            params.clone(),
-            KernelVersion::V2,
-        );
-        if let Some(r) = rates {
-            multi = multi.with_device_rates(r);
-        }
-        let (results, stats) = multi.extend_tasks(&tasks);
-        assert_eq!(results, reference, "mixed-fleet striping must be byte-identical");
-        stats.balance_efficiency()
-    };
+    let mut mixed_fleet = vec![device.clone(); N_DEVICES - 1];
+    mixed_fleet.push(slow_device);
     let mut aware_rates = vec![1.0; N_DEVICES - 1];
     aware_rates.push(0.5);
-    let balance_mixed_blind = mixed_balance_of(None);
-    let balance_mixed_aware = mixed_balance_of(Some(aware_rates));
+    let balance_mixed_blind =
+        balance_of(&mixed_fleet, &stripe_lpt(&tasks, &params, &[1.0; N_DEVICES]));
+    let balance_mixed_aware = balance_of(&mixed_fleet, &stripe_lpt(&tasks, &params, &aware_rates));
     println!(
         "mixed fleet (device {} at 0.5x): rate-blind LPT {balance_mixed_blind:.3}, \
          rate-aware LPT {balance_mixed_aware:.3}",

@@ -50,7 +50,6 @@
 #![warn(missing_docs)]
 #![allow(clippy::needless_range_loop)]
 
-pub mod collectives;
 pub mod config;
 pub mod counters;
 pub mod device;
@@ -62,7 +61,6 @@ pub mod shadow;
 pub mod timing;
 pub mod warp;
 
-pub use collectives::{warp_aggregated_add, warp_inclusive_scan, warp_reduce, ReduceOp};
 pub use config::DeviceConfig;
 pub use counters::{Counters, InstClass};
 pub use device::{Device, LaunchStats, SANITIZE_ENV};

@@ -19,35 +19,14 @@ use gpusim::{
     Counters, Device, DeviceConfig, DeviceOom, LaunchError, RooflineReport, SanitizerSummary,
 };
 
-/// Knobs of the recovery ladder (inject → retry → shrink → reset+backoff →
-/// CPU fallback → skip).
-#[derive(Debug, Clone)]
-pub struct RecoveryPolicy {
-    /// Device attempts per batch of work; each failed attempt halves the
-    /// batch (or retries a singleton) until the budget runs out.
-    pub max_batch_attempts: u32,
-    /// Device resets tolerated before the device is declared lost for the
-    /// rest of the run.
-    pub max_device_resets: u64,
-    /// After the ladder's device rungs are exhausted, run the affected
-    /// tasks on the CPU reference engine (`true`) or report them as
-    /// [`TaskOutcome::Failed`] so the caller can reschedule them (`false`,
-    /// what the multi-GPU dispatcher uses).
-    pub cpu_fallback: bool,
-    /// Simulated wait before the first device reset; doubles per reset.
-    pub backoff_base_s: f64,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            max_batch_attempts: 3,
-            max_device_resets: 3,
-            cpu_fallback: true,
-            backoff_base_s: 1e-3,
-        }
-    }
-}
+/// Device attempts per batch of work; each failed attempt halves the batch
+/// (or retries a singleton) until the budget runs out.
+const MAX_BATCH_ATTEMPTS: u32 = 3;
+/// Device resets tolerated before the device is declared lost for the rest
+/// of the run.
+const MAX_DEVICE_RESETS: u64 = 3;
+/// Simulated wait before the first device reset; doubles per reset.
+const BACKOFF_BASE_S: f64 = 1e-3;
 
 /// What the recovery ladder had to do during a run. All-zero on a healthy
 /// device.
@@ -151,7 +130,8 @@ impl GpuRunStats {
         RooflineReport::from_counters(name, cfg, &self.counters, self.seconds)
     }
 
-    /// Fold another run's statistics into this one (multi-round dispatch).
+    /// Fold another run's statistics into this one (one run per batch of
+    /// the work-stealing scheduler).
     pub fn absorb(&mut self, other: &GpuRunStats) {
         self.launches += other.launches;
         self.batches += other.batches;
@@ -199,7 +179,6 @@ pub struct GpuLocalAssembler {
     version: KernelVersion,
     /// Fraction of device memory a batch may use.
     mem_budget_frac: f64,
-    policy: RecoveryPolicy,
     /// Set when the device exhausted its reset budget; all remaining work
     /// skips the device rungs of the ladder.
     device_dead: bool,
@@ -224,18 +203,11 @@ impl GpuLocalAssembler {
             params,
             version,
             mem_budget_frac: 0.8,
-            policy: RecoveryPolicy::default(),
             device_dead: false,
             double_buffer: true,
             pack_words_per_s: DEFAULT_PACK_WORDS_PER_S,
             pending_exec_s: 0.0,
         }
-    }
-
-    /// Override the recovery policy (builder style).
-    pub fn with_recovery_policy(mut self, policy: RecoveryPolicy) -> GpuLocalAssembler {
-        self.policy = policy;
-        self
     }
 
     /// Enable/disable the double-buffered pack/exec pipeline (builder
@@ -256,8 +228,8 @@ impl GpuLocalAssembler {
     }
 
     /// Extend every task; results are index-aligned with `tasks`. Failed
-    /// tasks (possible only with `cpu_fallback: false`, or when the CPU
-    /// fallback itself panics) collapse to empty results.
+    /// tasks (possible only when the CPU fallback itself panics) collapse to
+    /// empty results.
     ///
     /// Scheduling follows the paper: bin 1 is answered immediately; bin 3
     /// (large tasks) is offloaded first, then bin 2 — so the earliest
@@ -322,13 +294,7 @@ impl GpuLocalAssembler {
 
         stats.device_tasks = order.len() - oversized.len();
         for batch in &batches {
-            self.run_batch_recovering(
-                tasks,
-                batch,
-                &mut results,
-                &mut stats,
-                self.policy.max_batch_attempts,
-            );
+            self.run_batch_recovering(tasks, batch, &mut results, &mut stats, MAX_BATCH_ATTEMPTS);
         }
         for &i in &oversized {
             let outcome = self.off_device(tasks[i], "task exceeds device memory", &mut stats);
@@ -418,12 +384,12 @@ impl GpuLocalAssembler {
         if !self.device.is_poisoned() {
             return; // e.g. an OOM: the device is still usable as-is
         }
-        if self.device.resets() >= self.policy.max_device_resets {
+        if self.device.resets() >= MAX_DEVICE_RESETS {
             self.device_dead = true;
             stats.recovery.device_lost = true;
             return;
         }
-        let backoff = self.policy.backoff_base_s * f64::powi(2.0, self.device.resets() as i32);
+        let backoff = BACKOFF_BASE_S * f64::powi(2.0, self.device.resets() as i32);
         stats.recovery.backoff_s += backoff;
         self.device.reset_device();
         // A reset drains the device queue: nothing is in flight for the
@@ -432,14 +398,9 @@ impl GpuLocalAssembler {
         stats.recovery.device_resets += 1;
     }
 
-    /// Last rungs of the ladder for one task: the CPU reference engine
-    /// (panic-isolated — a panicking task is skipped, never aborts the
-    /// bin), or an explicit failure if the policy forbids CPU fallback.
+    /// Last rungs of the ladder for one task: the CPU reference engine,
+    /// panic-isolated — a panicking task is skipped, never aborts the bin.
     fn off_device(&self, task: &ExtTask, why: &str, stats: &mut GpuRunStats) -> TaskOutcome {
-        if !self.policy.cpu_fallback {
-            stats.recovery.failed_tasks += 1;
-            return TaskOutcome::Failed { contig: task.contig, reason: why.to_string() };
-        }
         let params = &self.params;
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             extend_end_cpu(task, params)
@@ -710,28 +671,6 @@ mod tests {
         assert!(stats.recovery.device_lost, "reset budget must be exhausted");
         assert!(stats.recovery.cpu_fallback_tasks > 0);
         assert_eq!(stats.recovery.failed_tasks, 0);
-    }
-
-    #[test]
-    fn no_fallback_policy_reports_failures() {
-        use gpusim::{Fault, FaultPlan};
-        let tasks = make_test_tasks(8);
-        let plan = FaultPlan {
-            faults: (0..64)
-                .map(|i| Fault::KernelHang { at_launch: i, after_cycles: 100 })
-                .collect(),
-        };
-        // With CPU fallback disabled (the multi-GPU dispatcher's round-1
-        // policy), unrecoverable tasks surface as Failed outcomes instead
-        // of silently emptying.
-        let mut eng = faulty_engine(plan)
-            .with_recovery_policy(RecoveryPolicy { cpu_fallback: false, ..Default::default() });
-        let (outcomes, stats) = eng.extend_tasks_outcomes(&tasks);
-        assert!(stats.recovery.device_lost);
-        assert_eq!(stats.recovery.cpu_fallback_tasks, 0);
-        let failed = outcomes.iter().filter(|o| o.is_failed()).count();
-        assert!(failed > 0, "failures must be reported, not hidden");
-        assert_eq!(failed, stats.recovery.failed_tasks);
     }
 
     #[test]

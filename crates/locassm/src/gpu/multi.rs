@@ -1,352 +1,63 @@
-//! Multi-GPU dispatch: a Summit node drives six V100s
-//! (`mhm2.py --ranks-per-gpu` maps 7 ranks onto each). We model the node
-//! level by striping extension tasks across N independent simulated
-//! devices and running them concurrently; node-level local-assembly time
-//! is the **makespan** (slowest device), which is what the strong-scaling
-//! story of Figures 13/14 is about — fewer tasks per device means worse
-//! load balance and a larger overhead share.
+//! Multi-GPU striping: a Summit node drives six V100s
+//! (`mhm2.py --ranks-per-gpu` maps 7 ranks onto each), each rank owning a
+//! fixed share of the work. [`stripe_lpt`] computes such a static share
+//! per device; node and multi-node scaling are modelled by
+//! `mhm::ScalingModel`.
 
-use crate::cpu::extend_cpu_isolated_refs;
-use crate::gpu::engine::{GpuLocalAssembler, GpuRunStats, RecoveryPolicy};
-use crate::gpu::kernel::KernelVersion;
 use crate::gpu::pack::estimate_task_cost;
 use crate::params::LocalAssemblyParams;
-use crate::task::{ExtResult, ExtTask, TaskOutcome};
-use gpusim::DeviceConfig;
-use rayon::prelude::*;
+use crate::task::ExtTask;
 
-/// How tasks are assigned to devices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StripePolicy {
-    /// Historical `i % n_devices` striping — oblivious to task cost, so a
-    /// cluster of heavy bin-3 tasks can pile onto one device. Kept as the
-    /// load-balance comparison baseline.
-    RoundRobin,
-    /// Greedy LPT bin-packing on uniform machines: tasks sorted
-    /// heaviest-first by [`estimate_task_cost`], each assigned to the
-    /// device that would *finish it earliest* — `(load + w) / rate` — so a
-    /// device rated 0.5× receives roughly half the words of a 1× peer
-    /// (mixed-fleet support). With equal rates this degenerates to plain
-    /// least-loaded LPT.
-    WordsLpt,
-}
-
-/// Node-level statistics.
-#[derive(Debug, Clone)]
-pub struct MultiGpuStats {
-    /// Per-device run stats, index = device id (redistribution rounds are
-    /// folded into the device that absorbed the work).
-    pub per_device: Vec<GpuRunStats>,
-    /// Simulated node-level local-assembly time (max over devices).
-    pub makespan_s: f64,
-    /// Sum of device seconds (the work a single device would need).
-    pub total_device_s: f64,
-    /// Devices whose shard was lost (engine panic or device abandoned
-    /// after exhausting its reset budget).
-    pub lost_devices: usize,
-    /// Tasks re-run on a surviving device (or the CPU) after shard loss.
-    pub redistributed_tasks: usize,
-    /// Per-device throughput learned from round 1 (estimated words per
-    /// simulated second), index = device id. A device with no usable
-    /// observation (lost shard, empty shard) reports its configured
-    /// relative rate rescaled by the fleet's mean observed-to-configured
-    /// ratio — these are the rates the shard-loss restripe ran with.
-    pub device_rates: Vec<f64>,
-}
-
-impl MultiGpuStats {
-    /// Load-balance efficiency: 1.0 = perfectly even device times.
-    pub fn balance_efficiency(&self) -> f64 {
-        if self.makespan_s == 0.0 || self.per_device.is_empty() {
-            return 1.0;
-        }
-        self.total_device_s / (self.makespan_s * self.per_device.len() as f64)
-    }
-}
-
-/// A fixed array of simulated GPUs fed by striped task assignment.
-pub struct MultiGpuAssembler {
-    configs: Vec<DeviceConfig>,
-    params: LocalAssemblyParams,
-    version: KernelVersion,
-    stripe: StripePolicy,
-    /// Relative per-device throughput weights used by rate-aware LPT
-    /// (1.0 each by default — a homogeneous fleet). Units are free: only
-    /// ratios matter for striping.
-    rates: Vec<f64>,
-}
-
-/// Result of one device shard in round 1.
-// One value per device shard; boxing the large variant buys nothing.
-#[allow(clippy::large_enum_variant)]
-enum ShardRun {
-    /// The engine finished (possibly with per-task failures to reschedule).
-    Finished { idx: Vec<usize>, outcomes: Vec<TaskOutcome>, stats: GpuRunStats },
-    /// The engine panicked: the whole shard is lost.
-    Lost { idx: Vec<usize> },
-}
-
-impl MultiGpuAssembler {
-    /// `n_devices` simulated GPUs of identical configuration.
-    pub fn new(
-        config: DeviceConfig,
-        params: LocalAssemblyParams,
-        version: KernelVersion,
-        n_devices: usize,
-    ) -> MultiGpuAssembler {
-        assert!(n_devices >= 1, "need at least one device");
-        MultiGpuAssembler {
-            configs: vec![config; n_devices],
-            params,
-            version,
-            stripe: StripePolicy::WordsLpt,
-            rates: vec![1.0; n_devices],
-        }
-    }
-
-    /// Heterogeneous node: one explicit configuration per device (e.g.
-    /// distinct fault plans for resilience testing).
-    pub fn with_device_configs(
-        configs: Vec<DeviceConfig>,
-        params: LocalAssemblyParams,
-        version: KernelVersion,
-    ) -> MultiGpuAssembler {
-        assert!(!configs.is_empty(), "need at least one device");
-        let rates = vec![1.0; configs.len()];
-        MultiGpuAssembler { configs, params, version, stripe: StripePolicy::WordsLpt, rates }
-    }
-
-    /// Override the striping policy (builder style).
-    pub fn with_stripe_policy(mut self, stripe: StripePolicy) -> MultiGpuAssembler {
-        self.stripe = stripe;
-        self
-    }
-
-    /// Mixed fleet: per-device relative throughput for rate-aware LPT
-    /// (e.g. `[1.0, 0.5]` for one full-speed and one half-speed device).
-    /// In practice these come from a calibration run's
-    /// [`MultiGpuStats::device_rates`] — a previous round's learned rates
-    /// seed the next round's striping. Only ratios matter.
-    pub fn with_device_rates(mut self, rates: Vec<f64>) -> MultiGpuAssembler {
-        assert_eq!(rates.len(), self.configs.len(), "one rate per device");
-        assert!(
-            rates.iter().all(|r| r.is_finite() && *r > 0.0),
-            "device rates must be positive and finite, got {rates:?}"
-        );
-        self.rates = rates;
-        self
-    }
-
-    fn n_devices(&self) -> usize {
-        self.configs.len()
-    }
-
-    /// Assign task indices to one shard per entry of `rates` under the
-    /// configured policy. LPT weighs each device's load by its rate
-    /// (earliest projected finish wins; strict `<` keeps ties on the
-    /// lowest device id, deterministic) and keeps shard indices sorted
-    /// ascending so per-device launch order (and therefore results) is
-    /// independent of assignment order. Round-robin ignores the rates —
-    /// that is exactly its (baseline) blindness.
-    fn stripe_indices(
-        &self,
-        indices: &[usize],
-        tasks: &[ExtTask],
-        rates: &[f64],
-    ) -> Vec<Vec<usize>> {
-        let n_bins = rates.len();
-        let mut shards: Vec<Vec<usize>> = vec![Vec::new(); n_bins];
-        match self.stripe {
-            StripePolicy::RoundRobin => {
-                for (j, &i) in indices.iter().enumerate() {
-                    shards[j % n_bins].push(i);
-                }
-            }
-            StripePolicy::WordsLpt => {
-                let mut weighted: Vec<(u64, usize)> = indices
-                    .iter()
-                    .map(|&i| (estimate_task_cost(&tasks[i], &self.params), i))
-                    .collect();
-                weighted.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-                let mut load = vec![0u64; n_bins];
-                for (w, i) in weighted {
-                    let mut dev = 0usize;
-                    let mut dev_finish = f64::INFINITY;
-                    for (d, &rate) in rates.iter().enumerate() {
-                        let finish = (load[d] + w) as f64 / rate;
-                        if finish < dev_finish {
-                            dev_finish = finish;
-                            dev = d;
-                        }
-                    }
-                    load[dev] += w;
-                    shards[dev].push(i);
-                }
-                for shard in &mut shards {
-                    shard.sort_unstable();
-                }
+/// Assign every task index to one shard per entry of `rates`, by greedy
+/// LPT on uniform machines.
+///
+/// Tasks go heaviest-first by [`estimate_task_cost`], each to the device
+/// that would finish it earliest, `(load + w) / rate`; a strict `<` keeps
+/// ties on the lowest device id. So a device rated 0.5 receives about half
+/// the words of a 1.0 peer, and equal rates give plain least-loaded LPT.
+/// Only the ratios of `rates` matter. Each shard is sorted ascending, so a
+/// device launches its tasks in input order whatever the assignment order.
+///
+/// # Panics
+///
+/// If `rates` is empty, or any rate is not positive and finite.
+pub fn stripe_lpt(
+    tasks: &[ExtTask],
+    params: &LocalAssemblyParams,
+    rates: &[f64],
+) -> Vec<Vec<usize>> {
+    assert!(!rates.is_empty(), "need at least one device");
+    assert!(
+        rates.iter().all(|r| r.is_finite() && *r > 0.0),
+        "device rates must be positive and finite, got {rates:?}"
+    );
+    let mut weighted: Vec<(u64, usize)> =
+        tasks.iter().enumerate().map(|(i, t)| (estimate_task_cost(t, params), i)).collect();
+    weighted.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    let mut shards: Vec<Vec<usize>> = vec![Vec::new(); rates.len()];
+    let mut load = vec![0u64; rates.len()];
+    for (w, i) in weighted {
+        let mut dev = 0usize;
+        let mut dev_finish = f64::INFINITY;
+        for (d, &rate) in rates.iter().enumerate() {
+            let finish = (load[d] + w) as f64 / rate;
+            if finish < dev_finish {
+                dev_finish = finish;
+                dev = d;
             }
         }
-        shards
+        load[dev] += w;
+        shards[dev].push(i);
     }
-
-    /// Extend all tasks; results are index-aligned with the input.
-    ///
-    /// Tasks are striped under [`StripePolicy`] (default: LPT by estimated
-    /// device words, so heavy bin-3 tasks spread evenly) — the node-level
-    /// analogue of MetaHipMer2's rank↔GPU mapping. A dead device (engine
-    /// panic, or reset budget exhausted) is treated as shard loss: its
-    /// unfinished tasks are redistributed across the surviving devices,
-    /// and across the CPU if none survive.
-    pub fn extend_tasks(&self, tasks: &[ExtTask]) -> (Vec<ExtResult>, MultiGpuStats) {
-        let n_devices = self.n_devices();
-        let all: Vec<usize> = (0..tasks.len()).collect();
-        let assignment = self.stripe_indices(&all, tasks, &self.rates);
-        // Per-shard scheduled cost — the "words" side of each device's
-        // round-1 rate observation.
-        let shard_words: Vec<u64> = assignment
-            .iter()
-            .map(|idx| idx.iter().map(|&i| estimate_task_cost(&tasks[i], &self.params)).sum())
-            .collect();
-
-        // Round 1: run each device concurrently (host-side parallelism;
-        // each device is an independent simulator). Devices do NOT fall
-        // back to the CPU themselves — failed tasks come back as
-        // `Failed` so this dispatcher can reschedule them on peers.
-        // Shards borrow the caller's tasks by index; nothing is cloned.
-        let no_fallback = RecoveryPolicy { cpu_fallback: false, ..RecoveryPolicy::default() };
-        let shards: Vec<(Vec<usize>, DeviceConfig)> =
-            assignment.into_iter().zip(self.configs.iter().cloned()).collect();
-        let shard_runs: Vec<ShardRun> = shards
-            .into_par_iter()
-            .map(|(idx, config)| {
-                let my_tasks: Vec<&ExtTask> = idx.iter().map(|&i| &tasks[i]).collect();
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut engine =
-                        GpuLocalAssembler::new(config, self.params.clone(), self.version)
-                            .with_recovery_policy(no_fallback.clone());
-                    engine.extend_tasks_outcomes_ref(&my_tasks)
-                }));
-                match run {
-                    Ok((outcomes, stats)) => ShardRun::Finished { idx, outcomes, stats },
-                    Err(_panic) => ShardRun::Lost { idx },
-                }
-            })
-            .collect();
-
-        let mut results: Vec<Option<ExtResult>> = vec![None; tasks.len()];
-        let mut per_device: Vec<GpuRunStats> = Vec::with_capacity(n_devices);
-        let mut retry: Vec<usize> = Vec::new();
-        let mut alive: Vec<usize> = Vec::new(); // surviving device ids
-        let mut lost_devices = 0usize;
-        for (dev_id, run) in shard_runs.into_iter().enumerate() {
-            match run {
-                ShardRun::Finished { idx, outcomes, stats } => {
-                    if stats.recovery.device_lost {
-                        lost_devices += 1;
-                    } else {
-                        alive.push(dev_id);
-                    }
-                    for (&i, outcome) in idx.iter().zip(outcomes) {
-                        match outcome {
-                            TaskOutcome::Done(r) => results[i] = Some(r),
-                            TaskOutcome::Failed { .. } => retry.push(i),
-                        }
-                    }
-                    per_device.push(stats);
-                }
-                ShardRun::Lost { idx } => {
-                    lost_devices += 1;
-                    retry.extend(idx);
-                    per_device.push(GpuRunStats::default());
-                }
-            }
-        }
-
-        // Learn per-device throughput from round 1: estimated words over
-        // simulated device seconds. Devices without a usable observation
-        // (lost or empty shard) keep their configured relative rate,
-        // rescaled by the fleet's mean observed/configured ratio so both
-        // kinds live on one scale.
-        let observed: Vec<Option<f64>> = per_device
-            .iter()
-            .zip(&shard_words)
-            .map(|(stats, &w)| {
-                (w > 0 && stats.seconds > 0.0 && !stats.recovery.device_lost)
-                    .then(|| w as f64 / stats.seconds)
-            })
-            .collect();
-        let ratios: Vec<f64> =
-            observed.iter().zip(&self.rates).filter_map(|(o, &r)| o.map(|obs| obs / r)).collect();
-        let scale =
-            if ratios.is_empty() { 1.0 } else { ratios.iter().sum::<f64>() / ratios.len() as f64 };
-        let device_rates: Vec<f64> =
-            observed.iter().zip(&self.rates).map(|(o, &r)| o.unwrap_or(r * scale)).collect();
-
-        // Round 2: redistribute lost work across surviving devices (fresh
-        // engines on the survivors' configurations — their fault plans, if
-        // any, re-arm, so this round uses CPU fallback as the final rung).
-        let redistributed_tasks = retry.len();
-        if !retry.is_empty() {
-            if alive.is_empty() {
-                // No devices left: the whole retry set runs on the CPU.
-                let retry_refs: Vec<&ExtTask> = retry.iter().map(|&i| &tasks[i]).collect();
-                for (&i, outcome) in
-                    retry.iter().zip(extend_cpu_isolated_refs(&retry_refs, &self.params))
-                {
-                    results[i] = Some(outcome.into_result());
-                }
-            } else {
-                // Stolen-back work is re-striped under the same policy —
-                // LPT again balances the (often heavy-skewed) retry set,
-                // now weighted by the survivors' *learned* rates rather
-                // than the configured seeds.
-                let alive_rates: Vec<f64> = alive.iter().map(|&d| device_rates[d]).collect();
-                let restripe = self.stripe_indices(&retry, tasks, &alive_rates);
-                let restripe: Vec<(Vec<usize>, usize)> =
-                    restripe.into_iter().zip(alive.iter().copied()).collect();
-                let round2: Vec<(usize, Vec<usize>, Vec<TaskOutcome>, GpuRunStats)> = restripe
-                    .into_par_iter()
-                    .map(|(idx, dev_id)| {
-                        let my_tasks: Vec<&ExtTask> = idx.iter().map(|&i| &tasks[i]).collect();
-                        let mut engine = GpuLocalAssembler::new(
-                            self.configs[dev_id].clone(),
-                            self.params.clone(),
-                            self.version,
-                        );
-                        let (outcomes, stats) = engine.extend_tasks_outcomes_ref(&my_tasks);
-                        (dev_id, idx, outcomes, stats)
-                    })
-                    .collect();
-                for (dev_id, idx, outcomes, stats) in round2 {
-                    per_device[dev_id].absorb(&stats);
-                    for (&i, outcome) in idx.iter().zip(outcomes) {
-                        results[i] = Some(outcome.into_result());
-                    }
-                }
-            }
-        }
-
-        let makespan_s = per_device.iter().map(|s| s.seconds).fold(0.0, f64::max);
-        let total_device_s = per_device.iter().map(|s| s.seconds).sum();
-        (
-            results.into_iter().map(|r| r.unwrap_or_else(ExtResult::empty)).collect(),
-            MultiGpuStats {
-                per_device,
-                makespan_s,
-                total_device_s,
-                lost_devices,
-                redistributed_tasks,
-                device_rates,
-            },
-        )
+    for shard in &mut shards {
+        shard.sort_unstable();
     }
+    shards
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpu::extend_all_cpu;
     use crate::task::ContigEnd;
     use bioseq::{DnaSeq, Read};
     use rand::rngs::StdRng;
@@ -375,188 +86,34 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn multi_device_matches_cpu() {
-        let tasks = make_tasks(30);
-        let params = LocalAssemblyParams::for_tests();
-        let cpu = extend_all_cpu(&tasks, &params);
-        for n_dev in [1usize, 2, 6] {
-            let multi = MultiGpuAssembler::new(
-                DeviceConfig::v100(),
-                params.clone(),
-                KernelVersion::V2,
-                n_dev,
-            );
-            let (results, stats) = multi.extend_tasks(&tasks);
-            assert_eq!(results, cpu, "{n_dev} devices");
-            assert_eq!(stats.per_device.len(), n_dev);
-        }
-    }
-
-    #[test]
-    fn makespan_improves_with_devices() {
-        // A deliberately small device so 48 warps saturate it: splitting
-        // across under-occupied V100s cannot beat the per-warp latency
-        // floor (itself a faithful effect), so occupancy must be the
-        // binding constraint for this test.
-        let tasks = make_tasks(48);
-        let params = LocalAssemblyParams::for_tests();
-        let one =
-            MultiGpuAssembler::new(DeviceConfig::tiny(), params.clone(), KernelVersion::V2, 1);
-        let six =
-            MultiGpuAssembler::new(DeviceConfig::tiny(), params.clone(), KernelVersion::V2, 6);
-        let (_, s1) = one.extend_tasks(&tasks);
-        let (_, s6) = six.extend_tasks(&tasks);
-        assert!(
-            s6.makespan_s < s1.makespan_s,
-            "6 devices ({}) must beat 1 ({})",
-            s6.makespan_s,
-            s1.makespan_s
-        );
-        // But not perfectly: per-launch overheads replicate per device.
-        assert!(s6.total_device_s >= s1.total_device_s * 0.5);
-        assert!(s6.balance_efficiency() <= 1.0 + 1e-9);
-    }
-
-    #[test]
-    fn strong_scaling_overhead_effect() {
-        // Shrinking per-node work (strong scaling) erodes multi-GPU
-        // efficiency — the Figure 13 mechanism at node level.
-        let params = LocalAssemblyParams::for_tests();
-        let eff = |n_tasks: usize| {
-            let tasks = make_tasks(n_tasks);
-            let multi =
-                MultiGpuAssembler::new(DeviceConfig::v100(), params.clone(), KernelVersion::V2, 6);
-            let (_, stats) = multi.extend_tasks(&tasks);
-            // Overhead share: launch overheads over total simulated time.
-            let overhead: f64 =
-                stats.per_device.len() as f64 * DeviceConfig::v100().launch_overhead_us * 1e-6;
-            // (per-device launch overhead is fixed; work shrinks with n_tasks)
-            overhead / stats.total_device_s.max(1e-12)
-        };
-        assert!(eff(6) > eff(60), "overhead share must grow as per-node work shrinks");
-    }
-
-    #[test]
-    fn faulty_device_tasks_redistributed() {
-        use gpusim::{Fault, FaultPlan};
-        let tasks = make_tasks(20);
-        let params = LocalAssemblyParams::for_tests();
-        let cpu = extend_all_cpu(&tasks, &params);
-        // Device 0 hangs on every launch and exhausts its reset budget;
-        // device 1 is healthy. The dispatcher must declare device 0 lost
-        // and re-run its shard on device 1, with identical final output.
-        let storm = FaultPlan {
-            faults: (0..64)
-                .map(|i| Fault::KernelHang { at_launch: i, after_cycles: 100 })
-                .collect(),
-        };
-        let multi = MultiGpuAssembler::with_device_configs(
-            vec![DeviceConfig::v100().with_fault_plan(storm), DeviceConfig::v100()],
-            params,
-            KernelVersion::V2,
-        );
-        let (results, stats) = multi.extend_tasks(&tasks);
-        assert_eq!(results, cpu, "redistribution must not change results");
-        assert_eq!(stats.lost_devices, 1);
-        assert!(stats.redistributed_tasks > 0);
-        assert_eq!(stats.per_device.len(), 2);
-    }
-
-    #[test]
-    fn all_devices_lost_falls_back_to_cpu() {
-        use gpusim::{Fault, FaultPlan};
-        let tasks = make_tasks(12);
-        let params = LocalAssemblyParams::for_tests();
-        let cpu = extend_all_cpu(&tasks, &params);
-        let storm = || FaultPlan {
-            faults: (0..64)
-                .map(|i| Fault::KernelHang { at_launch: i, after_cycles: 100 })
-                .collect(),
-        };
-        let multi = MultiGpuAssembler::with_device_configs(
-            vec![
-                DeviceConfig::v100().with_fault_plan(storm()),
-                DeviceConfig::v100().with_fault_plan(storm()),
-            ],
-            params,
-            KernelVersion::V2,
-        );
-        let (results, stats) = multi.extend_tasks(&tasks);
-        assert_eq!(results, cpu, "host CPU is the last rung of the ladder");
-        assert_eq!(stats.lost_devices, 2);
-        assert!(stats.redistributed_tasks > 0);
+    fn words(tasks: &[ExtTask], params: &LocalAssemblyParams, idx: &[usize]) -> u64 {
+        idx.iter().map(|&i| estimate_task_cost(&tasks[i], params)).sum()
     }
 
     #[test]
     fn rate_aware_lpt_weights_loads_by_device_rate() {
         let tasks = make_tasks(40);
         let params = LocalAssemblyParams::for_tests();
-        let multi =
-            MultiGpuAssembler::new(DeviceConfig::tiny(), params.clone(), KernelVersion::V2, 2)
-                .with_device_rates(vec![1.0, 0.5]);
-        let all: Vec<usize> = (0..tasks.len()).collect();
-        let shards = multi.stripe_indices(&all, &tasks, &[1.0, 0.5]);
-        let words = |idx: &[usize]| {
-            idx.iter().map(|&i| estimate_task_cost(&tasks[i], &params)).sum::<u64>() as f64
-        };
-        let ratio = words(&shards[0]) / words(&shards[1]);
+        let shards = stripe_lpt(&tasks, &params, &[1.0, 0.5]);
+        let ratio =
+            words(&tasks, &params, &shards[0]) as f64 / words(&tasks, &params, &shards[1]) as f64;
         assert!((ratio - 2.0).abs() < 0.3, "2:1 rates must yield ~2:1 word shares, got {ratio:.2}");
-        // Heterogeneous rates are a scheduling knob only: results must stay
-        // byte-identical to the CPU reference.
-        let (results, stats) = multi.extend_tasks(&tasks);
-        assert_eq!(results, extend_all_cpu(&tasks, &params));
-        assert_eq!(stats.device_rates.len(), 2);
     }
 
     #[test]
     fn equal_rates_reduce_to_plain_lpt() {
         let tasks = make_tasks(30);
         let params = LocalAssemblyParams::for_tests();
-        let multi =
-            MultiGpuAssembler::new(DeviceConfig::tiny(), params.clone(), KernelVersion::V2, 3);
-        let all: Vec<usize> = (0..tasks.len()).collect();
-        // The pre-rate LPT is the rates=[1,1,1] special case; loads must be
-        // near-even either way.
-        let shards = multi.stripe_indices(&all, &tasks, &[1.0, 1.0, 1.0]);
-        let loads: Vec<u64> = shards
-            .iter()
-            .map(|idx| idx.iter().map(|&i| estimate_task_cost(&tasks[i], &params)).sum())
-            .collect();
+        let shards = stripe_lpt(&tasks, &params, &[1.0, 1.0, 1.0]);
+        let loads: Vec<u64> = shards.iter().map(|idx| words(&tasks, &params, idx)).collect();
         let (lo, hi) = (*loads.iter().min().unwrap(), *loads.iter().max().unwrap());
         assert!(lo as f64 > 0.85 * hi as f64, "uniform rates must balance: {loads:?}");
     }
 
     #[test]
-    fn round1_learns_comparable_rates_on_homogeneous_fleet() {
-        let tasks = make_tasks(36);
-        let params = LocalAssemblyParams::for_tests();
-        let multi = MultiGpuAssembler::new(DeviceConfig::tiny(), params, KernelVersion::V2, 2);
-        let (_, stats) = multi.extend_tasks(&tasks);
-        assert_eq!(stats.device_rates.len(), 2);
-        assert!(
-            stats.device_rates.iter().all(|r| r.is_finite() && *r > 0.0),
-            "learned rates positive: {:?}",
-            stats.device_rates
-        );
-        let (lo, hi) = (
-            stats.device_rates[0].min(stats.device_rates[1]),
-            stats.device_rates[0].max(stats.device_rates[1]),
-        );
-        assert!(
-            lo > 0.5 * hi,
-            "identical devices must learn comparable rates, got {:?}",
-            stats.device_rates
-        );
-    }
-
-    #[test]
     fn empty_task_list() {
         let params = LocalAssemblyParams::for_tests();
-        let multi = MultiGpuAssembler::new(DeviceConfig::v100(), params, KernelVersion::V2, 4);
-        let (results, stats) = multi.extend_tasks(&[]);
-        assert!(results.is_empty());
-        assert_eq!(stats.makespan_s, 0.0);
-        assert_eq!(stats.balance_efficiency(), 1.0);
+        let shards = stripe_lpt(&[], &params, &[1.0; 4]);
+        assert_eq!(shards, vec![Vec::<usize>::new(); 4]);
     }
 }

@@ -45,8 +45,8 @@ pub struct GpuBatch {
 /// Device words one task will consume. This is the workspace's single task
 /// cost model, with three consumers that must stay consistent: the engine
 /// batches against the device memory budget with it, the work-stealing
-/// scheduler sizes its batches by it (`schedule::build_batches`), and the
-/// multi-GPU dispatcher LPT-stripes shards by it (`StripePolicy::WordsLpt`).
+/// scheduler sizes its batches by it (`schedule::build_batches`), and
+/// multi-GPU striping balances device shards by it (`multi::stripe_lpt`).
 pub fn estimate_task_words(task: &ExtTask, params: &LocalAssemblyParams) -> u64 {
     let read_words: u64 = task
         .reads

@@ -31,8 +31,8 @@
 //!
 //! Device faults (injected via [`gpusim::FaultPlan`] or genuine OOM) are
 //! absorbed by a recovery ladder — retry → shrink batch → reset device with
-//! backoff → per-task CPU fallback → skip — configured by
-//! [`gpu::RecoveryPolicy`] and reported in [`gpu::RecoveryStats`]; see
+//! backoff → per-task CPU fallback → skip — with fixed budgets (3 batch
+//! attempts, 3 device resets) and reported in [`gpu::RecoveryStats`]; see
 //! `DESIGN.md` §"Fault model & recovery ladder".
 
 #![warn(missing_docs)]

@@ -84,16 +84,6 @@ impl PhaseTimings {
         self.entries.iter().find(|(p, _)| *p == phase).map_or(0.0, |(_, s)| *s)
     }
 
-    /// Replace a phase's time (used when substituting the simulated GPU
-    /// time for the measured host time).
-    pub fn set(&mut self, phase: Phase, seconds: f64) {
-        if let Some(e) = self.entries.iter_mut().find(|(p, _)| *p == phase) {
-            e.1 = seconds;
-        } else {
-            self.entries.push((phase, seconds));
-        }
-    }
-
     /// Total across phases.
     pub fn total(&self) -> f64 {
         self.entries.iter().map(|(_, s)| s).sum()
@@ -167,9 +157,10 @@ pub struct PipelineResult {
     pub contigs: Vec<DnaSeq>,
     /// Scaffolds over the extended contigs.
     pub scaffolds: Vec<Scaffold>,
-    /// Wall-clock seconds per phase. For the GPU engine, the LocalAssembly
-    /// entry is the *simulated device time*; the host wall time is in
-    /// `stats.la_wall_seconds`.
+    /// Wall-clock seconds per phase. For the GPU and overlap engines, the
+    /// LocalAssembly entry is the GPU's *simulated device time* (for
+    /// overlap, the GPU side's seconds, not the schedule makespan); the
+    /// host wall time is in `stats.la_wall_seconds`.
     pub timings: PhaseTimings,
     pub stats: PipelineStats,
 }
@@ -202,11 +193,12 @@ pub struct PipelineStats {
     pub ext_summary: ExtSummary,
     /// Host wall seconds spent in local assembly (whichever engine).
     pub la_wall_seconds: f64,
-    /// Simulated device seconds (GPU engine only).
+    /// Simulated device seconds of the GPU (GPU and overlap engines; for
+    /// overlap, the GPU side only, not the schedule makespan).
     pub la_gpu_sim_seconds: Option<f64>,
-    /// GPU engine run stats (GPU engine only).
+    /// GPU engine run stats (GPU and overlap engines).
     pub gpu: Option<GpuRunStats>,
-    /// Recovery-ladder counters from the GPU engine (GPU engine only);
+    /// Recovery-ladder counters from the GPU engine (GPU and overlap engines);
     /// all-zero for a fault-free run.
     pub recovery: Option<RecoveryStats>,
     /// Tasks skipped after every recovery rung failed (their contigs keep

@@ -13,11 +13,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Kernel sources held to the lint (workspace-relative).
-const KERNEL_SOURCES: &[&str] = &[
-    "crates/locassm/src/gpu/kernel.rs",
-    "crates/locassm/src/gpu/kernel_v1.rs",
-    "crates/gpusim/src/collectives.rs",
-];
+const KERNEL_SOURCES: &[&str] =
+    &["crates/locassm/src/gpu/kernel.rs", "crates/locassm/src/gpu/kernel_v1.rs"];
 
 /// Substrings banned from kernel code, with the reason shown on failure.
 const NEEDLES: &[(&str, &str)] = &[

@@ -316,27 +316,6 @@ mod sanitized {
     }
 
     #[test]
-    fn collectives_clean_under_divergent_masks() {
-        use gpusim::{warp_aggregated_add, warp_inclusive_scan, warp_reduce, ReduceOp};
-        let mut dev = device();
-        let buf = dev.alloc(64).unwrap();
-        dev.launch(1, 0, |ctx| {
-            // Mask excluding lane 0 — the shape that trips naive shuffle
-            // ladders sourcing from a fixed lane.
-            ctx.push_mask(0xffff_fff0);
-            let vals = ctx.lanes_from(|l| l as u64);
-            warp_reduce(ctx, &vals, ReduceOp::Add);
-            warp_inclusive_scan(ctx, &vals, ReduceOp::Max);
-            let ops = ctx.lanes_from(|l| ctx.lane_active(l).then(|| (buf.at(l as u64 % 3), 1u64)));
-            warp_aggregated_add(ctx, &ops);
-            ctx.pop_mask();
-        })
-        .expect("sanitized launch still succeeds");
-        let s = summary(&mut dev);
-        assert!(s.is_clean(), "{}", s.render());
-    }
-
-    #[test]
     fn clean_proptest_style_workload_has_no_findings() {
         // The fault-free access patterns of the unsanitized tests above
         // must not light up any analysis (no false positives).

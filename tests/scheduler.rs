@@ -12,7 +12,7 @@
 use bioseq::{DnaSeq, Read};
 use gpusim::{DeviceConfig, Fault, FaultPlan};
 use locassm::gpu::pack::{estimate_task_cost, estimate_task_words};
-use locassm::gpu::{GpuLocalAssembler, KernelVersion, MultiGpuAssembler, StripePolicy};
+use locassm::gpu::{stripe_lpt, GpuLocalAssembler, KernelVersion};
 use locassm::{
     bin_tasks, build_batches, extend_all_cpu, ContigEnd, ExtTask, LocalAssemblyParams,
     OverlapDriver, SchedulePolicy, StealConfig,
@@ -136,7 +136,18 @@ proptest! {
     }
 }
 
-/// The multi-GPU LPT restripe must balance a size skew that round-robin
+/// Estimated-word balance of a striping: total words over (heaviest shard
+/// x shards); 1.0 is perfectly even.
+fn word_balance(tasks: &[ExtTask], params: &LocalAssemblyParams, shards: &[Vec<usize>]) -> f64 {
+    let loads: Vec<u64> = shards
+        .iter()
+        .map(|idx| idx.iter().map(|&i| estimate_task_cost(&tasks[i], params)).sum())
+        .collect();
+    let max = loads.iter().copied().max().unwrap_or(0).max(1);
+    loads.iter().sum::<u64>() as f64 / (max as f64 * shards.len() as f64)
+}
+
+/// Multi-GPU LPT striping must balance a size skew that round-robin
 /// cannot: heavies sit at stride `n_devices`, so `i % n` piles them all on
 /// device 0 while LPT spreads them by estimated words.
 #[test]
@@ -146,24 +157,52 @@ fn lpt_striping_balances_skew_that_defeats_round_robin() {
         (0..64).map(|i| if i % N_DEVICES == 0 { 18 + i % 5 } else { 1 + (i % 8) }).collect();
     let tasks = tasks_from_counts(&counts, 99);
     let params = LocalAssemblyParams::for_tests();
-    let reference = extend_all_cpu(&tasks, &params);
 
-    let balance_of = |policy: StripePolicy| {
-        let multi = MultiGpuAssembler::new(
-            DeviceConfig::tiny(),
-            params.clone(),
-            KernelVersion::V2,
-            N_DEVICES,
-        )
-        .with_stripe_policy(policy);
-        let (results, stats) = multi.extend_tasks(&tasks);
-        assert_eq!(results, reference, "{policy:?} striping must be byte-identical");
-        stats.balance_efficiency()
-    };
-    let rr = balance_of(StripePolicy::RoundRobin);
-    let lpt = balance_of(StripePolicy::WordsLpt);
+    let round_robin: Vec<Vec<usize>> =
+        (0..N_DEVICES).map(|d| (d..tasks.len()).step_by(N_DEVICES).collect()).collect();
+    let rr = word_balance(&tasks, &params, &round_robin);
+    let lpt = word_balance(&tasks, &params, &stripe_lpt(&tasks, &params, &[1.0; N_DEVICES]));
     assert!(rr < 0.6, "skew should defeat round-robin striping, got {rr:.3}");
     assert!(lpt >= 0.9, "LPT striping should balance the skew, got {lpt:.3}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `stripe_lpt` is a deterministic partition: every task index lands in
+    /// exactly one shard, shards are ascending, and a second call agrees.
+    #[test]
+    fn stripe_lpt_partitions_every_task_once(
+        counts in proptest::collection::vec(0usize..=24, 0..=40),
+        seed in 0u64..1_000,
+        rates in proptest::collection::vec(0.1f64..=10.0, 1..=8),
+    ) {
+        let tasks = tasks_from_counts(&counts, seed);
+        let params = LocalAssemblyParams::for_tests();
+        let shards = stripe_lpt(&tasks, &params, &rates);
+        prop_assert_eq!(shards.len(), rates.len());
+        let mut seen = vec![0usize; tasks.len()];
+        for shard in &shards {
+            prop_assert!(shard.windows(2).all(|w| w[0] < w[1]), "shard not ascending: {:?}", shard);
+            for &i in shard {
+                seen[i] += 1;
+            }
+        }
+        prop_assert!(seen.iter().all(|&n| n == 1), "each index exactly once: {:?}", seen);
+        prop_assert_eq!(&stripe_lpt(&tasks, &params, &rates), &shards);
+    }
+}
+
+#[test]
+#[should_panic(expected = "need at least one device")]
+fn stripe_lpt_rejects_an_empty_fleet() {
+    stripe_lpt(&tasks_from_counts(&[3], 1), &LocalAssemblyParams::for_tests(), &[]);
+}
+
+#[test]
+#[should_panic(expected = "device rates must be positive and finite")]
+fn stripe_lpt_rejects_a_non_positive_rate() {
+    stripe_lpt(&tasks_from_counts(&[3], 1), &LocalAssemblyParams::for_tests(), &[1.0, 0.0]);
 }
 
 /// The work-steal makespan model must beat the paper's fixed split on a
