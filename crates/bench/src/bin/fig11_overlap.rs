@@ -2,7 +2,7 @@
 //! GPU, bin 2 on the CPU) vs the work-stealing scheduler on a size-skewed
 //! seeded workload, plus the multi-GPU striping comparison (round-robin vs
 //! `stripe_lpt`, homogeneous and mixed-fleet) and byte-identity checks
-//! across scheduler × calibration × fault configurations.
+//! across scheduler × fault configurations.
 //!
 //! Emits `results/BENCH_overlap.json` (hand-rolled JSON; the workspace has
 //! no serde_json). Every field is modeled and deterministic, so CI runs the
@@ -86,15 +86,9 @@ fn main() {
     let cpu_rate = 2.0 * gpu_rate;
     println!("probed GPU rate: {gpu_rate:.3e} est words/s (CPU peer modeled at 2x)");
 
-    // The CPU peer is *modeled* (host wall seconds here are simulator
-    // driving cost, not the modeled socket), so both schedules run with
-    // calibration off: the CPU clock prices every batch at `cpu_rate`.
-    let steal_cfg = StealConfig {
-        batch_words: 32 * 1024,
-        cpu_words_per_s: cpu_rate,
-        calibrate: false,
-        ..StealConfig::default()
-    };
+    // The CPU peer is *modeled*: the CPU clock prices every batch at
+    // `cpu_rate`.
+    let steal_cfg = StealConfig { batch_words: 32 * 1024, cpu_words_per_s: cpu_rate };
     let paper_cfg = StealConfig { batch_words: u64::MAX, ..steal_cfg.clone() };
     let run = |cfg: &StealConfig| {
         let out = OverlapDriver {
@@ -222,12 +216,8 @@ fn main() {
             },
         ),
     ];
-    let seeded = |seed: f64, calibrate: bool| {
-        SchedulePolicy::WorkSteal(StealConfig {
-            cpu_words_per_s: seed,
-            calibrate,
-            ..steal_cfg.clone()
-        })
+    let seeded = |rate: f64| {
+        SchedulePolicy::WorkSteal(StealConfig { cpu_words_per_s: rate, ..steal_cfg.clone() })
     };
     let schedules: Vec<(&str, SchedulePolicy)> = vec![
         ("ws-default", SchedulePolicy::WorkSteal(steal_cfg.clone())),
@@ -236,12 +226,9 @@ fn main() {
             SchedulePolicy::WorkSteal(StealConfig { batch_words: 8 * 1024, ..steal_cfg.clone() }),
         ),
         ("paper-split", SchedulePolicy::WorkSteal(paper_cfg.clone())),
-        // A 10x mis-seeded CPU rate, held or calibrated from measured batch
-        // times, moves work between engines, never results.
-        ("ws-seed-hi", seeded(10.0 * cpu_rate, false)),
-        ("ws-seed-lo", seeded(cpu_rate / 10.0, false)),
-        ("ws-seed-hi-cal", seeded(10.0 * cpu_rate, true)),
-        ("ws-seed-lo-cal", seeded(cpu_rate / 10.0, true)),
+        // A 10x mis-set CPU rate moves work between engines, never results.
+        ("ws-seed-hi", seeded(10.0 * cpu_rate)),
+        ("ws-seed-lo", seeded(cpu_rate / 10.0)),
     ];
     let mut identical_configs = 0usize;
     for (fname, plan) in &fault_plans {

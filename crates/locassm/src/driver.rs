@@ -8,8 +8,8 @@
 //! The deque scheduler of [`crate::schedule`] reproduces that:
 //! cost-estimated batches, the GPU drains the bin-3-first head, the CPU
 //! steals from the bin-2 tail, and whichever engine is behind on its
-//! virtual clock takes the next batch. The paper's fixed split is the same
-//! runner at `batch_words: u64::MAX` with calibration off.
+//! modeled clock takes the next batch. The paper's fixed split is the same
+//! runner at `batch_words: u64::MAX`.
 //!
 //! Functional output is engine-independent (the equivalence tests
 //! guarantee it), so the schedule is purely a performance knob — exactly
@@ -191,7 +191,7 @@ impl OverlapDriver {
             gpu_tasks: run.gpu_tasks,
             failed_tasks,
             gpu_branch_fell_back: run.gpu_branch_fell_back,
-            cpu_wall_s: run.cpu_wall_s,
+            cpu_wall_s: run.report.cpu_measured_s,
             gpu_wall_s: run.gpu_wall_s,
             gpu_stats: run.gpu_stats,
             schedule: run.report,
@@ -244,7 +244,6 @@ mod tests {
         OverlapDriver {
             schedule: SchedulePolicy::WorkSteal(StealConfig {
                 batch_words: u64::MAX,
-                calibrate: false,
                 ..Default::default()
             }),
             ..Default::default()
@@ -285,7 +284,6 @@ mod tests {
         let finest = OverlapDriver {
             schedule: SchedulePolicy::WorkSteal(StealConfig {
                 batch_words: 1,
-                calibrate: false,
                 ..Default::default()
             }),
             ..Default::default()
@@ -326,13 +324,10 @@ mod tests {
             .expect_err("zero batch_words must be rejected");
         assert!(matches!(err, DriverError::BadConfig { .. }));
         for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            for calibrate in [false, true] {
-                let err =
-                    ws(StealConfig { cpu_words_per_s: rate, calibrate, ..Default::default() })
-                        .run(&tasks, &params)
-                        .expect_err("bad cpu rate must be rejected");
-                assert!(matches!(err, DriverError::BadConfig { .. }), "rate {rate}");
-            }
+            let err = ws(StealConfig { cpu_words_per_s: rate, ..Default::default() })
+                .run(&tasks, &params)
+                .expect_err("bad cpu rate must be rejected");
+            assert!(matches!(err, DriverError::BadConfig { .. }), "rate {rate}");
         }
     }
 
@@ -375,26 +370,41 @@ mod tests {
         let tasks = tasks_with_mixed_bins();
         let params = LocalAssemblyParams::for_tests();
         // Small granularity so each heavy task is its own batch, and a
-        // near-zero CPU rate so the GPU deterministically drains several
-        // batches — double-buffer savings only accrue from batch 2 on.
-        let cfg = |db: bool| OverlapDriver {
+        // near-zero CPU rate so the GPU drains several batches —
+        // double-buffer savings only accrue from batch 2 on.
+        let out = OverlapDriver {
             schedule: SchedulePolicy::WorkSteal(StealConfig {
                 batch_words: 2048,
                 cpu_words_per_s: 1.0,
-                double_buffer: db,
-                // Pin the rate: with calibration reading real host wall
-                // clocks the CPU would be recognized as fast and steal the
-                // batches this test needs on the GPU.
-                calibrate: false,
             }),
             ..Default::default()
+        }
+        .run(&tasks, &params)
+        .expect("runs");
+        assert_eq!(out.results, extend_all_cpu(&tasks, &params));
+        let s = out.gpu_stats.expect("gpu ran");
+        assert!(s.batches > 1, "want a multi-batch run, got {}", s.batches);
+        assert!(s.overlap_saved_s > 0.0, "multi-batch run must overlap pack with exec");
+        assert_eq!(s.wall_s(), s.seconds + s.pack_s - s.overlap_saved_s);
+        assert!(s.wall_s() < s.seconds + s.pack_s);
+    }
+
+    #[test]
+    fn default_schedule_is_deterministic() {
+        let tasks = tasks_with_mixed_bins();
+        let params = LocalAssemblyParams::for_tests();
+        let run = || OverlapDriver::default().run(&tasks, &params).expect("driver runs").schedule;
+        let (a, b) = (run(), run());
+        // Only the measured CPU seconds, and the model error derived from
+        // them, may differ between the runs.
+        let modeled = |r: &ScheduleReport| ScheduleReport {
+            cpu_measured_s: 0.0,
+            calibration: None,
+            ..r.clone()
         };
-        let on = cfg(true).run(&tasks, &params).expect("runs");
-        let off = cfg(false).run(&tasks, &params).expect("runs");
-        assert_eq!(on.results, off.results, "double-buffering is timing-only");
-        let (s_on, s_off) = (on.gpu_stats.expect("gpu ran"), off.gpu_stats.expect("gpu ran"));
-        assert_eq!(s_off.overlap_saved_s, 0.0);
-        assert!(s_on.overlap_saved_s > 0.0, "multi-batch run must overlap pack with exec");
-        assert!(s_on.wall_s() < s_off.wall_s());
+        assert_eq!(modeled(&a), modeled(&b));
+        assert_eq!(a.cpu_model_s.to_bits(), b.cpu_model_s.to_bits());
+        assert_eq!(a.gpu_model_s.to_bits(), b.gpu_model_s.to_bits());
+        assert!(a.batches > 0, "the run must schedule batches");
     }
 }

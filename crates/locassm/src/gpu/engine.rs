@@ -182,8 +182,6 @@ pub struct GpuLocalAssembler {
     /// Set when the device exhausted its reset budget; all remaining work
     /// skips the device rungs of the ladder.
     device_dead: bool,
-    /// Double-buffer host packing against kernel execution.
-    double_buffer: bool,
     /// Modeled packing throughput in device words per second.
     pack_words_per_s: f64,
     /// Kernel seconds of the most recent launch still "in flight" for the
@@ -204,17 +202,9 @@ impl GpuLocalAssembler {
             version,
             mem_budget_frac: 0.8,
             device_dead: false,
-            double_buffer: true,
             pack_words_per_s: DEFAULT_PACK_WORDS_PER_S,
             pending_exec_s: 0.0,
         }
-    }
-
-    /// Enable/disable the double-buffered pack/exec pipeline (builder
-    /// style). Off, every batch pays `pack + exec` serially.
-    pub fn with_double_buffer(mut self, on: bool) -> GpuLocalAssembler {
-        self.double_buffer = on;
-        self
     }
 
     /// The parameters in force.
@@ -453,10 +443,8 @@ impl GpuLocalAssembler {
         // `pending_exec_s` of the pack cost is hidden.
         let pack_s = self.device.mem_used_words() as f64 / self.pack_words_per_s;
         stats.pack_s += pack_s;
-        if self.double_buffer {
-            stats.overlap_saved_s += pack_s.min(self.pending_exec_s);
-            self.pending_exec_s = exec_s;
-        }
+        stats.overlap_saved_s += pack_s.min(self.pending_exec_s);
+        self.pending_exec_s = exec_s;
         if let Some(s) = self.device.take_sanitizer_summary() {
             stats.sanitizer.absorb(&s);
         }

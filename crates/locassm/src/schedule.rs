@@ -14,27 +14,24 @@
 //!   finisher absorbs the remainder — the CPU can steal leftover bin-3
 //!   batches, the GPU can absorb leftover bin-2 batches.
 //!
-//! Because the GPU is a simulator, "time" here is **virtual**: the GPU
+//! Because the GPU is a simulator, "time" here is **modeled**: the GPU
 //! clock advances by [`GpuRunStats::wall_s`] (simulated kernel seconds plus
-//! the modeled pack cost minus double-buffer savings) and the CPU clock by
-//! `estimated words / rate`, where the rate starts at the configured
-//! `cpu_words_per_s` **seed** and — with [`StealConfig::calibrate`] on —
-//! converges on the measured throughput via the EWMA of
-//! [`crate::calibrate`], rebasing the CPU clock after every observation.
-//! With calibration off the seed is the rate, so the schedule is fully
-//! deterministic; the actual task execution still runs on the host
-//! engines either way. Results are index-aligned and byte-identical to
-//! [`crate::cpu::extend_all_cpu`] regardless of who ran what (the
-//! engine-equivalence invariant).
+//! the modeled pack cost minus double-buffer savings) and the CPU clock is
+//! the CPU share's estimated words over the fixed model rate
+//! [`StealConfig::cpu_words_per_s`]. No measured time feeds either clock,
+//! so the schedule is a pure function of the tasks and the configuration;
+//! the host seconds the CPU engine really took are reported afterwards
+//! ([`ScheduleReport::cpu_measured_s`]) and never fed back. Results are
+//! index-aligned and byte-identical to [`crate::cpu::extend_all_cpu`]
+//! regardless of who ran what (the engine-equivalence invariant).
 //!
 //! The paper's fixed split (bin 3 on the GPU, bin 2 on the CPU) is this
-//! same runner at `batch_words: u64::MAX` with calibration off: one heavy
-//! batch at the head, one light batch at the tail, so the GPU takes bin 3
-//! and the CPU takes bin 2 (with no bin-3 tasks the GPU, first to move,
-//! takes the lone bin-2 batch).
+//! same runner at `batch_words: u64::MAX`: one heavy batch at the head,
+//! one light batch at the tail, so the GPU takes bin 3 and the CPU takes
+//! bin 2 (with no bin-3 tasks the GPU, first to move, takes the lone bin-2
+//! batch).
 
 use crate::binning::BinStats;
-use crate::calibrate::{CalibrationReport, RateEstimator};
 use crate::cpu::extend_cpu_isolated_refs;
 use crate::gpu::pack::estimate_task_cost;
 use crate::gpu::{GpuLocalAssembler, GpuRunStats, KernelVersion};
@@ -50,32 +47,16 @@ pub struct StealConfig {
     /// batches balance better but pay more per-launch overhead. `u64::MAX`
     /// gives the paper's fixed split: one bin-3 batch and one bin-2 batch.
     pub batch_words: u64,
-    /// Seed for the modeled CPU-engine throughput in estimated words per
-    /// second — the virtual-clock cost of a batch on the CPU side. The
-    /// default sits a few× below the simulated V100's effective rate,
-    /// matching the paper's ~4.3× local-assembly speedup at node level.
-    /// With [`StealConfig::calibrate`] on (the default) this is only the
-    /// starting estimate; measured batch times take over as the run
-    /// progresses. With calibration off it is the rate, full stop.
+    /// Modeled CPU-engine throughput in estimated words per second: the
+    /// CPU clock reads `cpu_est_words / cpu_words_per_s`. The default is
+    /// the CPU engine's measured throughput on a 2-core host (DESIGN §12);
+    /// it is a model input, never updated during a run.
     pub cpu_words_per_s: f64,
-    /// Double-buffer the GPU engine: pack batch N+1 on the host while the
-    /// device executes batch N (modeled as saved wall seconds in
-    /// [`GpuRunStats::overlap_saved_s`]).
-    pub double_buffer: bool,
-    /// Feed observed batch times back into the virtual clocks (see
-    /// [`crate::calibrate`]). Off, the CPU clock runs at the constant seed
-    /// rate for the whole run.
-    pub calibrate: bool,
 }
 
 impl Default for StealConfig {
     fn default() -> Self {
-        StealConfig {
-            batch_words: 64 * 1024,
-            cpu_words_per_s: 5.0e7,
-            double_buffer: true,
-            calibrate: true,
-        }
+        StealConfig { batch_words: 64 * 1024, cpu_words_per_s: 2.8e7 }
     }
 }
 
@@ -90,9 +71,9 @@ pub struct TaskBatch {
     pub heavy: bool,
 }
 
-/// What the scheduler did: share sizes, steal counts, and the virtual-time
-/// model behind the makespan claims.
-#[derive(Debug, Clone, Default)]
+/// What the scheduler did: share sizes, steal counts, and the modeled
+/// makespan, with the CPU engine's measured seconds alongside.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScheduleReport {
     /// Batches handed out.
     pub batches: usize,
@@ -109,18 +90,46 @@ pub struct ScheduleReport {
     pub cpu_est_words: u64,
     /// Estimated words executed by the GPU share.
     pub gpu_est_words: u64,
-    /// CPU virtual clock at the end of the run (modeled seconds).
+    /// The modeled CPU rate the run was priced at (words/s).
+    pub cpu_words_per_s: f64,
+    /// CPU clock at the end of the run (modeled seconds):
+    /// `cpu_est_words / cpu_words_per_s`.
     pub cpu_model_s: f64,
-    /// GPU virtual clock at the end of the run (simulated + pack seconds).
+    /// GPU clock at the end of the run (simulated + pack seconds).
     pub gpu_model_s: f64,
-    /// What the calibration loop learned (always set by a scheduled run).
-    pub calibration: Option<CalibrationReport>,
+    /// Host wall seconds the CPU engine spent on its share (measured).
+    pub cpu_measured_s: f64,
+    /// CPU-model error against measured CPU time
+    /// ([`ScheduleReport::cpu_model_err`]). The field exists only because
+    /// the perfbench harness reads `calibration.rel_err_vs_realized`; the
+    /// benchmark change of ROADMAP item 1 removes it.
+    pub calibration: Option<ModelError>,
 }
+
+/// How far the CPU clock's modeled seconds sit from the CPU engine's
+/// measured seconds, reported after the run.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ModelError {
+    /// [`ScheduleReport::cpu_model_err`] at the end of the run.
+    pub rel_err_vs_realized: f64,
+}
+
 impl ScheduleReport {
     /// Modeled overlap makespan: both engines run concurrently, so the run
     /// ends when the slower clock does.
     pub fn makespan_model_s(&self) -> f64 {
         self.cpu_model_s.max(self.gpu_model_s)
+    }
+
+    /// CPU-model error against measured CPU time:
+    /// |`cpu_model_s` − `cpu_measured_s`| / `cpu_measured_s`, and 0 when
+    /// the CPU ran nothing.
+    pub fn cpu_model_err(&self) -> f64 {
+        if self.cpu_measured_s > 0.0 {
+            (self.cpu_model_s - self.cpu_measured_s).abs() / self.cpu_measured_s
+        } else {
+            0.0
+        }
     }
 
     /// Word-share balance: `min(cpu, gpu) / max(cpu, gpu)` estimated words
@@ -205,8 +214,6 @@ pub(crate) struct StealRun {
     /// The GPU engine branch panicked; its popped batch and the rest of the
     /// deque were absorbed by the CPU engine.
     pub gpu_branch_fell_back: bool,
-    /// Host wall seconds spent inside CPU-engine batch runs.
-    pub cpu_wall_s: f64,
     /// Host wall seconds spent driving the GPU engine (simulation cost).
     pub gpu_wall_s: f64,
     /// Tasks executed by the CPU engine.
@@ -215,51 +222,7 @@ pub(crate) struct StealRun {
     pub gpu_tasks: usize,
 }
 
-/// CPU-engine virtual clock with the calibration loop folded in.
-///
-/// Each finished CPU batch yields an observation `(est_words, seconds)`.
-/// With calibration enabled the EWMA absorbs the observation and the clock
-/// is **rebased** to `words_done / rate`, so the schedule's view of elapsed
-/// CPU time always reflects the current estimate rather than a sum of
-/// possibly mis-seeded per-batch advances; a 10×-wrong seed is forgiven as
-/// soon as the estimate converges. With calibration off the clock advances
-/// at the constant seed rate.
-struct CpuClock {
-    est: RateEstimator,
-    seed: f64,
-    enabled: bool,
-    clock: f64,
-    words_done: u64,
-    realized_s: f64,
-}
-
-impl CpuClock {
-    fn new(cfg: &StealConfig) -> CpuClock {
-        CpuClock {
-            est: RateEstimator::seeded(cfg.cpu_words_per_s),
-            seed: cfg.cpu_words_per_s,
-            enabled: cfg.calibrate,
-            clock: 0.0,
-            words_done: 0,
-            realized_s: 0.0,
-        }
-    }
-
-    /// Account one finished CPU batch: `est_words` of cost retired in
-    /// `seconds`.
-    fn advance(&mut self, est_words: u64, seconds: f64) {
-        self.words_done += est_words;
-        self.realized_s += seconds.max(0.0);
-        if self.enabled {
-            self.est.observe(est_words, seconds);
-            self.clock = self.words_done as f64 / self.est.rate_or(self.seed);
-        } else {
-            self.clock += est_words as f64 / self.seed;
-        }
-    }
-}
-
-/// Drain the deque with two engines under virtual clocks, writing per-task
+/// Drain the deque with two engines under modeled clocks, writing per-task
 /// outcomes into `results` (index-aligned with `tasks`).
 pub(crate) fn run_work_steal(
     tasks: &[ExtTask],
@@ -270,28 +233,27 @@ pub(crate) fn run_work_steal(
     cfg: &StealConfig,
     results: &mut [Option<TaskOutcome>],
 ) -> StealRun {
-    let mut engine = GpuLocalAssembler::new(device, params.clone(), version)
-        .with_double_buffer(cfg.double_buffer);
-    let mut report = ScheduleReport { batches: batches.len(), ..Default::default() };
+    let mut engine = GpuLocalAssembler::new(device, params.clone(), version);
+    let mut report = ScheduleReport {
+        batches: batches.len(),
+        cpu_words_per_s: cfg.cpu_words_per_s,
+        ..Default::default()
+    };
     let mut gpu_stats = GpuRunStats::default();
     let mut gpu_ran = false;
     let mut gpu_dead = false;
     let mut fell_back = false;
-    let (mut cpu_wall, mut gpu_wall) = (0.0f64, 0.0f64);
-    let mut cpu = CpuClock::new(cfg);
-    let mut gpu_est = RateEstimator::unseeded();
-    let mut gpu_realized = 0.0f64;
-    let mut gpu_clock = 0.0f64;
+    let mut gpu_wall = 0.0f64;
     let (mut cpu_tasks, mut gpu_tasks) = (0usize, 0usize);
     // The deque proper, as two cursors over the built batches: the GPU
     // pops the heavy head, the CPU pops the light tail.
     let (mut head, mut tail) = (0usize, batches.len());
 
     while head < tail {
-        // The engine whose virtual clock is behind takes the next batch;
+        // The engine whose modeled clock is behind takes the next batch;
         // the GPU from the heavy head, the CPU from the light tail. Ties go
         // to the GPU (the paper launches the GPU first).
-        let gpu_turn = !gpu_dead && gpu_clock <= cpu.clock;
+        let gpu_turn = !gpu_dead && report.gpu_model_s <= report.cpu_model_s;
         let batch = if gpu_turn {
             head += 1;
             &batches[head - 1]
@@ -312,9 +274,7 @@ pub(crate) fn run_work_steal(
                     for (&i, outcome) in batch.idx.iter().zip(outcomes) {
                         results[i] = Some(outcome);
                     }
-                    gpu_clock += stats.wall_s();
-                    gpu_realized += stats.wall_s().max(0.0);
-                    gpu_est.observe(batch.est_words, stats.wall_s());
+                    report.gpu_model_s += stats.wall_s();
                     if stats.recovery.device_lost {
                         // Reset budget exhausted: route the rest of the
                         // deque to the CPU instead of the per-task fallback.
@@ -335,68 +295,49 @@ pub(crate) fn run_work_steal(
                     // deque drains CPU-side from here on.
                     gpu_dead = true;
                     fell_back = true;
-                    let s = run_batch_cpu(tasks, batch, params, results, &mut report);
-                    cpu_wall += s;
-                    cpu.advance(batch.est_words, s);
+                    run_batch_cpu(tasks, batch, params, results, &mut report);
                     cpu_tasks += batch.idx.len();
                 }
             }
         } else {
-            let s = run_batch_cpu(tasks, batch, params, results, &mut report);
-            cpu_wall += s;
-            cpu.advance(batch.est_words, s);
+            run_batch_cpu(tasks, batch, params, results, &mut report);
             cpu_tasks += batch.idx.len();
         }
     }
 
-    report.cpu_model_s = cpu.clock;
-    report.gpu_model_s = gpu_clock;
-    let realized = cpu.realized_s.max(gpu_realized);
-    let model = report.makespan_model_s();
-    report.calibration = Some(CalibrationReport {
-        enabled: cpu.enabled,
-        cpu_seed_words_per_s: cpu.seed,
-        cpu_words_per_s: cpu.est.rate_or(cpu.seed),
-        gpu_words_per_s: gpu_est.rate_or(0.0),
-        cpu_updates: cpu.est.updates(),
-        gpu_updates: gpu_est.updates(),
-        cpu_realized_s: cpu.realized_s,
-        gpu_realized_s: gpu_realized,
-        rel_err_vs_realized: if realized > 0.0 { (model - realized).abs() / realized } else { 0.0 },
-    });
+    report.calibration = Some(ModelError { rel_err_vs_realized: report.cpu_model_err() });
     StealRun {
         report,
         gpu_stats: gpu_ran.then_some(gpu_stats),
         gpu_branch_fell_back: fell_back,
-        cpu_wall_s: cpu_wall,
         gpu_wall_s: gpu_wall,
         cpu_tasks,
         gpu_tasks,
     }
 }
 
-/// Run one batch on the CPU engine; returns its measured host wall
-/// seconds (the calibration loop's observation).
+/// Run one batch on the CPU engine, adding its estimated words, its modeled
+/// seconds and its measured host wall seconds to the report.
 fn run_batch_cpu(
     tasks: &[ExtTask],
     batch: &TaskBatch,
     params: &LocalAssemblyParams,
     results: &mut [Option<TaskOutcome>],
     report: &mut ScheduleReport,
-) -> f64 {
+) {
     let refs: Vec<&ExtTask> = batch.idx.iter().map(|&i| &tasks[i]).collect();
     let t = Instant::now();
     let outcomes = extend_cpu_isolated_refs(&refs, params);
-    let batch_wall = t.elapsed().as_secs_f64();
+    report.cpu_measured_s += t.elapsed().as_secs_f64();
     for (&i, outcome) in batch.idx.iter().zip(outcomes) {
         results[i] = Some(outcome);
     }
     report.cpu_batches += 1;
     report.cpu_est_words += batch.est_words;
+    report.cpu_model_s = report.cpu_est_words as f64 / report.cpu_words_per_s;
     if batch.heavy {
         report.cpu_stole_heavy += 1;
     }
-    batch_wall
 }
 
 #[cfg(test)]
@@ -460,34 +401,6 @@ mod tests {
             (min as f64) > 0.5 * max as f64,
             "light batch totals must be comparable: min {min} vs max {max}"
         );
-    }
-
-    #[test]
-    fn cpu_clock_rebases_after_convergence_but_constant_when_off() {
-        // Seeded 10× too slow against batches that really run at 1e4
-        // words/s: the calibrated clock must end near words/true_rate (the
-        // mis-seed is rebased away), while the uncalibrated clock stays at
-        // the seed's reading for the same batches.
-        let mk = |calibrate: bool| StealConfig {
-            cpu_words_per_s: 1.0e3,
-            calibrate,
-            ..Default::default()
-        };
-        let (mut on, mut off) = (CpuClock::new(&mk(true)), CpuClock::new(&mk(false)));
-        for _ in 0..10 {
-            on.advance(1_000, 1_000.0 / 1.0e4);
-            off.advance(1_000, 1_000.0 / 1.0e4);
-        }
-        let oracle = 10_000.0 / 1.0e4; // 1.0 s of true CPU time
-        assert!((off.clock - 10.0).abs() < 1e-9, "constant seed clock: {}", off.clock);
-        assert!(
-            (on.clock - oracle).abs() / oracle < 0.01,
-            "rebased clock must track the converged rate: {} vs {oracle}",
-            on.clock
-        );
-        assert_eq!(on.est.updates(), 10);
-        assert_eq!(off.est.updates(), 0, "calibration off observes nothing");
-        assert_eq!(on.realized_s, off.realized_s, "realized time is belief-independent");
     }
 
     #[test]

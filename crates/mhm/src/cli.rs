@@ -107,18 +107,15 @@ USAGE:
 
   mhm2rs assemble --r1 FILE --r2 FILE --out DIR
       [--k N] [--gpu] [--kernel v1|v2] [--iterative] [--refs FILE] [--sanitize]
-      [--overlap] [--calibrate] [--cpu-words-per-s R]
+      [--overlap] [--cpu-words-per-s R]
       Assemble paired FASTQ into contigs.fasta + scaffolds.fasta.
       --sanitize runs the GPU engine under gpucheck (memcheck + racecheck +
       synccheck) and appends its findings to the report; implies --gpu.
       --overlap runs local assembly on the CPU/GPU overlap driver with the
-      work-stealing scheduler, calibrating its CPU-throughput model from
-      measured batch times.
-      --cpu-words-per-s R pins the scheduler's CPU-throughput model to R
-      words/s and turns the online rate calibration OFF — R is an explicit
-      override, trusted as-is. Add --calibrate to use R only as the seed
-      and let observed batch times take over.
-      Either scheduler flag implies --overlap.
+      work-stealing scheduler, which prices the CPU engine at a fixed
+      modeled rate (default 2.8e7 estimated words/s).
+      --cpu-words-per-s R sets that modeled rate to R words/s; it implies
+      --overlap.
       Unknown flags are rejected.
 ";
 
@@ -175,7 +172,6 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
         "refs",
         "sanitize",
         "overlap",
-        "calibrate",
         "cpu-words-per-s",
     ])?;
     let r1_path = cli.require("r1")?;
@@ -191,7 +187,6 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
 
     let mut cfg = PipelineConfig { k: cli.get_num("k", 31)?, ..Default::default() };
     let sanitize = cli.has("sanitize");
-    let calibrate = cli.has("calibrate");
     let rate_override = match cli.get("cpu-words-per-s") {
         None => None,
         Some(v) => {
@@ -203,7 +198,7 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
             Some(rate)
         }
     };
-    let overlap = cli.has("overlap") || calibrate || rate_override.is_some();
+    let overlap = cli.has("overlap") || rate_override.is_some();
     if sanitize || overlap || cli.has("gpu") || cli.get("kernel").is_some() {
         let version = match cli.get("kernel").unwrap_or("v2") {
             "v1" => KernelVersion::V1,
@@ -217,10 +212,7 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
         cfg.engine = if overlap {
             let mut steal = locassm::StealConfig::default();
             if let Some(rate) = rate_override {
-                // An explicit rate is a statement of fact: hold it unless
-                // the user also asked for the feedback loop.
                 steal.cpu_words_per_s = rate;
-                steal.calibrate = calibrate;
             }
             let schedule = locassm::SchedulePolicy::WorkSteal(steal);
             EngineChoice::Overlap { device, version, schedule }
@@ -489,8 +481,8 @@ mod tests {
     }
 
     #[test]
-    fn calibration_flags_drive_the_scheduler() {
-        let dir = std::env::temp_dir().join(format!("mhm2rs_calibrate_{}", std::process::id()));
+    fn cpu_rate_flag_drives_the_scheduler() {
+        let dir = std::env::temp_dir().join(format!("mhm2rs_cpu_rate_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let out = dir.to_string_lossy().to_string();
         run(&argv(&format!("simulate --out {out} --preset arctic --scale 0.01")))
@@ -502,28 +494,21 @@ mod tests {
         .expect("cpu assemble");
         let cpu = std::fs::read_to_string(dir.join("asm/contigs.fasta")).unwrap();
 
-        // --cpu-words-per-s alone: implies --overlap, pins the rate, and
-        // switches calibration OFF. Contigs stay byte-identical.
+        // --cpu-words-per-s alone implies --overlap and sets the modeled CPU
+        // rate the report prints. Contigs stay byte-identical.
         let report = run(&argv(&format!(
             "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm_pin \
              --cpu-words-per-s 1e6"
         )))
         .expect("pinned-rate assemble");
         assert!(report.contains("overlap scheduler (work-steal)"), "{report}");
-        assert!(report.contains("off (seed rate held)"), "{report}");
-        assert!(report.contains("seed 1.000e6"), "{report}");
+        let model_line = report
+            .lines()
+            .find(|l| l.trim_start().starts_with("cpu rate model"))
+            .unwrap_or_else(|| panic!("no cpu rate model line: {report}"));
+        assert!(model_line.contains("1.000e6 words/s"), "{model_line}");
         let pinned = std::fs::read_to_string(dir.join("asm_pin/contigs.fasta")).unwrap();
         assert_eq!(cpu, pinned);
-
-        // --calibrate on top: the same rate becomes only the seed.
-        let report = run(&argv(&format!(
-            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm_cal \
-             --cpu-words-per-s 1e6 --calibrate"
-        )))
-        .expect("calibrated assemble");
-        assert!(report.contains("on (EWMA feedback)"), "{report}");
-        let cal = std::fs::read_to_string(dir.join("asm_cal/contigs.fasta")).unwrap();
-        assert_eq!(cpu, cal);
 
         // Bad rates are rejected up front.
         for bad in ["0", "-5", "nan", "inf", "squid"] {
@@ -546,6 +531,7 @@ mod tests {
             ("--cpu-bin2-fraction 0.5", "--cpu-bin2-fraction"),
             ("--per-bin-rates", "--per-bin-rates"),
             ("--adaptive-batch", "--adaptive-batch"),
+            ("--calibrate", "--calibrate"),
             ("--overlpa", "--overlpa"),
         ] {
             let err = run(&argv(&format!("assemble --r1 a.fq --r2 b.fq --out asm {extra}")))

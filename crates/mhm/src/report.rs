@@ -89,9 +89,9 @@ pub fn render_sanitizer(stats: &PipelineStats) -> String {
     format!("\n{}", summary.render())
 }
 
-/// Render the overlap-scheduler section: engine shares, steal counts, and
-/// the double-buffer savings. Empty when the run did not use the overlap
-/// driver.
+/// Render the overlap-scheduler section: engine shares, steal counts, the
+/// CPU rate model against measured CPU seconds, and the double-buffer
+/// savings. Empty when the run did not use the overlap driver.
 pub fn render_overlap(stats: &PipelineStats) -> String {
     let Some(sched) = &stats.overlap else {
         return String::new();
@@ -122,35 +122,16 @@ pub fn render_overlap(stats: &PipelineStats) -> String {
     if sched.makespan_model_s() > 0.0 {
         line("model makespan", format!("{:.6} s", sched.makespan_model_s()));
     }
-    if let Some(cal) = &sched.calibration {
-        line(
-            "calibration",
-            if cal.enabled { "on (EWMA feedback)" } else { "off (seed rate held)" }.to_string(),
-        );
-        line(
-            "cpu rate (words/s)",
-            format!(
-                "seed {:.3e} -> {:.3e} ({} updates)",
-                cal.cpu_seed_words_per_s, cal.cpu_words_per_s, cal.cpu_updates
-            ),
-        );
-        if cal.gpu_updates > 0 {
-            line(
-                "gpu rate (words/s)",
-                format!("{:.3e} ({} updates)", cal.gpu_words_per_s, cal.gpu_updates),
-            );
-        }
-        if cal.realized_makespan_s() > 0.0 {
-            line(
-                "realized makespan",
-                format!(
-                    "{:.6} s (model err {:.1}%)",
-                    cal.realized_makespan_s(),
-                    100.0 * cal.rel_err_vs_realized
-                ),
-            );
-        }
-    }
+    line(
+        "cpu rate model",
+        format!(
+            "{:.3e} words/s: {:.6} s modeled vs {:.6} s measured (err {:.1}%)",
+            sched.cpu_words_per_s,
+            sched.cpu_model_s,
+            sched.cpu_measured_s,
+            100.0 * sched.cpu_model_err()
+        ),
+    );
     if let Some(gpu) = &stats.gpu {
         if gpu.pack_s > 0.0 {
             line(
@@ -276,7 +257,7 @@ mod tests {
     }
 
     #[test]
-    fn overlap_section_reports_calibration() {
+    fn overlap_section_reports_cpu_rate_model() {
         let stats = PipelineStats {
             overlap: Some(locassm::ScheduleReport {
                 batches: 4,
@@ -284,40 +265,21 @@ mod tests {
                 cpu_batches: 2,
                 cpu_est_words: 500,
                 gpu_est_words: 500,
-                calibration: Some(locassm::CalibrationReport {
-                    enabled: true,
-                    cpu_seed_words_per_s: 1.0e6,
-                    cpu_words_per_s: 4.2e6,
-                    gpu_words_per_s: 9.0e6,
-                    cpu_updates: 7,
-                    gpu_updates: 3,
-                    cpu_realized_s: 0.25,
-                    gpu_realized_s: 0.75,
-                    rel_err_vs_realized: 0.05,
-                }),
+                cpu_words_per_s: 2.0e3,
+                cpu_model_s: 0.25,
+                cpu_measured_s: 0.2,
                 ..Default::default()
             }),
             ..Default::default()
         };
         let s = render_overlap(&stats);
-        assert!(s.contains("on (EWMA feedback)"), "{s}");
-        assert!(s.contains("1.000e6 -> 4.200e6 (7 updates)"), "{s}");
-        assert!(s.contains("9.000e6 (3 updates)"), "{s}");
-        assert!(s.contains("0.750000 s (model err 5.0%)"), "{s}");
-
-        // Calibration off: the section says so and hides unfired parts.
-        let mut off = stats;
-        if let Some(sched) = &mut off.overlap {
-            let cal = sched.calibration.as_mut().unwrap();
-            cal.enabled = false;
-            cal.gpu_updates = 0;
-            cal.cpu_realized_s = 0.0;
-            cal.gpu_realized_s = 0.0;
-        }
-        let s = render_overlap(&off);
-        assert!(s.contains("off (seed rate held)"), "{s}");
-        assert!(!s.contains("gpu rate"), "{s}");
-        assert!(!s.contains("realized makespan"), "{s}");
+        let line = s.lines().find(|l| l.contains("cpu rate model")).expect("model line");
+        assert!(
+            line.ends_with(
+                "2.000e3 words/s: 0.250000 s modeled vs 0.200000 s measured (err 25.0%)"
+            ),
+            "{line}"
+        );
     }
 
     #[test]
