@@ -10,15 +10,14 @@
 //! * [`KmerIter`] / [`CanonicalKmerIter`] — iterators over the (forward or
 //!   canonical) k-mers of a sequence.
 //! * [`KmerTable`] — the open-addressing k-mer → value table behind k-mer
-//!   counting, the de Bruijn graph and the alignment seed index.
+//!   counting, the de Bruijn graph, the alignment seed index and reference
+//!   evaluation.
 
 pub mod ext;
 pub mod hash;
 pub mod kmer;
-pub mod spectrum;
 pub mod table;
 
 pub use ext::{ExtCounts, ExtVerdict, QUAL_TIER_CUTOFF};
 pub use kmer::{CanonicalKmerIter, Kmer, KmerIter, MAX_K};
-pub use spectrum::Spectrum;
 pub use table::{KmerTable, SlotBits};

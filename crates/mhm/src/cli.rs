@@ -7,11 +7,9 @@
 //! parsed [`CliArgs`] so the test suite can drive them against temporary
 //! directories.
 
-use crate::iterative::{default_schedule, run_iterative};
+use crate::iterative::{default_schedule, try_run_iterative};
 use crate::pipeline::{run_pipeline, EngineChoice, PipelineConfig};
-use crate::report::{
-    render_breakdown, render_overlap, render_recovery, render_rounds, render_sanitizer,
-};
+use crate::report::render_run;
 use crate::stats::{evaluate_against_refs, AssemblyStats};
 use bioseq::fastq::{self, NPolicy};
 use bioseq::DnaSeq;
@@ -223,37 +221,26 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
 
     // Every measured second below ran on this many threads.
     let mut report = format!("threads {}\n", rayon::current_num_threads());
-    let (contigs, scaffolds) = if cli.has("iterative") {
+    let result = if cli.has("iterative") {
         let max_read = pairs.iter().map(|p| p.r1.len().max(p.r2.len())).max().unwrap_or(150);
         let mut schedule = default_schedule(max_read);
         if schedule.is_empty() {
             schedule = vec![cfg.k];
         }
-        let result = run_iterative(&pairs, &cfg, &schedule);
-        report.push_str(&render_rounds(&result));
-        report.push('\n');
-        report.push_str(&render_breakdown("iterative pipeline", &result.timings));
-        let seqs: Vec<DnaSeq> =
-            result.scaffolds.iter().map(|s| s.render(&result.contigs)).collect();
-        (result.contigs, seqs)
+        try_run_iterative(&pairs, &cfg, &schedule)
     } else {
-        let mut result = run_pipeline(&pairs, &cfg).map_err(|e| e.to_string())?;
-        result.stats.merge.malformed_skipped = ingest_malformed;
-        result.stats.merge.ambiguous_dropped = ingest_ambiguous;
-        if ingest_malformed > 0 {
-            report
-                .push_str(&format!("ingest: skipped {ingest_malformed} malformed FASTQ records\n"));
-        }
-        report.push_str(&render_breakdown("pipeline", &result.timings));
-        if result.degraded() {
-            report.push_str(&render_recovery(&result.stats));
-        }
-        report.push_str(&render_overlap(&result.stats));
-        report.push_str(&render_sanitizer(&result.stats));
-        let seqs: Vec<DnaSeq> =
-            result.scaffolds.iter().map(|s| s.render(&result.contigs)).collect();
-        (result.contigs, seqs)
+        run_pipeline(&pairs, &cfg)
     };
+    let mut result = result.map_err(|e| e.to_string())?;
+    result.stats.merge.malformed_skipped = ingest_malformed;
+    result.stats.merge.ambiguous_dropped = ingest_ambiguous;
+    if ingest_malformed > 0 {
+        report.push_str(&format!("ingest: skipped {ingest_malformed} malformed FASTQ records\n"));
+    }
+    report.push_str(&render_run(&result));
+    let scaffolds: Vec<DnaSeq> =
+        result.scaffolds.iter().map(|s| s.render(&result.contigs)).collect();
+    let contigs = result.contigs;
 
     let stats = AssemblyStats::of(&contigs);
     report.push_str(&format!("\ncontigs:   {}\n", stats.render()));
@@ -450,6 +437,14 @@ mod tests {
         let unsanitized = std::fs::read_to_string(dir.join("asm_gpu/contigs.fasta")).unwrap();
         assert_eq!(sanitized, unsanitized);
 
+        // The k loop reports the sanitizer too.
+        let report = run(&argv(&format!(
+            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm_it \
+             --iterative --sanitize"
+        )))
+        .expect("sanitized iterative assemble");
+        assert!(report.contains("gpucheck: clean"), "{report}");
+
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -476,6 +471,13 @@ mod tests {
         assert!(report.contains("overlap scheduler (work-steal)"), "{report}");
         let ws = std::fs::read_to_string(dir.join("asm_ws/contigs.fasta")).unwrap();
         assert_eq!(cpu, ws);
+
+        let report = run(&argv(&format!(
+            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm_it \
+             --iterative --overlap"
+        )))
+        .expect("iterative overlap assemble");
+        assert!(report.contains("overlap scheduler (work-steal)"), "{report}");
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -566,6 +568,13 @@ mod tests {
         .expect("assemble must survive corrupt records");
         assert!(report.contains("skipped 2 malformed FASTQ records"), "{report}");
         assert!(dir.join("asm/contigs.fasta").exists());
+
+        let report = run(&argv(&format!(
+            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm_it \
+             --iterative"
+        )))
+        .expect("iterative assemble must survive corrupt records");
+        assert!(report.contains("skipped 2 malformed FASTQ records"), "{report}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

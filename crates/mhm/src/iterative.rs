@@ -7,66 +7,18 @@
 //! small-k evidence could assemble survive into the large-k rounds, while
 //! large k resolves repeats the small rounds forked on. Alignment + local
 //! assembly run inside every round, exactly as in the paper's pipeline
-//! diagram; scaffolding runs once at the end.
+//! diagram; scaffolding runs once at the end. The loop itself is
+//! [`run_rounds`], which a single-k [`crate::run_pipeline`] runs over one
+//! round.
 
-use crate::merge::merge_reads;
-use crate::pipeline::{run_local_assembly, EngineChoice, Phase, PhaseTimings, PipelineConfig};
-use crate::scaffold::{scaffold_contigs, Scaffold};
-use crate::stats::AssemblyStats;
-use align::{collect_candidates, SeedIndex};
-use bioseq::{DnaSeq, PairedRead, Read};
-use dbg::{count_kmers, generate_contigs, DbgGraph};
+use crate::errors::PipelineError;
+use crate::pipeline::{run_rounds, EngineChoice, PipelineConfig, PipelineResult};
+use bioseq::PairedRead;
 use gpusim::DeviceConfig;
-use locassm::gpu::{KernelVersion, RecoveryStats};
-use locassm::{apply_extensions, make_tasks};
-use std::time::Instant;
+use locassm::gpu::KernelVersion;
 
-/// Per-round statistics.
-#[derive(Debug, Clone)]
-pub struct RoundStats {
-    pub k: usize,
-    pub contigs: usize,
-    pub stats: AssemblyStats,
-    pub bases_appended: usize,
-    /// Local-assembly tasks skipped after every recovery rung failed (their
-    /// contigs keep this round's sequence).
-    pub failed_tasks: usize,
-    /// Recovery-ladder counters of this round's GPU engine (GPU and overlap
-    /// engines only).
-    pub recovery: Option<RecoveryStats>,
-}
-
-/// Result of an iterative assembly.
-#[derive(Debug)]
-pub struct IterativeResult {
-    pub contigs: Vec<DnaSeq>,
-    pub scaffolds: Vec<Scaffold>,
-    pub rounds: Vec<RoundStats>,
-    pub timings: PhaseTimings,
-}
-
-impl IterativeResult {
-    /// Local-assembly tasks skipped, summed over rounds.
-    pub fn failed_tasks(&self) -> usize {
-        self.rounds.iter().map(|r| r.failed_tasks).sum()
-    }
-
-    /// Recovery-ladder counters summed over rounds; `None` when no round
-    /// ran a GPU engine.
-    pub fn recovery(&self) -> Option<RecoveryStats> {
-        self.rounds.iter().filter_map(|r| r.recovery.as_ref()).fold(None, |sum, r| {
-            let mut sum = sum.unwrap_or_default();
-            sum.absorb(r);
-            Some(sum)
-        })
-    }
-}
-
-/// Weight given to contig pseudo-reads when re-counting k-mers (so contig
-/// sequence passes the singleton filter on its own).
-const CONTIG_PSEUDO_WEIGHT: usize = 2;
-
-/// Run the iterative pipeline over `k_schedule` (ascending).
+/// Run the iterative pipeline over `k_schedule` (ascending):
+/// [`run_rounds`] without the aln-kernel rescoring.
 ///
 /// # Panics
 ///
@@ -77,78 +29,19 @@ pub fn run_iterative(
     pairs: &[PairedRead],
     cfg: &PipelineConfig,
     k_schedule: &[usize],
-) -> IterativeResult {
-    assert!(!k_schedule.is_empty(), "empty k schedule");
-    let mut timings = PhaseTimings::new();
+) -> PipelineResult {
+    try_run_iterative(pairs, cfg, k_schedule).unwrap_or_else(|e| panic!("{e}"))
+}
 
-    let t = Instant::now();
-    let (reads, _) = merge_reads(pairs, &cfg.merge);
-    timings.add(Phase::MergeReads, t.elapsed().as_secs_f64());
-
-    let mut contigs: Vec<DnaSeq> = Vec::new();
-    let mut rounds = Vec::new();
-
-    for &k in k_schedule {
-        // k-mer analysis over reads + previous contigs as pseudo-reads.
-        let t = Instant::now();
-        let mut round_reads: Vec<Read> = reads.clone();
-        for (i, c) in contigs.iter().enumerate() {
-            for w in 0..CONTIG_PSEUDO_WEIGHT {
-                round_reads.push(Read::with_uniform_qual(
-                    format!("__contig_{i}_{w}"),
-                    c.clone(),
-                    40,
-                ));
-            }
-        }
-        let counts = count_kmers(&round_reads, k, cfg.min_kmer_count);
-        timings.add(Phase::KmerAnalysis, t.elapsed().as_secs_f64());
-
-        // contig generation
-        let t = Instant::now();
-        let graph = DbgGraph::new(k, counts);
-        contigs = generate_contigs(&graph, cfg.min_votes)
-            .into_iter()
-            .filter(|c| c.len() >= cfg.min_contig_len)
-            .map(|c| c.seq)
-            .collect();
-        timings.add(Phase::ContigGeneration, t.elapsed().as_secs_f64());
-
-        // alignment (candidates from the real reads only — contigs must not
-        // vote on their own extension)
-        let t = Instant::now();
-        let idx = SeedIndex::build(&contigs, cfg.scaffold.seed_k, cfg.scaffold.max_occ);
-        let cands = collect_candidates(&contigs, &reads, &idx, &cfg.candidates);
-        timings.add(Phase::Alignment, t.elapsed().as_secs_f64());
-
-        // local assembly
-        let t = Instant::now();
-        let cand_pairs: Vec<(Vec<Read>, Vec<Read>)> =
-            cands.into_iter().map(|c| (c.right, c.left)).collect();
-        let tasks = make_tasks(&contigs, &cand_pairs, &cfg.locassm);
-        let la = run_local_assembly(&tasks, &cfg.locassm, &cfg.engine)
-            .unwrap_or_else(|e| panic!("local assembly at k={k}: {e}"));
-        let results = la.results;
-        let appended: usize = results.iter().map(|r| r.appended.len()).sum();
-        contigs = apply_extensions(&contigs, &tasks, &results);
-        timings.add(Phase::LocalAssembly, t.elapsed().as_secs_f64());
-
-        rounds.push(RoundStats {
-            k,
-            contigs: contigs.len(),
-            stats: AssemblyStats::of(&contigs),
-            bases_appended: appended,
-            failed_tasks: la.failed_tasks,
-            recovery: la.gpu.map(|g| g.recovery),
-        });
-    }
-
-    // scaffolding on the final round's contigs
-    let t = Instant::now();
-    let scaffolds = scaffold_contigs(&contigs, pairs, &cfg.scaffold);
-    timings.add(Phase::Scaffolding, t.elapsed().as_secs_f64());
-
-    IterativeResult { contigs, scaffolds, rounds, timings }
+/// [`run_iterative`] with its failures as an `Err`, for `mhm2rs assemble
+/// --iterative`.
+pub(crate) fn try_run_iterative(
+    pairs: &[PairedRead],
+    cfg: &PipelineConfig,
+    k_schedule: &[usize],
+) -> Result<PipelineResult, PipelineError> {
+    // Rescoring stays single-k only until ROADMAP item 5 deletes it.
+    run_rounds(pairs, &PipelineConfig { sw_rescore_frac: 0.0, ..cfg.clone() }, k_schedule)
 }
 
 /// Default MetaHipMer-style schedule clipped to the observed read length.
@@ -173,6 +66,7 @@ pub fn overlap_engine_choice() -> EngineChoice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bioseq::DnaSeq;
     use datagen::{generate_community, simulate_reads, CommunityConfig, ReadSimConfig};
 
     fn dataset(seed: u64, repeat_prob: f64) -> (datagen::Community, Vec<PairedRead>) {
@@ -212,7 +106,7 @@ mod tests {
         let cfg = PipelineConfig::default();
         let result = run_iterative(&pairs, &cfg, &[21, 31, 41]);
         assert_eq!(result.rounds.len(), 3);
-        assert!(result.rounds.iter().all(|r| r.contigs > 0));
+        assert!(result.rounds.iter().all(|r| r.stats.count > 0));
         // Each contig appears in exactly one scaffold.
         let members: usize = result.scaffolds.iter().map(|s| s.members.len()).sum();
         assert_eq!(members, result.contigs.len());
@@ -270,22 +164,22 @@ mod tests {
         let gpu = run_iterative(&pairs, &gpu_cfg, &[21, 31]);
         let cpu = run_iterative(&pairs, &cpu_cfg, &[21, 31]);
         // The CPU engine's panic isolation skips the same tasks.
-        let per_round = |r: &IterativeResult| r.rounds.iter().map(|r| r.failed_tasks).collect();
+        let per_round = |r: &PipelineResult| r.rounds.iter().map(|r| r.failed_tasks).collect();
         let skipped: Vec<usize> = per_round(&gpu);
         assert_eq!(skipped, per_round(&cpu));
         assert!(skipped.iter().all(|&n| n > 0), "every round skips tasks: {skipped:?}");
-        assert_eq!(gpu.failed_tasks(), skipped.iter().sum::<usize>());
+        assert_eq!(gpu.stats.la_failed_tasks, skipped.iter().sum::<usize>());
         assert_eq!(gpu.contigs, cpu.contigs);
-        let report = crate::report::render_rounds(&gpu);
-        let line = format!("  {:<24} {}\n", "tasks skipped", gpu.failed_tasks());
+        let report = crate::report::render_run(&gpu);
+        let line = format!("  {:<24} {}\n", "tasks skipped", gpu.stats.la_failed_tasks);
         assert!(report.contains(&line), "{report}");
         // The recovery counters of every round are summed, not dropped.
-        let recovery = gpu.recovery().expect("the GPU engine reports recovery");
+        let recovery = gpu.stats.recovery.as_ref().expect("the GPU engine reports recovery");
         assert!(recovery.device_lost);
         assert!(recovery.device_resets >= 2, "one reset budget per round: {recovery:?}");
         assert!(report.contains("device lost"), "{report}");
         assert!(report.contains("device resets"), "{report}");
-        assert_eq!(cpu.recovery(), None, "the CPU engine has no ladder");
+        assert_eq!(cpu.stats.recovery, None, "the CPU engine has no ladder");
     }
 
     #[test]
@@ -296,8 +190,8 @@ mod tests {
             let cfg = PipelineConfig { engine, ..PipelineConfig::default() };
             let out = run_iterative(&pairs, &cfg, &[21, 31]);
             assert_eq!(out.contigs, cpu.contigs, "{:?}", cfg.engine);
-            assert_eq!(out.failed_tasks(), 0);
-            let recovery = out.recovery().expect("a GPU engine ran every round");
+            assert_eq!(out.stats.la_failed_tasks, 0);
+            let recovery = out.stats.recovery.as_ref().expect("a GPU engine ran every round");
             assert!(!recovery.any_recovery(), "healthy device: {recovery:?}");
         }
     }

@@ -12,8 +12,15 @@
 //! 6. **scaffolding** ([`scaffold`]) — read-pair links join contigs;
 //! 7. **file I/O** — FASTA serialization.
 //!
-//! [`pipeline::run_pipeline`] runs all of it on real data and reports
-//! per-phase wall times ([`pipeline::PhaseTimings`]). [`scaling`] projects
+//! Phases 2–5 form one k round. [`run_rounds`] is the one assembly loop:
+//! it merges the reads, runs a round per k (from the second round on, the
+//! previous round's contigs join the reads as pseudo-reads), then
+//! scaffolds. [`run_pipeline`] runs it over the single `cfg.k` and
+//! [`run_iterative`] over a k schedule (Figure 1, "Iterate for
+//! k = k₁, k₂, …"); both return a [`PipelineResult`] with one
+//! [`RoundStats`] per round. Its [`PhaseTimings`] hold measured host
+//! seconds on every engine; the GPU's modeled device seconds are kept apart
+//! in [`PipelineStats::la_gpu_sim_seconds`]. [`scaling`] projects
 //! measured profiles onto Summit node counts (64–1024) with the α–β
 //! communication model and the paper-anchored GPU-overhead model, producing
 //! the series behind Figures 2, 12, 13 and 14.
@@ -31,11 +38,11 @@ pub mod scaling;
 pub mod stats;
 
 pub use errors::{ErrorKind, PipelineError};
-pub use iterative::{run_iterative, IterativeResult};
+pub use iterative::run_iterative;
 pub use merge::{merge_reads, MergeParams, MergeStats};
 pub use pipeline::{
-    run_local_assembly, run_pipeline, EngineChoice, LocalAssemblyRun, Phase, PhaseTimings,
-    PipelineConfig, PipelineResult,
+    run_local_assembly, run_pipeline, run_rounds, EngineChoice, LocalAssemblyRun, Phase,
+    PhaseTimings, PipelineConfig, PipelineResult, PipelineStats, RoundStats,
 };
 pub use scaffold::{scaffold_contigs, Scaffold, ScaffoldParams};
 pub use scaling::{PaperAnchors, ScalingError, ScalingModel};

@@ -3,10 +3,11 @@
 use crate::errors::PipelineError;
 use crate::merge::{merge_reads, MergeParams, MergeStats};
 use crate::scaffold::{scaffold_contigs, Scaffold, ScaffoldParams};
+use crate::stats::AssemblyStats;
 use align::sw::{banded_sw, SwScoring};
 use align::{collect_candidates, CandidateParams, SeedIndex};
-use bioseq::{DnaSeq, PairedRead};
-use dbg::{count_kmers, count_kmers_with_spectrum, generate_contigs, DbgGraph};
+use bioseq::{DnaSeq, PairedRead, Read};
+use dbg::{count_kmers, generate_contigs, DbgGraph};
 use gpusim::DeviceConfig;
 use locassm::gpu::{GpuLocalAssembler, GpuRunStats, KernelVersion, RecoveryStats};
 use locassm::{
@@ -111,7 +112,7 @@ pub enum EngineChoice {
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// Contig-generation k.
+    /// Contig-generation k of a single-k run ([`run_pipeline`]).
     pub k: usize,
     /// Minimum k-mer count (singleton filter).
     pub min_kmer_count: u32,
@@ -127,9 +128,6 @@ pub struct PipelineConfig {
     /// Fraction of accepted candidate alignments rescored with banded SW
     /// (the "aln kernel" phase; 0 disables).
     pub sw_rescore_frac: f64,
-    /// Derive the singleton-filter cutoff from the k-mer spectrum's error
-    /// valley instead of using `min_kmer_count` directly.
-    pub auto_min_count: bool,
 }
 
 impl Default for PipelineConfig {
@@ -145,24 +143,26 @@ impl Default for PipelineConfig {
             scaffold: ScaffoldParams::default(),
             engine: EngineChoice::Cpu,
             sw_rescore_frac: 0.25,
-            auto_min_count: false,
         }
     }
 }
 
-/// Everything a pipeline run produces.
+/// Everything a pipeline run produces, single k or iterative.
 #[derive(Debug)]
 pub struct PipelineResult {
-    /// Contigs after local-assembly extension.
+    /// The final round's contigs after local-assembly extension.
     pub contigs: Vec<DnaSeq>,
-    /// Scaffolds over the extended contigs.
+    /// Scaffolds over the final round's contigs.
     pub scaffolds: Vec<Scaffold>,
-    /// Wall-clock seconds per phase. For the GPU and overlap engines, the
-    /// LocalAssembly entry is the GPU's *simulated device time* (for
-    /// overlap, the GPU side's seconds, not the schedule makespan); the
-    /// host wall time is in `stats.la_wall_seconds`.
+    /// Measured host seconds per phase, summed over rounds, on every
+    /// engine. The LocalAssembly row runs from building the tasks to
+    /// applying the extensions, simulator host time included, and equals
+    /// `stats.la_wall_seconds`. Modeled device seconds never land here;
+    /// they are in `stats.la_gpu_sim_seconds`.
     pub timings: PhaseTimings,
     pub stats: PipelineStats,
+    /// One entry per k round, in schedule order (one for a single-k run).
+    pub rounds: Vec<RoundStats>,
 }
 
 impl PipelineResult {
@@ -174,41 +174,71 @@ impl PipelineResult {
     }
 }
 
-/// Run statistics.
+/// Run statistics. Each field follows one of three rules: *run* fields
+/// describe the whole run once, *summed* fields add up the work of every k
+/// round, and *final-round* fields describe the last round of the schedule
+/// (the only round of a single-k run). Per-round facts are in
+/// [`RoundStats`].
 #[derive(Debug, Default)]
 pub struct PipelineStats {
+    /// Run: input read pairs.
     pub pairs_in: usize,
+    /// Run: read merging.
     pub merge: MergeStats,
+    /// Run: reads after merging.
     pub reads_for_assembly: usize,
+    /// Final round: distinct k-mers that passed the singleton filter.
     pub distinct_kmers: usize,
-    /// The singleton cutoff actually used (spectrum-derived when
-    /// `auto_min_count` is set).
-    pub min_count_used: u32,
+    /// Final round: contigs generated before the length filter.
     pub contigs_initial: usize,
+    /// Final round: contigs kept by the length filter.
     pub contigs_kept: usize,
+    /// Final round: local-assembly tasks by bin.
     pub bins: BinStats,
+    /// Final round: local-assembly tasks.
     pub tasks: usize,
+    /// Final round: bases local assembly appended.
     pub bases_appended: usize,
-    /// Walk-outcome telemetry (states, iterations, extension lengths).
+    /// Final round: walk-outcome telemetry (states, iterations, extension
+    /// lengths).
     pub ext_summary: ExtSummary,
-    /// Host wall seconds spent in local assembly (whichever engine).
+    /// Summed: measured host seconds of the local-assembly phase, whichever
+    /// engine ran it; equals `timings.get(Phase::LocalAssembly)`.
     pub la_wall_seconds: f64,
-    /// Simulated device seconds of the GPU (GPU and overlap engines; for
-    /// overlap, the GPU side only, not the schedule makespan).
+    /// Summed: modeled (simulated) device seconds of the GPU (GPU and
+    /// overlap engines; for overlap, the GPU side only, not the schedule
+    /// makespan). Never added to the measured phase table.
     pub la_gpu_sim_seconds: Option<f64>,
-    /// GPU engine run stats (GPU and overlap engines).
+    /// Summed: GPU engine run stats (GPU and overlap engines).
     pub gpu: Option<GpuRunStats>,
-    /// Recovery-ladder counters from the GPU engine (GPU and overlap engines);
-    /// all-zero for a fault-free run.
+    /// Summed: recovery-ladder counters from the GPU engine (GPU and overlap
+    /// engines); all-zero for a fault-free run.
     pub recovery: Option<RecoveryStats>,
-    /// Tasks skipped after every recovery rung failed (their contigs keep
-    /// their unextended sequence).
+    /// Summed: tasks skipped after every recovery rung failed (their contigs
+    /// keep their unextended sequence).
     pub la_failed_tasks: usize,
-    /// Overlap-scheduler report (Overlap engine only): shares, steal
-    /// counts, and the virtual-time makespan model.
-    pub overlap: Option<locassm::ScheduleReport>,
+    /// Final round: overlap-scheduler report (overlap engine only): shares,
+    /// steal counts, and the virtual-time makespan model.
+    pub overlap: Option<ScheduleReport>,
+    /// Run: scaffolds.
     pub scaffolds: usize,
+    /// Run: bytes of the in-memory scaffold FASTA (single-k runs only).
     pub fasta_bytes: usize,
+}
+
+/// What one k round did. Every field describes that round only.
+#[derive(Debug, Clone)]
+pub struct RoundStats {
+    pub k: usize,
+    /// Contiguity of the round's contigs after local-assembly extension.
+    pub stats: AssemblyStats,
+    /// Bases local assembly appended.
+    pub bases_appended: usize,
+    /// Local-assembly tasks skipped after every recovery rung failed (their
+    /// contigs keep this round's sequence).
+    pub failed_tasks: usize,
+    /// Overlap-scheduler report (overlap engine only).
+    pub overlap: Option<ScheduleReport>,
 }
 
 /// What local assembly produced, whichever engine ran it.
@@ -227,7 +257,7 @@ pub struct LocalAssemblyRun {
 }
 
 /// Extend every task on the configured engine: the one engine dispatch
-/// behind [`run_pipeline`] and [`crate::run_iterative`].
+/// behind [`run_rounds`].
 ///
 /// Every engine isolates tasks: a task that fails every rung of the
 /// recovery ladder is skipped and counted, never fatal. An `Err` means the
@@ -269,7 +299,7 @@ pub fn run_local_assembly(
     })
 }
 
-/// Run the full pipeline on a set of read pairs.
+/// Run the full pipeline at `cfg.k`: [`run_rounds`] over one round.
 ///
 /// Recoverable device faults (injected or genuine OOM/launch failures) are
 /// absorbed by the local-assembly recovery ladder and reported as counters
@@ -279,46 +309,114 @@ pub fn run_pipeline(
     pairs: &[PairedRead],
     cfg: &PipelineConfig,
 ) -> Result<PipelineResult, PipelineError> {
+    run_rounds(pairs, cfg, &[cfg.k])
+}
+
+/// Weight given to contig pseudo-reads when re-counting k-mers (so contig
+/// sequence passes the singleton filter on its own).
+const CONTIG_PSEUDO_WEIGHT: usize = 2;
+
+/// The assembly loop behind [`run_pipeline`] and [`crate::run_iterative`]:
+/// merge the reads once, run one round per k of `ks` (ascending), then
+/// scaffold the final round's contigs.
+///
+/// A round counts k-mers over the reads plus the previous round's contigs
+/// as pseudo-reads, generates contigs, aligns the reads to them, and
+/// extends them by local assembly. The pseudo-reads carry regions that only
+/// small-k evidence could assemble into the large-k rounds, while large k
+/// resolves repeats the small rounds forked on (Figure 1, "Iterate for
+/// k = k₁, k₂, …").
+///
+/// An empty `ks` is an [`ErrorKind::InvalidInput`](crate::ErrorKind)
+/// error; see [`run_pipeline`] for the rest.
+pub fn run_rounds(
+    pairs: &[PairedRead],
+    cfg: &PipelineConfig,
+    ks: &[usize],
+) -> Result<PipelineResult, PipelineError> {
+    if ks.is_empty() {
+        return Err(PipelineError::invalid_input(Phase::KmerAnalysis, "empty k schedule"));
+    }
     let mut timings = PhaseTimings::new();
     let mut stats = PipelineStats { pairs_in: pairs.len(), ..Default::default() };
 
-    // 1. merge reads
     let t = Instant::now();
     let (reads, merge_stats) = merge_reads(pairs, &cfg.merge);
     timings.add(Phase::MergeReads, t.elapsed().as_secs_f64());
     stats.merge = merge_stats;
     stats.reads_for_assembly = reads.len();
 
-    // 2. k-mer analysis
-    let t = Instant::now();
-    let counts = if cfg.auto_min_count {
-        let (mut map, spectrum) = count_kmers_with_spectrum(&reads, cfg.k, 1, 128);
-        let cutoff = spectrum.error_cutoff().unwrap_or(cfg.min_kmer_count);
-        stats.min_count_used = cutoff.max(cfg.min_kmer_count);
-        let mc = stats.min_count_used;
-        map.retain(|v| v.count >= mc);
-        map
-    } else {
-        stats.min_count_used = cfg.min_kmer_count;
-        count_kmers(&reads, cfg.k, cfg.min_kmer_count)
-    };
-    timings.add(Phase::KmerAnalysis, t.elapsed().as_secs_f64());
-    stats.distinct_kmers = counts.len();
+    let mut contigs = Vec::new();
+    let mut rounds = Vec::with_capacity(ks.len());
+    for &k in ks {
+        let (extended, round) = run_round(k, &reads, &contigs, cfg, &mut timings, &mut stats)?;
+        contigs = extended;
+        rounds.push(round);
+    }
 
-    // 3. contig generation
     let t = Instant::now();
-    let graph = DbgGraph::new(cfg.k, counts);
-    let raw_contigs = generate_contigs(&graph, cfg.min_votes);
+    let scaffolds = scaffold_contigs(&contigs, pairs, &cfg.scaffold);
+    stats.scaffolds = scaffolds.len();
+    timings.add(Phase::Scaffolding, t.elapsed().as_secs_f64());
+
+    // File I/O: serialize to an in-memory sink (callers persist if they
+    // want a file — the cost is the serialization itself). Single k only,
+    // as `perfbench/harness` mirrors it (ROADMAP item 1).
+    if ks.len() == 1 {
+        let t = Instant::now();
+        let mut sink = Vec::new();
+        let records = scaffolds
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (format!("scaffold_{i}"), s.render(&contigs)));
+        bioseq::fastq::write_fasta(&mut sink, records, 80)
+            .map_err(|e| PipelineError::io(Phase::FileIo, e))?;
+        stats.fasta_bytes = sink.len();
+        timings.add(Phase::FileIo, t.elapsed().as_secs_f64());
+    }
+
+    Ok(PipelineResult { contigs, scaffolds, timings, stats, rounds })
+}
+
+/// One k round over `prev`, the previous round's contigs (empty in the
+/// first round). Books each phase's host seconds in `timings`, folds the
+/// round into `stats` by their rules, and returns the extended contigs.
+fn run_round(
+    k: usize,
+    reads: &[Read],
+    prev: &[DnaSeq],
+    cfg: &PipelineConfig,
+    timings: &mut PhaseTimings,
+    stats: &mut PipelineStats,
+) -> Result<(Vec<DnaSeq>, RoundStats), PipelineError> {
+    // k-mer analysis; the first round counts the reads in place.
+    let t = Instant::now();
+    let counts = {
+        let pseudo;
+        let count_over = if prev.is_empty() {
+            reads
+        } else {
+            pseudo = with_pseudo_reads(reads, prev);
+            &pseudo[..]
+        };
+        count_kmers(count_over, k, cfg.min_kmer_count)
+    };
+    stats.distinct_kmers = counts.len();
+    timings.add(Phase::KmerAnalysis, t.elapsed().as_secs_f64());
+
+    let t = Instant::now();
+    let raw_contigs = generate_contigs(&DbgGraph::new(k, counts), cfg.min_votes);
     stats.contigs_initial = raw_contigs.len();
     let contigs: Vec<DnaSeq> =
         raw_contigs.into_iter().filter(|c| c.len() >= cfg.min_contig_len).map(|c| c.seq).collect();
     stats.contigs_kept = contigs.len();
     timings.add(Phase::ContigGeneration, t.elapsed().as_secs_f64());
 
-    // 4. alignment (+ aln kernel rescoring)
+    // Alignment: candidates come from the real reads only, so contigs never
+    // vote on their own extension.
     let t = Instant::now();
     let idx = SeedIndex::build(&contigs, cfg.scaffold.seed_k, cfg.scaffold.max_occ);
-    let cands = collect_candidates(&contigs, &reads, &idx, &cfg.candidates);
+    let cands = collect_candidates(&contigs, reads, &idx, &cfg.candidates);
     timings.add(Phase::Alignment, t.elapsed().as_secs_f64());
 
     let t = Instant::now();
@@ -337,48 +435,52 @@ pub fn run_pipeline(
     }
     timings.add(Phase::AlnKernel, t.elapsed().as_secs_f64());
 
-    // 5. local assembly
-    let cand_pairs: Vec<(Vec<bioseq::Read>, Vec<bioseq::Read>)> =
+    let t = Instant::now();
+    let cand_pairs: Vec<(Vec<Read>, Vec<Read>)> =
         cands.into_iter().map(|c| (c.right, c.left)).collect();
     let tasks = make_tasks(&contigs, &cand_pairs, &cfg.locassm);
     stats.tasks = tasks.len();
     stats.bins = bin_tasks(&tasks);
-    let t = Instant::now();
     let la = run_local_assembly(&tasks, &cfg.locassm, &cfg.engine)
         .map_err(|e| PipelineError::engine(Phase::LocalAssembly, e))?;
-    stats.la_wall_seconds = t.elapsed().as_secs_f64();
-    stats.la_failed_tasks = la.failed_tasks;
-    stats.la_gpu_sim_seconds = la.gpu.as_ref().map(|s| s.seconds);
-    stats.recovery = la.gpu.as_ref().map(|s| s.recovery.clone());
-    stats.gpu = la.gpu;
-    stats.overlap = la.schedule;
-    let results = la.results;
-    stats.bases_appended = results.iter().map(|r| r.appended.len()).sum();
-    stats.ext_summary = summarize(&results);
-    let extended = apply_extensions(&contigs, &tasks, &results);
-    match stats.la_gpu_sim_seconds {
-        Some(sim) => timings.add(Phase::LocalAssembly, sim),
-        None => timings.add(Phase::LocalAssembly, stats.la_wall_seconds),
+    stats.ext_summary = summarize(&la.results);
+    let extended = apply_extensions(&contigs, &tasks, &la.results);
+    let la_seconds = t.elapsed().as_secs_f64();
+    timings.add(Phase::LocalAssembly, la_seconds);
+
+    stats.la_wall_seconds += la_seconds;
+    stats.la_failed_tasks += la.failed_tasks;
+    if let Some(gpu) = la.gpu {
+        *stats.la_gpu_sim_seconds.get_or_insert(0.0) += gpu.seconds;
+        stats.recovery.get_or_insert_with(RecoveryStats::default).absorb(&gpu.recovery);
+        match &mut stats.gpu {
+            Some(sum) => sum.absorb(&gpu),
+            None => stats.gpu = Some(gpu),
+        }
     }
+    stats.bases_appended = stats.ext_summary.bases_appended;
+    stats.overlap.clone_from(&la.schedule);
+    let round = RoundStats {
+        k,
+        stats: AssemblyStats::of(&extended),
+        bases_appended: stats.bases_appended,
+        failed_tasks: la.failed_tasks,
+        overlap: la.schedule,
+    };
+    Ok((extended, round))
+}
 
-    // 6. scaffolding
-    let t = Instant::now();
-    let scaffolds = scaffold_contigs(&extended, pairs, &cfg.scaffold);
-    stats.scaffolds = scaffolds.len();
-    timings.add(Phase::Scaffolding, t.elapsed().as_secs_f64());
-
-    // 7. file I/O (serialize to an in-memory sink; callers persist if they
-    // want a file — the cost is the serialization itself).
-    let t = Instant::now();
-    let mut sink = Vec::new();
-    let records =
-        scaffolds.iter().enumerate().map(|(i, s)| (format!("scaffold_{i}"), s.render(&extended)));
-    bioseq::fastq::write_fasta(&mut sink, records, 80)
-        .map_err(|e| PipelineError::io(Phase::FileIo, e))?;
-    stats.fasta_bytes = sink.len();
-    timings.add(Phase::FileIo, t.elapsed().as_secs_f64());
-
-    Ok(PipelineResult { contigs: extended, scaffolds, timings, stats })
+/// The reads plus every contig of `contigs` as [`CONTIG_PSEUDO_WEIGHT`]
+/// quality-40 pseudo-reads.
+fn with_pseudo_reads(reads: &[Read], contigs: &[DnaSeq]) -> Vec<Read> {
+    let mut out = Vec::with_capacity(reads.len() + CONTIG_PSEUDO_WEIGHT * contigs.len());
+    out.extend_from_slice(reads);
+    for (i, c) in contigs.iter().enumerate() {
+        for w in 0..CONTIG_PSEUDO_WEIGHT {
+            out.push(Read::with_uniform_qual(format!("__contig_{i}_{w}"), c.clone(), 40));
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -447,6 +549,42 @@ mod tests {
     }
 
     #[test]
+    fn gpu_local_assembly_row_is_measured_host_seconds() {
+        let (_, pairs) = tiny_dataset();
+        let cfg = PipelineConfig {
+            engine: crate::iterative::gpu_engine_choice(),
+            ..PipelineConfig::default()
+        };
+        let result = run_pipeline(&pairs, &cfg).expect("pipeline runs");
+        assert_eq!(result.timings.get(Phase::LocalAssembly), result.stats.la_wall_seconds);
+        let modeled = result.stats.la_gpu_sim_seconds.expect("the GPU engine models its seconds");
+        assert!(modeled > 0.0);
+        assert!(result.stats.la_wall_seconds > 0.0);
+    }
+
+    #[test]
+    fn single_k_iterative_matches_run_pipeline_on_every_engine() {
+        let (_, pairs) = tiny_dataset();
+        let engines = [
+            EngineChoice::Cpu,
+            crate::iterative::gpu_engine_choice(),
+            crate::iterative::overlap_engine_choice(),
+        ];
+        let rendered = |r: &PipelineResult| -> Vec<DnaSeq> {
+            r.scaffolds.iter().map(|s| s.render(&r.contigs)).collect()
+        };
+        for engine in engines {
+            let cfg = PipelineConfig { engine, ..PipelineConfig::default() };
+            let single = run_pipeline(&pairs, &cfg).expect("pipeline runs");
+            let looped = crate::run_iterative(&pairs, &cfg, &[cfg.k]);
+            assert_eq!(single.contigs, looped.contigs, "{:?}", cfg.engine);
+            assert_eq!(rendered(&single), rendered(&looped), "{:?}", cfg.engine);
+            assert_eq!(looped.rounds.len(), 1);
+            assert_eq!(looped.rounds[0].k, cfg.k);
+        }
+    }
+
+    #[test]
     fn local_assembly_extends_contigs() {
         // Repeat-bearing genomes with the default (wider) insert
         // distribution: the global graph forks at the repeats, so the
@@ -481,15 +619,6 @@ mod tests {
         let result = run_pipeline(&pairs, &PipelineConfig::default()).expect("pipeline runs");
         assert_eq!(result.stats.ext_summary.tasks, result.stats.tasks);
         assert_eq!(result.stats.ext_summary.bases_appended, result.stats.bases_appended);
-    }
-
-    #[test]
-    fn auto_min_count_uses_spectrum() {
-        let (_, pairs) = tiny_dataset();
-        let cfg = PipelineConfig { auto_min_count: true, ..PipelineConfig::default() };
-        let result = run_pipeline(&pairs, &cfg).expect("pipeline runs");
-        assert!(result.stats.min_count_used >= 2, "cutoff {}", result.stats.min_count_used);
-        assert!(result.stats.contigs_kept > 0);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Text rendering of breakdowns and series tables for the figure harnesses.
 
-use crate::iterative::IterativeResult;
-use crate::pipeline::{PhaseTimings, PipelineStats};
+use crate::pipeline::{PhaseTimings, PipelineResult, PipelineStats};
 
 /// Render a phase breakdown as a fixed-width table with percentage bars —
 //  the textual equivalent of the paper's pie charts (Fig. 2, Fig. 12).
@@ -60,19 +59,29 @@ pub fn render_recovery(stats: &PipelineStats) -> String {
     format!("DEGRADED RUN — local-assembly recovery ladder fired:\n{out}")
 }
 
-/// Render an iterative run's per-round lines, then [`render_recovery`]'s
-/// section over the recovery counters and skipped tasks summed over rounds.
-pub fn render_rounds(result: &IterativeResult) -> String {
+/// Render a run's report, single k or iterative: one line per round when
+/// there are several, the measured phase table, the modeled GPU seconds,
+/// then the recovery (when degraded), overlap-scheduler and sanitizer
+/// sections.
+pub fn render_run(result: &PipelineResult) -> String {
     let mut out = String::new();
-    for r in &result.rounds {
-        out.push_str(&format!("round k={}: {}\n", r.k, r.stats.render()));
+    if result.rounds.len() > 1 {
+        for r in &result.rounds {
+            out.push_str(&format!("round k={}: {}\n", r.k, r.stats.render()));
+        }
+        out.push('\n');
     }
-    let summed = PipelineStats {
-        recovery: result.recovery(),
-        la_failed_tasks: result.failed_tasks(),
-        ..Default::default()
-    };
-    out.push_str(&render_recovery(&summed));
+    out.push_str(&render_breakdown("pipeline", &result.timings));
+    if let Some(sim) = result.stats.la_gpu_sim_seconds {
+        out.push_str(&format!(
+            "modeled GPU local assembly {sim:.6} s (simulated device time, not in TOTAL)\n"
+        ));
+    }
+    if result.degraded() {
+        out.push_str(&render_recovery(&result.stats));
+    }
+    out.push_str(&render_overlap(&result.stats));
+    out.push_str(&render_sanitizer(&result.stats));
     out
 }
 

@@ -3,9 +3,8 @@
 //! source genomes of a synthetic community.
 
 use bioseq::DnaSeq;
-use kmer::{Kmer, KmerIter};
+use kmer::{CanonicalKmerIter, KmerTable};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Contiguity statistics of a contig/scaffold set.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -79,27 +78,25 @@ pub struct RefEval {
 pub fn evaluate_against_refs(assembly: &[DnaSeq], refs: &[DnaSeq], k: usize) -> RefEval {
     let ref_set = kmer_set(refs, k);
     let asm_set = kmer_set(assembly, k);
-    let recovered = ref_set.intersection(&asm_set).count();
-    let genuine = asm_set.iter().filter(|km| ref_set.contains(*km)).count();
+    // Both fractions share one numerator: the k-mers in both sets.
+    let shared = asm_set.iter().filter(|(km, _)| ref_set.slot(km).is_some()).count();
     RefEval {
         genome_fraction: if ref_set.is_empty() {
             0.0
         } else {
-            recovered as f64 / ref_set.len() as f64
+            shared as f64 / ref_set.len() as f64
         },
-        precision: if asm_set.is_empty() { 1.0 } else { genuine as f64 / asm_set.len() as f64 },
+        precision: if asm_set.is_empty() { 1.0 } else { shared as f64 / asm_set.len() as f64 },
         k,
     }
 }
 
-fn kmer_set(seqs: &[DnaSeq], k: usize) -> HashSet<Kmer> {
-    let mut set = HashSet::new();
+/// The distinct canonical k-mers of `seqs`.
+fn kmer_set(seqs: &[DnaSeq], k: usize) -> KmerTable<()> {
+    let mut set = KmerTable::new(k);
     for s in seqs {
-        if s.len() < k {
-            continue;
-        }
-        for (_, km) in KmerIter::new(s, k) {
-            set.insert(km.canonical());
+        for (_, km, _) in CanonicalKmerIter::new(s, k) {
+            set.entry(&km);
         }
     }
     set
@@ -108,8 +105,33 @@ fn kmer_set(seqs: &[DnaSeq], k: usize) -> HashSet<Kmer> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kmer::{Kmer, KmerIter};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
+
+    /// The `HashSet` evaluation the k-mer table replaced.
+    fn evaluate_oracle(assembly: &[DnaSeq], refs: &[DnaSeq], k: usize) -> RefEval {
+        let set = |seqs: &[DnaSeq]| -> HashSet<Kmer> {
+            seqs.iter()
+                .filter(|s| s.len() >= k)
+                .flat_map(|s| KmerIter::new(s, k).map(|(_, km)| km.canonical()))
+                .collect()
+        };
+        let (ref_set, asm_set) = (set(refs), set(assembly));
+        let recovered = ref_set.intersection(&asm_set).count();
+        let genuine = asm_set.iter().filter(|km| ref_set.contains(*km)).count();
+        RefEval {
+            genome_fraction: if ref_set.is_empty() {
+                0.0
+            } else {
+                recovered as f64 / ref_set.len() as f64
+            },
+            precision: if asm_set.is_empty() { 1.0 } else { genuine as f64 / asm_set.len() as f64 },
+            k,
+        }
+    }
 
     fn random_genome(len: usize, seed: u64) -> DnaSeq {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -180,5 +202,42 @@ mod tests {
         let eval =
             evaluate_against_refs(&[genome.clone(), junk], std::slice::from_ref(&genome), 21);
         assert!(eval.precision < 0.8, "junk contig must show up: {}", eval.precision);
+    }
+
+    /// Genomes plus an assembly of reference pieces (either strand),
+    /// foreign sequence and too-short fragments.
+    fn arb_eval_case() -> impl Strategy<Value = (Vec<DnaSeq>, Vec<DnaSeq>, usize)> {
+        let genomes = proptest::collection::vec((60usize..400, any::<u64>()), 1..4);
+        let pieces =
+            proptest::collection::vec((any::<u8>(), 0usize..400, 0usize..200, any::<u64>()), 0..8);
+        (0usize..4, genomes, pieces).prop_map(|(ki, genomes, pieces)| {
+            let k = [15, 31, 33, 63][ki];
+            let refs: Vec<DnaSeq> =
+                genomes.iter().map(|&(len, seed)| random_genome(len, seed)).collect();
+            let assembly = pieces
+                .iter()
+                .map(|&(pick, start, len, seed)| {
+                    let g = &refs[pick as usize % refs.len()];
+                    let start = start % g.len();
+                    let piece = g.subseq(start, len.min(g.len() - start));
+                    match pick % 3 {
+                        0 => piece,
+                        1 => piece.revcomp(),
+                        _ => random_genome(len, seed),
+                    }
+                })
+                .collect();
+            (refs, assembly, k)
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn table_evaluation_matches_hashset_oracle((refs, assembly, k) in arb_eval_case()) {
+            prop_assert_eq!(
+                evaluate_against_refs(&assembly, &refs, k),
+                evaluate_oracle(&assembly, &refs, k)
+            );
+        }
     }
 }
