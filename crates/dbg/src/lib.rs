@@ -15,7 +15,7 @@ pub mod graph;
 pub mod stats;
 pub mod traverse;
 
-pub use counts::{count_kmers, KmerCountMap, VertexCounts};
+pub use counts::{count_kmers, count_kmers_with_spectrum, KmerCountMap, VertexCounts};
 pub use graph::DbgGraph;
 pub use stats::{graph_stats, GraphStats};
 pub use traverse::{generate_contigs, Contig};
