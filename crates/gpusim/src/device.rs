@@ -7,10 +7,16 @@ use crate::mem::{Buf, DeviceOom, GlobalMem};
 use crate::sanitizer::{Sanitizer, SanitizerConfig, SanitizerSummary};
 use crate::timing::{self, TimingEstimate};
 use crate::warp::WarpCtx;
+use rayon::prelude::*;
+use std::ops::Range;
 
 /// Environment variable forcing the full `gpucheck` sanitizer on for every
 /// device, regardless of config (the CI whole-suite sanitize job sets it).
 pub const SANITIZE_ENV: &str = "GPUSIM_SANITIZE";
+
+/// Warp ranges a launch is cut into per host thread, so warps of uneven
+/// cost still balance across threads.
+const RANGES_PER_THREAD: usize = 4;
 
 /// Statistics for one kernel launch.
 #[derive(Debug, Clone)]
@@ -169,9 +175,18 @@ impl Device {
     }
 
     /// Launch a kernel of `warps` warps, each with `local_words_per_lane`
-    /// words of local memory. The kernel body runs once per warp, in warp-id
-    /// order (a legal serialization of the real device's schedule — kernels
-    /// must not rely on inter-warp ordering, just as on real hardware).
+    /// words of local memory. The kernel body runs once per warp.
+    ///
+    /// The warp ids `0..warps` are cut into contiguous ranges that run in
+    /// parallel on the rayon thread pool; within a range, warps run in
+    /// warp-id order. Each range meters into its own [`Counters`], and the
+    /// ranges are merged in range order, so counters and the timing
+    /// estimate are identical at any thread count. Device memory is
+    /// identical to a serial warp-id-order run only for kernels that
+    /// racecheck reports race-free — kernels must not rely on inter-warp
+    /// ordering, just as on real hardware. With the sanitizer on, the
+    /// launch runs as one range on the calling thread, because the
+    /// sanitizer's state is per launch.
     ///
     /// Returns per-launch counters and a timing estimate, or a
     /// [`LaunchError`] when an injected fault fires (or the device is
@@ -182,7 +197,7 @@ impl Device {
         &mut self,
         warps: usize,
         local_words_per_lane: usize,
-        mut kernel: impl FnMut(&mut WarpCtx),
+        kernel: impl Fn(&mut WarpCtx) + Sync,
     ) -> Result<LaunchStats, LaunchError> {
         let launch_idx = self.launches;
         self.launches += 1;
@@ -196,19 +211,37 @@ impl Device {
         if let Some(s) = self.sanitizer.as_mut() {
             s.begin_launch(launch_idx);
         }
-        let mut counters = Counters::new();
-        for warp_id in 0..warps {
-            let mut ctx = WarpCtx::new(
-                warp_id,
-                &mut self.mem,
-                &mut counters,
-                local_words_per_lane,
-                self.config.sector_bytes,
-                self.sanitizer.as_deref_mut(),
-            );
-            kernel(&mut ctx);
-            ctx.finish_warp();
-        }
+        let (mem, sector_bytes) = (&self.mem, self.config.sector_bytes);
+        let run_range = |range: Range<usize>, mut sanitizer: Option<&mut Sanitizer>| {
+            let mut counters = Counters::new();
+            for warp_id in range {
+                let mut ctx = WarpCtx::new(
+                    warp_id,
+                    mem,
+                    &mut counters,
+                    local_words_per_lane,
+                    sector_bytes,
+                    sanitizer.as_deref_mut(),
+                );
+                kernel(&mut ctx);
+                ctx.finish_warp();
+            }
+            counters
+        };
+        let counters = match self.sanitizer.as_deref_mut() {
+            Some(s) => run_range(0..warps, Some(s)),
+            None => {
+                let n = (rayon::current_num_threads() * RANGES_PER_THREAD).clamp(1, warps.max(1));
+                let ranges: Vec<Range<usize>> =
+                    (0..n).map(|r| r * warps / n..(r + 1) * warps / n).collect();
+                let per_range: Vec<Counters> =
+                    ranges.par_iter().map(|r| run_range(r.clone(), None)).collect();
+                per_range.iter().fold(Counters::new(), |mut sum, c| {
+                    sum.merge(c);
+                    sum
+                })
+            }
+        };
         let timing = timing::estimate(&self.config, &counters, warps);
         self.total.merge(&counters);
         self.total_time_s += timing.total_seconds();
@@ -351,6 +384,56 @@ mod tests {
 
         let out = dev.d2h(hist, 0, 4);
         assert_eq!(out, vec![32, 32, 32, 32]);
+    }
+
+    #[test]
+    fn launch_is_identical_at_any_thread_count() {
+        // 37 warps: at 4 threads that is 16 uneven ranges. Each warp stores
+        // into its own window, adds to one shared word, and races every
+        // other warp to claim one shared word with CAS.
+        let warps = 37usize;
+        let run = |threads: usize| {
+            let mut dev = Device::new(DeviceConfig::tiny());
+            let out = dev.alloc((warps * WARP) as u64).unwrap();
+            let shared = dev.alloc(3).unwrap(); // [sum, claim, claim winners]
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let stats = pool
+                .install(|| {
+                    dev.launch(warps, 2, |ctx| {
+                        let w = ctx.warp_id as u64;
+                        ctx.int_ops(1 + w % 5);
+                        let addrs = ctx.lanes_from(|l| Some(out.at(w * WARP as u64 + l as u64)));
+                        let vals = ctx.lanes_from(|l| w * 1000 + l as u64);
+                        ctx.st_global(&addrs, &vals);
+                        ctx.atomic_add(&ctx.lanes_from(|_| Some((shared.at(0), w + 1))));
+                        let old = ctx.atomic_cas(&ctx.lanes_from(|_| Some((shared.at(1), 0, 1))));
+                        let won = old.iter().filter(|&&o| o == 0).count() as u64;
+                        ctx.atomic_add(
+                            &ctx.lanes_from(|l| (l == 0).then_some((shared.at(2), won))),
+                        );
+                    })
+                })
+                .expect("healthy device");
+            (stats, dev.d2h(out, 0, out.len), dev.d2h(shared, 0, 3))
+        };
+        let (stats, out, shared) = run(1);
+        let sum: u64 = (1..=warps as u64).sum::<u64>() * WARP as u64;
+        assert_eq!(shared, vec![sum, 1, 1], "exact sum, claimed once, one winner");
+        let timing_bits = |s: &LaunchStats| {
+            let t = s.timing;
+            [t.issue_cycles, t.bandwidth_cycles, t.latency_cycles, t.l1_cycles]
+                .into_iter()
+                .chain([t.kernel_cycles, t.kernel_seconds, t.overhead_seconds])
+                .map(f64::to_bits)
+                .collect::<Vec<u64>>()
+        };
+        for threads in [2, 4] {
+            let (s, o, sh) = run(threads);
+            assert_eq!(s.warps, stats.warps);
+            assert_eq!(s.counters, stats.counters, "{threads} threads: counters");
+            assert_eq!(timing_bits(&s), timing_bits(&stats), "{threads} threads: timing");
+            assert!(o == out && sh == shared, "{threads} threads: device memory");
+        }
     }
 
     #[test]

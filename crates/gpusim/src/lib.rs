@@ -19,6 +19,10 @@
 //! * per-instruction active/predicated lane slots are tracked, giving the
 //!   *thread predication* gap the paper discusses for its DNA-walk phase.
 //!
+//! The warps of a launch run on several host threads in contiguous warp
+//! ranges ([`Device::launch`]); counters and modeled time are identical at
+//! any thread count.
+//!
 //! A configurable analytic timing model ([`timing`]) converts the counters
 //! into estimated kernel time for a V100-like device (80 SMs × 4 schedulers
 //! × 1.53 GHz ⇒ the paper's 489.6 warp-GIPS peak), from which

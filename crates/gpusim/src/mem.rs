@@ -3,8 +3,16 @@
 //! Global memory is a flat, word-addressed (`u64`) address space with a bump
 //! allocator — the same discipline the paper's kernels use (one big slab,
 //! offsets computed host-side, no device-side `malloc`).
+//!
+//! Words are `AtomicU64`s so the warps of one launch can run on several
+//! host threads over a shared `&GlobalMem`. Every lane access is `Relaxed`:
+//! a word publishes no other data within a launch, because a kernel that
+//! hands data from one warp to another through memory is a warp race
+//! under racecheck, and the launch's thread join orders every access
+//! before the host reads the results. On x86-64 relaxed loads and stores
+//! compile to plain moves.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Once any sanitizer-enabled device exists in the process, `Buf::at` bounds
 /// failures become hard errors even in release builds (normally they are
@@ -61,7 +69,7 @@ impl Buf {
 /// Flat global memory with a bump allocator.
 #[derive(Debug)]
 pub struct GlobalMem {
-    words: Vec<u64>,
+    words: Vec<AtomicU64>,
     next: u64,
     capacity_words: u64,
 }
@@ -104,7 +112,7 @@ impl GlobalMem {
         self.next = end;
         let needed = usize::try_from(self.next).expect("device capacity fits usize");
         if self.words.len() < needed {
-            self.words.resize(needed, 0);
+            self.words.resize_with(needed, || AtomicU64::new(0));
         }
         Ok(Buf { addr, len })
     }
@@ -121,31 +129,59 @@ impl GlobalMem {
         self.next
     }
 
+    #[inline]
+    fn word(&self, addr: u64) -> &AtomicU64 {
+        &self.words[usize::try_from(addr).expect("addr fits usize")]
+    }
+
     /// Raw word read (host-side or lane-side; no metering here — metering is
     /// the warp context's job).
     #[inline]
     pub fn read(&self, addr: u64) -> u64 {
-        self.words[usize::try_from(addr).expect("addr fits usize")]
+        self.word(addr).load(Ordering::Relaxed)
     }
 
-    /// Raw word write.
+    /// Raw host-side word write.
     #[inline]
     pub fn write(&mut self, addr: u64, val: u64) {
-        self.words[usize::try_from(addr).expect("addr fits usize")] = val;
+        *self.words[usize::try_from(addr).expect("addr fits usize")].get_mut() = val;
+    }
+
+    /// Lane-side word store.
+    #[inline]
+    pub(crate) fn store(&self, addr: u64, val: u64) {
+        self.word(addr).store(val, Ordering::Relaxed);
+    }
+
+    /// Lane-side compare-and-swap; returns the old value.
+    #[inline]
+    pub(crate) fn cas(&self, addr: u64, expected: u64, new: u64) -> u64 {
+        let (Ok(old) | Err(old)) =
+            self.word(addr).compare_exchange(expected, new, Ordering::Relaxed, Ordering::Relaxed);
+        old
+    }
+
+    /// Lane-side wrapping add; returns the old value.
+    #[inline]
+    pub(crate) fn fetch_add(&self, addr: u64, val: u64) -> u64 {
+        self.word(addr).fetch_add(val, Ordering::Relaxed)
     }
 
     /// Host-side bulk copy into device memory.
     pub fn write_slice(&mut self, buf: Buf, offset: u64, data: &[u64]) {
         assert!(offset + data.len() as u64 <= buf.len, "write past buffer end");
         let start = usize::try_from(buf.addr + offset).expect("fits");
-        self.words[start..start + data.len()].copy_from_slice(data);
+        for (word, &val) in self.words[start..start + data.len()].iter_mut().zip(data) {
+            *word.get_mut() = val;
+        }
     }
 
     /// Host-side bulk copy out of device memory.
     pub fn read_slice(&self, buf: Buf, offset: u64, len: u64) -> Vec<u64> {
         assert!(offset + len <= buf.len, "read past buffer end");
         let start = usize::try_from(buf.addr + offset).expect("fits");
-        self.words[start..start + usize::try_from(len).expect("fits")].to_vec()
+        let words = &self.words[start..start + usize::try_from(len).expect("fits")];
+        words.iter().map(|w| w.load(Ordering::Relaxed)).collect()
     }
 }
 

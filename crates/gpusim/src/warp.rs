@@ -27,7 +27,7 @@ pub const FULL_MASK: u32 = u32::MAX;
 pub struct WarpCtx<'a> {
     /// Flat warp index within the launch.
     pub warp_id: usize,
-    mem: &'a mut GlobalMem,
+    mem: &'a GlobalMem,
     counters: &'a mut Counters,
     mask: u32,
     mask_stack: Vec<u32>,
@@ -42,7 +42,7 @@ pub struct WarpCtx<'a> {
 impl<'a> WarpCtx<'a> {
     pub(crate) fn new(
         warp_id: usize,
-        mem: &'a mut GlobalMem,
+        mem: &'a GlobalMem,
         counters: &'a mut Counters,
         local_words_per_lane: usize,
         sector_bytes: u32,
@@ -220,7 +220,7 @@ impl<'a> WarpCtx<'a> {
             }
             if let Some(addr) = addrs[lane] {
                 if self.sanitize_access(lane, addr, AccessKind::Write) {
-                    self.mem.write(addr, vals[lane]);
+                    self.mem.store(addr, vals[lane]);
                 }
                 participating += 1;
                 sectors.push(addr / self.sector_words);
@@ -270,11 +270,7 @@ impl<'a> WarpCtx<'a> {
             }
             if let Some((addr, expected, new)) = ops[lane] {
                 if self.sanitize_access(lane, addr, AccessKind::Atomic) {
-                    let old = self.mem.read(addr);
-                    if old == expected {
-                        self.mem.write(addr, new);
-                    }
-                    out[lane] = old;
+                    out[lane] = self.mem.cas(addr, expected, new);
                 }
                 participating += 1;
                 sectors.push(addr / self.sector_words);
@@ -299,9 +295,7 @@ impl<'a> WarpCtx<'a> {
             }
             if let Some((addr, val)) = ops[lane] {
                 if self.sanitize_access(lane, addr, AccessKind::Atomic) {
-                    let old = self.mem.read(addr);
-                    self.mem.write(addr, old.wrapping_add(val));
-                    out[lane] = old;
+                    out[lane] = self.mem.fetch_add(addr, val);
                 }
                 participating += 1;
                 sectors.push(addr / self.sector_words);
@@ -485,7 +479,7 @@ mod tests {
         // Preallocate a working buffer at addr 0.
         mem.alloc(4096).unwrap();
         let mut counters = Counters::new();
-        let mut ctx = WarpCtx::new(0, &mut mem, &mut counters, 64, 32, None);
+        let mut ctx = WarpCtx::new(0, &mem, &mut counters, 64, 32, None);
         f(&mut ctx);
         counters
     }
@@ -685,7 +679,7 @@ mod tests {
             let mut s = Sanitizer::new(SanitizerConfig::full());
             s.on_alloc(0, 4096, true);
             {
-                let mut ctx = WarpCtx::new(0, &mut mem, &mut counters, 64, 32, Some(&mut s));
+                let mut ctx = WarpCtx::new(0, &mem, &mut counters, 64, 32, Some(&mut s));
                 f(&mut ctx);
                 ctx.finish_warp();
             }

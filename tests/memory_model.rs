@@ -51,16 +51,18 @@ proptest! {
     fn cas_exactly_one_winner(news in proptest::collection::vec(1u64..u64::MAX, 32)) {
         let mut dev = Device::new(DeviceConfig::tiny());
         let buf = dev.alloc(4).unwrap();
-        let news2 = news.clone();
-        let mut winner_val = 0u64;
+        // Each lane writes the value its CAS saw to its own word.
+        let seen = dev.alloc(WARP as u64).unwrap();
         dev.launch(1, 0, |ctx| {
-            let ops = ctx.lanes_from(|l| Some((buf.addr, 0u64, news2[l])));
+            let ops = ctx.lanes_from(|l| Some((buf.addr, 0u64, news[l])));
             let old = ctx.atomic_cas(&ops);
-            let winners: Vec<usize> = (0..WARP).filter(|&l| old[l] == 0).collect();
-            assert_eq!(winners.len(), 1);
-            winner_val = news2[winners[0]];
+            let addrs = ctx.lanes_from(|l| Some(seen.at(l as u64)));
+            ctx.st_global(&addrs, &old);
         }).expect("healthy device");
-        prop_assert_eq!(dev.d2h_word(buf, 0), winner_val);
+        let old = dev.d2h(seen, 0, WARP as u64);
+        let winners: Vec<usize> = (0..WARP).filter(|&l| old[l] == 0).collect();
+        prop_assert_eq!(winners.len(), 1);
+        prop_assert_eq!(dev.d2h_word(buf, 0), news[winners[0]]);
     }
 }
 

@@ -5,7 +5,7 @@ use bioseq::DnaSeq;
 use datagen::{generate_community, simulate_reads, Community, CommunityConfig, ReadSimConfig};
 use gpusim::DeviceConfig;
 use locassm::gpu::KernelVersion;
-use mhm::{run_iterative, run_pipeline, EngineChoice, Phase, PipelineConfig, Scaffold};
+use mhm::{run_iterative, run_pipeline, EngineChoice, Phase, PipelineConfig, PipelineResult};
 
 fn community(n_species: usize, seed: u64) -> Community {
     generate_community(&CommunityConfig {
@@ -200,19 +200,26 @@ fn phase_timings_all_positive_total() {
     }
 }
 
-/// Contigs and rendered scaffolds from `run` at 2 and 4 threads are
-/// byte-identical to the 1-thread run.
-fn assert_thread_count_invariant(run: impl Fn() -> (Vec<DnaSeq>, Vec<Scaffold>) + Send + Sync) {
+/// Contigs, rendered scaffolds, the modeled GPU seconds (bit for bit) and
+/// the GPU counters from `run` at 2 and 4 threads are identical to the
+/// 1-thread run. `gpu` says whether the run uses the simulated device.
+fn assert_thread_count_invariant(gpu: bool, run: impl Fn() -> PipelineResult + Send + Sync) {
     let at = |threads: usize| {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-        let (contigs, scaffolds) = pool.install(&run);
-        let rendered: Vec<DnaSeq> = scaffolds.iter().map(|s| s.render(&contigs)).collect();
-        (contigs, rendered)
+        let r = pool.install(&run);
+        let rendered: Vec<DnaSeq> = r.scaffolds.iter().map(|s| s.render(&r.contigs)).collect();
+        let sim_bits = r.stats.la_gpu_sim_seconds.map(f64::to_bits);
+        let counters = r.stats.gpu.as_ref().map(|g| g.counters);
+        (r.contigs, rendered, sim_bits, counters)
     };
     let one = at(1);
     assert!(!one.0.is_empty());
+    assert_eq!(one.2.is_some() && one.3.is_some_and(|c| c.warp_insts() > 0), gpu);
     for threads in [2, 4] {
-        assert!(at(threads) == one, "{threads} threads differ from 1 thread");
+        let other = at(threads);
+        assert!(other.0 == one.0 && other.1 == one.1, "{threads} threads: output differs");
+        assert_eq!(other.2, one.2, "{threads} threads: modeled GPU seconds differ");
+        assert_eq!(other.3, one.3, "{threads} threads: GPU counters differ");
     }
 }
 
@@ -222,11 +229,9 @@ fn thread_count_pairs() -> Vec<bioseq::PairedRead> {
 
 fn assert_engine_thread_count_invariant(engine: EngineChoice) {
     let pairs = thread_count_pairs();
+    let gpu = !matches!(engine, EngineChoice::Cpu);
     let cfg = PipelineConfig { engine, ..Default::default() };
-    assert_thread_count_invariant(|| {
-        let r = run_pipeline(&pairs, &cfg).expect("pipeline runs");
-        (r.contigs, r.scaffolds)
-    });
+    assert_thread_count_invariant(gpu, || run_pipeline(&pairs, &cfg).expect("pipeline runs"));
 }
 
 #[test]
@@ -252,8 +257,7 @@ fn overlap_engine_output_is_thread_count_invariant() {
 #[test]
 fn iterative_output_is_thread_count_invariant() {
     let pairs = thread_count_pairs();
-    assert_thread_count_invariant(|| {
-        let r = run_iterative(&pairs, &PipelineConfig::default(), &[21, 33]);
-        (r.contigs, r.scaffolds)
+    assert_thread_count_invariant(false, || {
+        run_iterative(&pairs, &PipelineConfig::default(), &[21, 33])
     });
 }
