@@ -4,7 +4,7 @@
 use bench::{local_assembly_dump, DumpConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use datagen::arcticsynth_like;
-use gpusim::{DeviceConfig, SanitizerConfig};
+use gpusim::DeviceConfig;
 use locassm::gpu::{GpuLocalAssembler, KernelVersion};
 use locassm::LocalAssemblyParams;
 use std::hint::black_box;
@@ -31,7 +31,7 @@ fn bench_kernels(c: &mut Criterion) {
     group.bench_function("v2_gpucheck", |b| {
         b.iter(|| {
             let mut engine = GpuLocalAssembler::new(
-                DeviceConfig::v100().with_sanitizer(SanitizerConfig::full()),
+                DeviceConfig::v100().with_sanitizer(),
                 params.clone(),
                 KernelVersion::V2,
             );

@@ -1,7 +1,6 @@
 //! Device configuration: V100-flavoured defaults, everything tunable.
 
 use crate::fault::FaultPlan;
-use crate::sanitizer::SanitizerConfig;
 use serde::{Deserialize, Serialize};
 
 /// Hardware parameters of the simulated device.
@@ -35,9 +34,9 @@ pub struct DeviceConfig {
     pub l1_tx_per_cycle_per_sm: f64,
     /// Deterministic fault-injection schedule (empty = healthy device).
     pub fault_plan: FaultPlan,
-    /// `gpucheck` sanitizer analyses (all off by default — zero overhead).
+    /// Run every launch under the `gpucheck` sanitizer (off by default).
     #[serde(default)]
-    pub sanitizer: SanitizerConfig,
+    pub sanitize: bool,
 }
 
 impl Default for DeviceConfig {
@@ -62,7 +61,7 @@ impl DeviceConfig {
             launch_overhead_us: 10.0,
             l1_tx_per_cycle_per_sm: 4.0,
             fault_plan: FaultPlan::none(),
-            sanitizer: SanitizerConfig::off(),
+            sanitize: false,
         }
     }
 
@@ -81,7 +80,7 @@ impl DeviceConfig {
             launch_overhead_us: 1.0,
             l1_tx_per_cycle_per_sm: 2.0,
             fault_plan: FaultPlan::none(),
-            sanitizer: SanitizerConfig::off(),
+            sanitize: false,
         }
     }
 
@@ -91,9 +90,9 @@ impl DeviceConfig {
         self
     }
 
-    /// Enable `gpucheck` analyses (builder style).
-    pub fn with_sanitizer(mut self, sanitizer: SanitizerConfig) -> DeviceConfig {
-        self.sanitizer = sanitizer;
+    /// Turn the `gpucheck` sanitizer on (builder style).
+    pub fn with_sanitizer(mut self) -> DeviceConfig {
+        self.sanitize = true;
         self
     }
 

@@ -4,15 +4,18 @@ use crate::config::DeviceConfig;
 use crate::counters::Counters;
 use crate::fault::{Fault, LaunchError};
 use crate::mem::{Buf, DeviceOom, GlobalMem};
-use crate::sanitizer::{Sanitizer, SanitizerConfig, SanitizerSummary};
+use crate::sanitizer::{Sanitizer, SanitizerSummary};
 use crate::timing::{self, TimingEstimate};
 use crate::warp::WarpCtx;
 use rayon::prelude::*;
 use std::ops::Range;
 
-/// Environment variable forcing the full `gpucheck` sanitizer on for every
-/// device, regardless of config (the CI whole-suite sanitize job sets it).
-pub const SANITIZE_ENV: &str = "GPUSIM_SANITIZE";
+/// Does the `GPUSIM_SANITIZE` environment variable force the `gpucheck`
+/// sanitizer on for every device, whatever its config? Any value but empty
+/// or `0` does (the CI whole-suite sanitize job sets it).
+pub fn sanitize_env_forced() -> bool {
+    std::env::var_os("GPUSIM_SANITIZE").is_some_and(|v| v != "0" && !v.is_empty())
+}
 
 /// Warp ranges a launch is cut into per host thread, so warps of uneven
 /// cost still balance across threads.
@@ -58,21 +61,14 @@ pub struct Device {
 
 impl Device {
     /// New device with the given configuration. The `GPUSIM_SANITIZE`
-    /// environment variable forces the full sanitizer on even when the
-    /// config leaves it off.
+    /// environment variable ([`sanitize_env_forced`]) turns the sanitizer
+    /// on even when the config leaves it off.
     pub fn new(config: DeviceConfig) -> Device {
         let cap = config.capacity_words();
         let fired = vec![false; config.fault_plan.faults.len()];
-        let san_cfg = if config.sanitizer.enabled() {
-            Some(config.sanitizer)
-        } else if std::env::var_os(SANITIZE_ENV).is_some_and(|v| v != "0" && !v.is_empty()) {
-            Some(SanitizerConfig::full())
-        } else {
-            None
-        };
-        let sanitizer = san_cfg.map(|cfg| {
+        let sanitizer = (config.sanitize || sanitize_env_forced()).then(|| {
             crate::mem::enable_strict_bounds();
-            Box::new(Sanitizer::new(cfg))
+            Box::new(Sanitizer::new())
         });
         Device {
             config,
@@ -514,10 +510,10 @@ mod tests {
 
     mod sanitized {
         use super::*;
-        use crate::sanitizer::{SanitizerConfig, SanitizerKind};
+        use crate::sanitizer::SanitizerKind;
 
         fn sanitized_device() -> Device {
-            Device::new(DeviceConfig::tiny().with_sanitizer(SanitizerConfig::full()))
+            Device::new(DeviceConfig::tiny().with_sanitizer())
         }
 
         #[test]
@@ -525,8 +521,7 @@ mod tests {
             assert!(sanitized_device().sanitizer_enabled());
             // The default is off — unless the process-wide env override is
             // in force (the CI sanitize job runs this very test under it).
-            let env_forced = std::env::var(SANITIZE_ENV).is_ok_and(|v| !v.is_empty() && v != "0");
-            if !env_forced {
+            if !sanitize_env_forced() {
                 assert!(!Device::new(DeviceConfig::tiny()).sanitizer_enabled());
                 assert!(Device::new(DeviceConfig::tiny()).take_sanitizer_summary().is_none());
             }

@@ -33,15 +33,18 @@
 //! the recovery paths of the layers above.
 //!
 //! A `compute-sanitizer`-style checking layer — **`gpucheck`**
-//! ([`sanitizer`], [`shadow`]) — can be enabled per device via
-//! [`DeviceConfig::with_sanitizer`] (or forced process-wide with
-//! `GPUSIM_SANITIZE=1`). It runs three analyses over the executing kernels:
-//! *memcheck* (out-of-bounds, use-after-reset through stale [`Buf`]s,
-//! uninitialized reads), *racecheck* (same-word lane and warp hazards where
-//! at least one access is a plain store), and *synccheck* (mask-stack
-//! balance, shuffles from inactive lanes, empty-mask collectives). Findings
-//! surface as structured [`SanitizerReport`] records; when the sanitizer is
-//! off (the default) kernels pay one `Option` branch per memory operation.
+//! ([`sanitizer`], [`shadow`]) — is one switch: on per device via
+//! [`DeviceConfig::with_sanitizer`], or process-wide with
+//! `GPUSIM_SANITIZE=1` ([`sanitize_env_forced`]). It runs three analyses
+//! over the executing kernels: *memcheck* (out-of-bounds, use-after-reset
+//! through stale [`Buf`]s, uninitialized reads), *racecheck* (same-word lane
+//! and warp hazards where at least one access is a plain store), and
+//! *synccheck* (mask-stack balance, shuffles from inactive lanes, empty-mask
+//! collectives). Findings surface as structured [`SanitizerReport`] records,
+//! at most [`sanitizer::MAX_REPORTS`] materialized per summary. Every global-memory
+//! warp instruction goes through one metered path in [`WarpCtx`]; when the
+//! sanitizer is off (the default) that path pays one `Option` test per lane
+//! access.
 //!
 //! What this deliberately does **not** model: instruction pipelining details,
 //! L2 behaviour, ECC scrubbing, or clock boosting. The paper's conclusions are about
@@ -67,9 +70,9 @@ pub mod warp;
 
 pub use config::DeviceConfig;
 pub use counters::{Counters, InstClass};
-pub use device::{Device, LaunchStats, SANITIZE_ENV};
+pub use device::{sanitize_env_forced, Device, LaunchStats};
 pub use fault::{Fault, FaultPlan, LaunchError};
 pub use mem::{Buf, DeviceOom};
 pub use roofline::RooflineReport;
-pub use sanitizer::{SanitizerConfig, SanitizerKind, SanitizerReport, SanitizerSummary};
+pub use sanitizer::{SanitizerKind, SanitizerReport, SanitizerSummary};
 pub use warp::{Lanes, WarpCtx, WARP};

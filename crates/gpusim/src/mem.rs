@@ -169,7 +169,8 @@ impl GlobalMem {
 
     /// Host-side bulk copy into device memory.
     pub fn write_slice(&mut self, buf: Buf, offset: u64, data: &[u64]) {
-        assert!(offset + data.len() as u64 <= buf.len, "write past buffer end");
+        let end = offset.checked_add(data.len() as u64);
+        assert!(end.is_some_and(|e| e <= buf.len), "write past buffer end");
         let start = usize::try_from(buf.addr + offset).expect("fits");
         for (word, &val) in self.words[start..start + data.len()].iter_mut().zip(data) {
             *word.get_mut() = val;
@@ -178,7 +179,8 @@ impl GlobalMem {
 
     /// Host-side bulk copy out of device memory.
     pub fn read_slice(&self, buf: Buf, offset: u64, len: u64) -> Vec<u64> {
-        assert!(offset + len <= buf.len, "read past buffer end");
+        let end = offset.checked_add(len);
+        assert!(end.is_some_and(|e| e <= buf.len), "read past buffer end");
         let start = usize::try_from(buf.addr + offset).expect("fits");
         let words = &self.words[start..start + usize::try_from(len).expect("fits")];
         words.iter().map(|w| w.load(Ordering::Relaxed)).collect()
@@ -247,6 +249,26 @@ mod tests {
         // off + len wraps u64; must be rejected, not wrapped into bounds.
         let b = Buf { addr: 0, len: 10 };
         b.slice(u64::MAX, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "past buffer end")]
+    fn write_slice_overflowing_offset_panics() {
+        // offset + len wraps u64; must be rejected, not wrapped into the
+        // previous allocation.
+        let mut m = GlobalMem::new(100);
+        m.alloc(10).unwrap();
+        let b = m.alloc(10).unwrap();
+        m.write_slice(b, u64::MAX, &[42]);
+    }
+
+    #[test]
+    #[should_panic(expected = "past buffer end")]
+    fn read_slice_overflowing_offset_panics() {
+        let mut m = GlobalMem::new(100);
+        m.alloc(10).unwrap();
+        let b = m.alloc(10).unwrap();
+        m.read_slice(b, u64::MAX, 1);
     }
 
     #[test]

@@ -20,51 +20,15 @@
 //!
 //! The sanitizer is a pure observer of the instruction stream: counters,
 //! coalescing, and timing are identical with it on or off for a clean
-//! kernel, and a disabled sanitizer costs one `Option` branch per memory
-//! operation.
+//! kernel, and a device without the sanitizer pays one `Option` test per
+//! lane access.
 
 use crate::shadow::{MemIssue, ShadowMemory};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Which analyses to run. Stored in
-/// [`DeviceConfig::sanitizer`](crate::config::DeviceConfig); all-off by
-/// default so release hot paths pay nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SanitizerConfig {
-    /// Shadow-memory checking: OOB, use-after-reset, uninitialized reads.
-    pub memcheck: bool,
-    /// Same-word lane/warp hazard detection.
-    pub racecheck: bool,
-    /// Mask-discipline checking.
-    pub synccheck: bool,
-    /// Detailed reports kept per run; findings past the cap are still
-    /// counted, just not materialized.
-    pub max_reports: usize,
-}
-
-impl Default for SanitizerConfig {
-    fn default() -> Self {
-        SanitizerConfig::off()
-    }
-}
-
-impl SanitizerConfig {
-    /// Everything disabled (the default; zero overhead).
-    pub fn off() -> SanitizerConfig {
-        SanitizerConfig { memcheck: false, racecheck: false, synccheck: false, max_reports: 64 }
-    }
-
-    /// All three analyses on.
-    pub fn full() -> SanitizerConfig {
-        SanitizerConfig { memcheck: true, racecheck: true, synccheck: true, max_reports: 64 }
-    }
-
-    /// Is any analysis enabled?
-    pub fn enabled(&self) -> bool {
-        self.memcheck || self.racecheck || self.synccheck
-    }
-}
+/// Detailed reports a [`SanitizerSummary`] keeps; findings past the cap
+/// are still counted, just not materialized.
+pub const MAX_REPORTS: usize = 64;
 
 /// The defect classes the sanitizer reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -172,7 +136,7 @@ pub struct SanitizerSummary {
     /// "clean under the sanitizer" from "never checked").
     pub enabled: bool,
     counts: [u64; SanitizerKind::ALL.len()],
-    /// Detailed sample, capped at the config's `max_reports`.
+    /// Detailed sample, capped at [`MAX_REPORTS`].
     pub reports: Vec<SanitizerReport>,
     /// Findings counted but not materialized (past the cap).
     pub dropped: u64,
@@ -202,7 +166,7 @@ impl SanitizerSummary {
         }
         self.dropped += other.dropped;
         for r in &other.reports {
-            if self.reports.len() < 64 {
+            if self.reports.len() < MAX_REPORTS {
                 self.reports.push(r.clone());
             } else {
                 self.dropped += 1;
@@ -236,9 +200,9 @@ impl SanitizerSummary {
         out
     }
 
-    fn record(&mut self, report: SanitizerReport, cap: usize) {
+    fn record(&mut self, report: SanitizerReport) {
         self.counts[report.kind.index()] += 1;
-        if self.reports.len() < cap {
+        if self.reports.len() < MAX_REPORTS {
             self.reports.push(report);
         } else {
             self.dropped += 1;
@@ -273,12 +237,11 @@ struct LaunchAccess {
     reported: bool,
 }
 
-/// The dynamic checker. Owned by [`Device`](crate::device::Device) when the
-/// config enables any analysis; threaded into every
-/// [`WarpCtx`](crate::warp::WarpCtx) the device launches.
+/// The dynamic checker, running all three analyses. Owned by
+/// [`Device`](crate::device::Device) when the sanitizer is on; threaded
+/// into every [`WarpCtx`](crate::warp::WarpCtx) the device launches.
 #[derive(Debug)]
 pub struct Sanitizer {
-    config: SanitizerConfig,
     shadow: ShadowMemory,
     summary: SanitizerSummary,
     launch: u64,
@@ -290,10 +253,9 @@ pub struct Sanitizer {
 }
 
 impl Sanitizer {
-    /// A fresh sanitizer with empty shadow state for the given tool set.
-    pub fn new(config: SanitizerConfig) -> Sanitizer {
+    /// A fresh sanitizer with empty shadow state.
+    pub(crate) fn new() -> Sanitizer {
         Sanitizer {
-            config,
             shadow: ShadowMemory::new(),
             summary: SanitizerSummary { enabled: true, ..Default::default() },
             launch: 0,
@@ -301,11 +263,6 @@ impl Sanitizer {
             region: HashMap::new(),
             launch_map: HashMap::new(),
         }
-    }
-
-    /// The config in force.
-    pub fn config(&self) -> &SanitizerConfig {
-        &self.config
     }
 
     /// Findings so far (accumulates until [`Sanitizer::take_summary`]).
@@ -341,7 +298,7 @@ impl Sanitizer {
             site: self.site,
             detail,
         };
-        self.summary.record(report, self.config.max_reports);
+        self.summary.record(report);
     }
 
     // ---- host-side hooks ---------------------------------------------------
@@ -380,7 +337,7 @@ impl Sanitizer {
     /// Kernel body returned for this warp; `mask_depth` is the residual
     /// `push_mask` stack depth (synccheck: must be zero).
     pub(crate) fn end_warp(&mut self, warp: usize, mask_depth: usize) {
-        if self.config.synccheck && mask_depth != 0 {
+        if mask_depth != 0 {
             self.report(
                 SanitizerKind::MaskStackImbalance,
                 warp,
@@ -409,53 +366,49 @@ impl Sanitizer {
         addr: u64,
         kind: AccessKind,
     ) -> bool {
-        if self.config.memcheck {
-            let is_load = kind == AccessKind::Read;
-            match self.shadow.classify(addr, is_load) {
-                Some(MemIssue::OutOfBounds) => {
-                    self.report(
-                        SanitizerKind::OutOfBounds,
-                        warp,
-                        vec![lane],
-                        Some(addr),
-                        None,
-                        format!("{} past the allocated arena", access_verb(kind)),
-                    );
-                    return false;
-                }
-                Some(MemIssue::UseAfterReset { alloc }) => {
-                    self.report(
-                        SanitizerKind::UseAfterReset,
-                        warp,
-                        vec![lane],
-                        Some(addr),
-                        Some(alloc),
-                        format!("{} through a Buf invalidated by reset", access_verb(kind)),
-                    );
-                    return false;
-                }
-                Some(MemIssue::UninitRead { alloc }) => {
-                    self.report(
-                        SanitizerKind::UninitRead,
-                        warp,
-                        vec![lane],
-                        Some(addr),
-                        Some(alloc),
-                        "load from a word never written since alloc_uninit".to_string(),
-                    );
-                    // The read itself is well-defined in the simulator
-                    // (words are physically zeroed): report, don't drop.
-                }
-                None => {}
+        let is_load = kind == AccessKind::Read;
+        match self.shadow.classify(addr, is_load) {
+            Some(MemIssue::OutOfBounds) => {
+                self.report(
+                    SanitizerKind::OutOfBounds,
+                    warp,
+                    vec![lane],
+                    Some(addr),
+                    None,
+                    format!("{} past the allocated arena", access_verb(kind)),
+                );
+                return false;
             }
-            if kind != AccessKind::Read {
-                self.shadow.mark_written(addr);
+            Some(MemIssue::UseAfterReset { alloc }) => {
+                self.report(
+                    SanitizerKind::UseAfterReset,
+                    warp,
+                    vec![lane],
+                    Some(addr),
+                    Some(alloc),
+                    format!("{} through a Buf invalidated by reset", access_verb(kind)),
+                );
+                return false;
             }
+            Some(MemIssue::UninitRead { alloc }) => {
+                self.report(
+                    SanitizerKind::UninitRead,
+                    warp,
+                    vec![lane],
+                    Some(addr),
+                    Some(alloc),
+                    "load from a word never written since alloc_uninit".to_string(),
+                );
+                // The read itself is well-defined in the simulator
+                // (words are physically zeroed): report, don't drop.
+            }
+            None => {}
         }
-        if self.config.racecheck {
-            self.check_lane_race(warp, lane, addr, kind);
-            self.check_warp_race(warp, lane, addr, kind);
+        if kind != AccessKind::Read {
+            self.shadow.mark_written(addr);
         }
+        self.check_lane_race(warp, lane, addr, kind);
+        self.check_warp_race(warp, lane, addr, kind);
         true
     }
 
@@ -534,7 +487,7 @@ impl Sanitizer {
     /// `syncwarp`: clears the intra-warp race region; flags a sync with no
     /// active lanes.
     pub(crate) fn sync_point(&mut self, warp: usize, active_mask: u32) {
-        if self.config.synccheck && active_mask == 0 {
+        if active_mask == 0 {
             self.report(
                 SanitizerKind::SyncNoActiveLanes,
                 warp,
@@ -544,16 +497,11 @@ impl Sanitizer {
                 "syncwarp with an empty active mask".to_string(),
             );
         }
-        if self.config.racecheck {
-            self.region.clear();
-        }
+        self.region.clear();
     }
 
     /// A shuffle reading `vals[src_lane]`: the source lane must be active.
     pub(crate) fn shuffle(&mut self, warp: usize, src_lane: usize, active_mask: u32) {
-        if !self.config.synccheck {
-            return;
-        }
         if active_mask == 0 {
             self.report(
                 SanitizerKind::SyncNoActiveLanes,
@@ -577,7 +525,7 @@ impl Sanitizer {
 
     /// A ballot/match collective: needs at least one active lane.
     pub(crate) fn collective(&mut self, warp: usize, active_mask: u32) {
-        if self.config.synccheck && active_mask == 0 {
+        if active_mask == 0 {
             self.report(
                 SanitizerKind::SyncNoActiveLanes,
                 warp,
@@ -603,13 +551,14 @@ mod tests {
     use super::*;
 
     fn sane() -> Sanitizer {
-        Sanitizer::new(SanitizerConfig::full())
+        Sanitizer::new()
     }
 
     #[test]
     fn off_config_is_disabled() {
-        assert!(!SanitizerConfig::off().enabled());
-        assert!(SanitizerConfig::full().enabled());
+        use crate::config::DeviceConfig;
+        assert!(!DeviceConfig::v100().sanitize && !DeviceConfig::tiny().sanitize);
+        assert!(DeviceConfig::tiny().with_sanitizer().sanitize);
     }
 
     #[test]
@@ -681,15 +630,23 @@ mod tests {
 
     #[test]
     fn report_cap_counts_but_drops() {
-        let mut s = Sanitizer::new(SanitizerConfig { max_reports: 2, ..SanitizerConfig::full() });
-        s.on_alloc(0, 1, true);
-        for lane in 0..5 {
-            s.global_access(0, lane, 0, AccessKind::Write);
+        let races = MAX_REPORTS as u64 + 2;
+        let mut s = sane();
+        s.on_alloc(0, races, true);
+        for addr in 0..races {
+            // Lanes 0 and 1 store to the same word: one race per word.
+            s.global_access(0, 0, addr, AccessKind::Write);
+            s.global_access(0, 1, addr, AccessKind::Write);
         }
-        // 4 races (each new lane vs a prior one), 2 materialized.
-        assert_eq!(s.summary().count(SanitizerKind::LaneRace), 4);
-        assert_eq!(s.summary().reports.len(), 2);
+        assert_eq!(s.summary().count(SanitizerKind::LaneRace), races);
+        assert_eq!(s.summary().reports.len(), MAX_REPORTS);
         assert_eq!(s.summary().dropped, 2);
+        // Folding keeps the same cap.
+        let mut total = SanitizerSummary::default();
+        total.absorb(s.summary());
+        total.absorb(s.summary());
+        assert_eq!(total.reports.len(), MAX_REPORTS);
+        assert_eq!(total.dropped, 2 + 2 + MAX_REPORTS as u64);
     }
 
     #[test]

@@ -82,19 +82,6 @@ impl<'a> WarpCtx<'a> {
         }
     }
 
-    /// Sanitizer check for one lane's global access. `true` = proceed with
-    /// the physical access; `false` = memcheck found it invalid (loads then
-    /// yield 0, stores and atomics are dropped). Accounting is unaffected
-    /// either way so clean-run counters are identical sanitizer on or off.
-    #[inline]
-    fn sanitize_access(&mut self, lane: usize, addr: u64, kind: AccessKind) -> bool {
-        let warp = self.warp_id;
-        match self.sanitizer.as_mut() {
-            Some(s) => s.global_access(warp, lane, addr, kind),
-            None => true,
-        }
-    }
-
     // ---- mask management ------------------------------------------------
 
     /// Current active mask (bit `i` = lane `i` active).
@@ -166,12 +153,6 @@ impl<'a> WarpCtx<'a> {
         self.counters.record(InstClass::Int, n, self.active_count());
     }
 
-    /// Account `n` floating-point warp instructions.
-    #[inline]
-    pub fn fp_ops(&mut self, n: u64) {
-        self.counters.record(InstClass::Fp, n, self.active_count());
-    }
-
     /// Account `n` control-flow warp instructions (loop branches etc.).
     #[inline]
     pub fn ctrl_ops(&mut self, n: u64) {
@@ -180,6 +161,49 @@ impl<'a> WarpCtx<'a> {
 
     // ---- global memory ----------------------------------------------------
 
+    /// The metered path of every global-memory warp instruction. Walks the
+    /// active lanes among `lanes` in ascending order; each lane for which
+    /// `op` yields `Some((addr, arg))` passes the sanitizer check and, unless
+    /// memcheck drops the access (a dropped load yields 0), performs
+    /// `access(mem, lane, addr, arg)`. Records one instruction (`LdStGlobal`,
+    /// or `Atomic` for atomics) over the participating lanes and adds the
+    /// distinct sectors they touched to the kind's transaction counter. A
+    /// dropped access still counts, so clean-run counters are identical with
+    /// the sanitizer on or off.
+    #[inline]
+    fn global_inst<T>(
+        &mut self,
+        kind: AccessKind,
+        lanes: u32,
+        op: impl Fn(usize) -> Option<(u64, T)>,
+        mut access: impl FnMut(&GlobalMem, usize, u64, T),
+    ) {
+        let mut sectors = [0u64; WARP];
+        let mut participating = 0usize;
+        for lane in lanes_of(lanes & self.mask) {
+            let Some((addr, arg)) = op(lane) else { continue };
+            let allowed = match self.sanitizer.as_mut() {
+                Some(s) => s.global_access(self.warp_id, lane, addr, kind),
+                None => true,
+            };
+            if allowed {
+                access(self.mem, lane, addr, arg);
+            }
+            sectors[participating] = addr / self.sector_words;
+            participating += 1;
+        }
+        let tx = distinct(&mut sectors[..participating]);
+        let c = &mut *self.counters;
+        match kind {
+            AccessKind::Read => c.global_ld_transactions += tx,
+            AccessKind::Write => c.global_st_transactions += tx,
+            AccessKind::Atomic => c.atomic_transactions += tx,
+        }
+        let class =
+            if kind == AccessKind::Atomic { InstClass::Atomic } else { InstClass::LdStGlobal };
+        c.record(class, 1, participating as u32);
+    }
+
     /// Warp-wide global load: each active lane with `Some(addr)` loads one
     /// 64-bit word. One `LdStGlobal` warp instruction; transactions are the
     /// number of distinct 32-byte sectors touched (coalescing).
@@ -187,24 +211,12 @@ impl<'a> WarpCtx<'a> {
     /// Inactive lanes and `None` lanes return 0 and count as predicated.
     pub fn ld_global(&mut self, addrs: &Lanes<Option<u64>>) -> Lanes<u64> {
         let mut out = [0u64; WARP];
-        let mut participating = 0u32;
-        let mut sectors: Vec<u64> = Vec::with_capacity(WARP);
-        for lane in 0..WARP {
-            if !self.lane_active(lane) {
-                continue;
-            }
-            if let Some(addr) = addrs[lane] {
-                if self.sanitize_access(lane, addr, AccessKind::Read) {
-                    out[lane] = self.mem.read(addr);
-                }
-                participating += 1;
-                sectors.push(addr / self.sector_words);
-            }
-        }
-        self.counters.record(InstClass::LdStGlobal, 1, participating);
-        sectors.sort_unstable();
-        sectors.dedup();
-        self.counters.global_ld_transactions += sectors.len() as u64;
+        self.global_inst(
+            AccessKind::Read,
+            FULL_MASK,
+            |l| addrs[l].map(|a| (a, ())),
+            |mem, l, a, ()| out[l] = mem.read(a),
+        );
         out
     }
 
@@ -212,42 +224,36 @@ impl<'a> WarpCtx<'a> {
     /// When several lanes store to the same address the highest lane wins
     /// (CUDA leaves this undefined; we pick a deterministic rule).
     pub fn st_global(&mut self, addrs: &Lanes<Option<u64>>, vals: &Lanes<u64>) {
-        let mut participating = 0u32;
-        let mut sectors: Vec<u64> = Vec::with_capacity(WARP);
-        for lane in 0..WARP {
-            if !self.lane_active(lane) {
-                continue;
-            }
-            if let Some(addr) = addrs[lane] {
-                if self.sanitize_access(lane, addr, AccessKind::Write) {
-                    self.mem.store(addr, vals[lane]);
-                }
-                participating += 1;
-                sectors.push(addr / self.sector_words);
-            }
-        }
-        self.counters.record(InstClass::LdStGlobal, 1, participating);
-        sectors.sort_unstable();
-        sectors.dedup();
-        self.counters.global_st_transactions += sectors.len() as u64;
+        self.global_inst(
+            AccessKind::Write,
+            FULL_MASK,
+            |l| addrs[l].map(|a| (a, vals[l])),
+            |mem, _, a, v| mem.store(a, v),
+        );
     }
 
     /// Single-lane convenience load (e.g. the walking lane). Still one warp
     /// instruction with one participating lane — exactly the predication
     /// pattern of the paper's DNA-walk phase.
     pub fn ld_global_lane(&mut self, lane: usize, addr: u64) -> u64 {
-        let mut addrs: Lanes<Option<u64>> = [None; WARP];
-        addrs[lane] = Some(addr);
-        self.ld_global(&addrs)[lane]
+        let mut out = 0;
+        self.global_inst(
+            AccessKind::Read,
+            lane_bit(lane),
+            |_| Some((addr, ())),
+            |mem, _, a, ()| out = mem.read(a),
+        );
+        out
     }
 
     /// Single-lane convenience store.
     pub fn st_global_lane(&mut self, lane: usize, addr: u64, val: u64) {
-        let mut addrs: Lanes<Option<u64>> = [None; WARP];
-        let mut vals: Lanes<u64> = [0; WARP];
-        addrs[lane] = Some(addr);
-        vals[lane] = val;
-        self.st_global(&addrs, &vals);
+        self.global_inst(
+            AccessKind::Write,
+            lane_bit(lane),
+            |_| Some((addr, val)),
+            |mem, _, a, v| mem.store(a, v),
+        );
     }
 
     // ---- atomics ----------------------------------------------------------
@@ -262,24 +268,12 @@ impl<'a> WarpCtx<'a> {
     /// sees `expected`).
     pub fn atomic_cas(&mut self, ops: &Lanes<Option<(u64, u64, u64)>>) -> Lanes<u64> {
         let mut out = [0u64; WARP];
-        let mut participating = 0u32;
-        let mut sectors: Vec<u64> = Vec::with_capacity(WARP);
-        for lane in 0..WARP {
-            if !self.lane_active(lane) {
-                continue;
-            }
-            if let Some((addr, expected, new)) = ops[lane] {
-                if self.sanitize_access(lane, addr, AccessKind::Atomic) {
-                    out[lane] = self.mem.cas(addr, expected, new);
-                }
-                participating += 1;
-                sectors.push(addr / self.sector_words);
-            }
-        }
-        self.counters.record(InstClass::Atomic, 1, participating);
-        sectors.sort_unstable();
-        sectors.dedup();
-        self.counters.atomic_transactions += sectors.len() as u64;
+        self.global_inst(
+            AccessKind::Atomic,
+            FULL_MASK,
+            |l| ops[l].map(|(a, expected, new)| (a, (expected, new))),
+            |mem, l, a, (expected, new)| out[l] = mem.cas(a, expected, new),
+        );
         out
     }
 
@@ -287,24 +281,12 @@ impl<'a> WarpCtx<'a> {
     /// address lanes serialize in lane order (all additions take effect).
     pub fn atomic_add(&mut self, ops: &Lanes<Option<(u64, u64)>>) -> Lanes<u64> {
         let mut out = [0u64; WARP];
-        let mut participating = 0u32;
-        let mut sectors: Vec<u64> = Vec::with_capacity(WARP);
-        for lane in 0..WARP {
-            if !self.lane_active(lane) {
-                continue;
-            }
-            if let Some((addr, val)) = ops[lane] {
-                if self.sanitize_access(lane, addr, AccessKind::Atomic) {
-                    out[lane] = self.mem.fetch_add(addr, val);
-                }
-                participating += 1;
-                sectors.push(addr / self.sector_words);
-            }
-        }
-        self.counters.record(InstClass::Atomic, 1, participating);
-        sectors.sort_unstable();
-        sectors.dedup();
-        self.counters.atomic_transactions += sectors.len() as u64;
+        self.global_inst(
+            AccessKind::Atomic,
+            FULL_MASK,
+            |l| ops[l],
+            |mem, l, a, v| out[l] = mem.fetch_add(a, v),
+        );
         out
     }
 
@@ -383,6 +365,33 @@ impl<'a> WarpCtx<'a> {
         self.local_words_per_lane
     }
 
+    /// The metered path of every local-memory warp instruction. Walks the
+    /// active lanes among `lanes` in ascending order; each lane for which
+    /// `offset` yields `Some(off)` gets its bounds-checked word handed to
+    /// `access(lane, word)`. Records one `LdStLocal` instruction over the
+    /// participating lanes and their [`local_transactions`].
+    #[inline]
+    fn local_inst(
+        &mut self,
+        lanes: u32,
+        offset: impl Fn(usize) -> Option<u64>,
+        mut access: impl FnMut(usize, &mut u64),
+    ) {
+        let mut offsets = [0u64; WARP];
+        let mut participating = 0usize;
+        for lane in lanes_of(lanes & self.mask) {
+            let Some(off) = offset(lane) else { continue };
+            let off_us = usize::try_from(off).expect("local offset fits");
+            assert!(off_us < self.local_words_per_lane, "local OOB");
+            access(lane, &mut self.local[lane * self.local_words_per_lane + off_us]);
+            offsets[participating] = off;
+            participating += 1;
+        }
+        self.counters.record(InstClass::LdStLocal, 1, participating as u32);
+        self.counters.local_transactions +=
+            local_transactions(&mut offsets[..participating], self.sector_words);
+    }
+
     /// Per-lane local-memory load at per-lane offsets.
     ///
     /// Transactions: lanes accessing the *same* offset sit contiguously in
@@ -390,60 +399,52 @@ impl<'a> WarpCtx<'a> {
     /// `ceil(participants / lanes_per_sector)` transactions.
     pub fn ld_local(&mut self, offsets: &Lanes<Option<u64>>) -> Lanes<u64> {
         let mut out = [0u64; WARP];
-        let mut participating = 0u32;
-        let mut by_offset: Vec<u64> = Vec::with_capacity(WARP);
-        for lane in 0..WARP {
-            if !self.lane_active(lane) {
-                continue;
-            }
-            if let Some(off) = offsets[lane] {
-                let off_us = usize::try_from(off).expect("local offset fits");
-                assert!(off_us < self.local_words_per_lane, "local OOB");
-                out[lane] = self.local[lane * self.local_words_per_lane + off_us];
-                participating += 1;
-                by_offset.push(off);
-            }
-        }
-        self.counters.record(InstClass::LdStLocal, 1, participating);
-        self.counters.local_transactions += local_transactions(&mut by_offset, self.sector_words);
+        self.local_inst(FULL_MASK, |l| offsets[l], |l, word| out[l] = *word);
         out
     }
 
     /// Per-lane local-memory store; accounting mirrors [`ld_local`](Self::ld_local).
     pub fn st_local(&mut self, offsets: &Lanes<Option<u64>>, vals: &Lanes<u64>) {
-        let mut participating = 0u32;
-        let mut by_offset: Vec<u64> = Vec::with_capacity(WARP);
-        for lane in 0..WARP {
-            if !self.lane_active(lane) {
-                continue;
-            }
-            if let Some(off) = offsets[lane] {
-                let off_us = usize::try_from(off).expect("local offset fits");
-                assert!(off_us < self.local_words_per_lane, "local OOB");
-                self.local[lane * self.local_words_per_lane + off_us] = vals[lane];
-                participating += 1;
-                by_offset.push(off);
-            }
-        }
-        self.counters.record(InstClass::LdStLocal, 1, participating);
-        self.counters.local_transactions += local_transactions(&mut by_offset, self.sector_words);
+        self.local_inst(FULL_MASK, |l| offsets[l], |l, word| *word = vals[l]);
     }
 
     /// Single-lane local load.
     pub fn ld_local_lane(&mut self, lane: usize, offset: u64) -> u64 {
-        let mut offs: Lanes<Option<u64>> = [None; WARP];
-        offs[lane] = Some(offset);
-        self.ld_local(&offs)[lane]
+        let mut out = 0;
+        self.local_inst(lane_bit(lane), |_| Some(offset), |_, word| out = *word);
+        out
     }
 
     /// Single-lane local store.
     pub fn st_local_lane(&mut self, lane: usize, offset: u64, val: u64) {
-        let mut offs: Lanes<Option<u64>> = [None; WARP];
-        let mut vals: Lanes<u64> = [0; WARP];
-        offs[lane] = Some(offset);
-        vals[lane] = val;
-        self.st_local(&offs, &vals);
+        self.local_inst(lane_bit(lane), |_| Some(offset), |_, word| *word = val);
     }
+}
+
+/// The set lanes of `mask`, lowest first.
+#[inline]
+fn lanes_of(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
+/// The mask bit of one lane; panics on a lane outside the warp.
+#[inline]
+fn lane_bit(lane: usize) -> u32 {
+    assert!(lane < WARP, "lane {lane} outside the warp");
+    1 << lane
+}
+
+/// Distinct values in `vals` (sorted in place): a global access's
+/// transactions are its distinct sectors.
+fn distinct(vals: &mut [u64]) -> u64 {
+    vals.sort_unstable();
+    (vals.len() - vals.windows(2).filter(|w| w[0] == w[1]).count()) as u64
 }
 
 /// Transactions for a local access: group by offset, each group of `n`
@@ -670,13 +671,13 @@ mod tests {
 
     mod sanitized {
         use super::*;
-        use crate::sanitizer::{Sanitizer, SanitizerConfig, SanitizerKind};
+        use crate::sanitizer::{Sanitizer, SanitizerKind};
 
         fn with_sanitized_ctx(f: impl FnOnce(&mut WarpCtx)) -> (Sanitizer, Counters) {
             let mut mem = GlobalMem::new(1 << 16);
             mem.alloc(4096).unwrap();
             let mut counters = Counters::new();
-            let mut s = Sanitizer::new(SanitizerConfig::full());
+            let mut s = Sanitizer::new();
             s.on_alloc(0, 4096, true);
             {
                 let mut ctx = WarpCtx::new(0, &mem, &mut counters, 64, 32, Some(&mut s));

@@ -14,7 +14,7 @@ use crate::stats::{evaluate_against_refs, AssemblyStats};
 use bioseq::fastq::{self, NPolicy};
 use bioseq::DnaSeq;
 use datagen::{arcticsynth_like, wa_like};
-use gpusim::{DeviceConfig, SanitizerConfig};
+use gpusim::DeviceConfig;
 use locassm::gpu::KernelVersion;
 use std::collections::HashMap;
 use std::fs::File;
@@ -205,7 +205,7 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
         };
         let mut device = DeviceConfig::v100();
         if sanitize {
-            device = device.with_sanitizer(SanitizerConfig::full());
+            device = device.with_sanitizer();
         }
         cfg.engine = if overlap {
             let mut steal = locassm::StealConfig::default();
@@ -429,9 +429,7 @@ mod tests {
              --gpu"
         )))
         .expect("gpu assemble");
-        let env_forced =
-            std::env::var(gpusim::SANITIZE_ENV).is_ok_and(|v| !v.is_empty() && v != "0");
-        if !env_forced {
+        if !gpusim::sanitize_env_forced() {
             assert!(!plain.contains("gpucheck"), "plain runs must not print the section: {plain}");
         }
         let unsanitized = std::fs::read_to_string(dir.join("asm_gpu/contigs.fasta")).unwrap();

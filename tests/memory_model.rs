@@ -11,9 +11,10 @@ use rand::{Rng, SeedableRng};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Coalescing bound: a warp load of n participating lanes generates
-    /// between 1 and n transactions, and exactly
-    /// #distinct-sectors transactions.
+    /// Coalescing bound: a warp load, store, atomic add or CAS of n
+    /// participating lanes generates between 1 and n transactions, and
+    /// exactly #distinct-sectors transactions. A single-lane access is one
+    /// participating lane and one sector.
     #[test]
     fn load_transactions_match_distinct_sectors(addrs in proptest::collection::vec(0u64..1024, 1..32)) {
         let mut dev = Device::new(DeviceConfig::tiny());
@@ -22,13 +23,31 @@ proptest! {
         let stats = dev.launch(1, 0, |ctx| {
             let a = ctx.lanes_from(|l| addrs.get(l).copied());
             ctx.ld_global(&a);
+            ctx.st_global(&a, &[7; WARP]);
+            ctx.atomic_add(&ctx.lanes_from(|l| a[l].map(|x| (x, 1))));
+            ctx.atomic_cas(&ctx.lanes_from(|l| a[l].map(|x| (x, 0, 1))));
         }).expect("healthy device");
         let mut sectors: Vec<u64> = addrs.iter().map(|a| a / 4).collect();
         sectors.sort_unstable();
         sectors.dedup();
-        prop_assert_eq!(stats.counters.global_ld_transactions, sectors.len() as u64);
-        prop_assert!(stats.counters.global_ld_transactions >= 1);
-        prop_assert!(stats.counters.global_ld_transactions <= n as u64);
+        let distinct = sectors.len() as u64;
+        let c = stats.counters;
+        prop_assert_eq!(c.global_ld_transactions, distinct);
+        prop_assert_eq!(c.global_st_transactions, distinct);
+        prop_assert_eq!(c.atomic_transactions, 2 * distinct);
+        prop_assert!(c.global_ld_transactions >= 1);
+        prop_assert!(c.global_ld_transactions <= n as u64);
+        prop_assert_eq!((c.ldst_global_inst, c.atomic_inst), (2, 2));
+        prop_assert_eq!(c.active_lane_slots, 4 * n as u64);
+
+        let lane = n - 1;
+        let one = dev.launch(1, 0, |ctx| {
+            ctx.ld_global_lane(lane, addrs[0]);
+            ctx.st_global_lane(lane, addrs[0], 7);
+        }).expect("healthy device").counters;
+        prop_assert_eq!(one.ldst_global_inst, 2);
+        prop_assert_eq!(one.active_lane_slots, 2);
+        prop_assert_eq!((one.global_ld_transactions, one.global_st_transactions), (1, 1));
     }
 
     /// Atomic adds from all lanes to one address serialize: the final value
@@ -156,10 +175,10 @@ fn overflowing_allocation_is_oom_not_wraparound() {
 /// paper's real counterpart (`compute-sanitizer`) catches on the CUDA code
 /// must be caught here, with the defect contained rather than fatal.
 mod sanitized {
-    use gpusim::{Device, DeviceConfig, SanitizerConfig, SanitizerKind, SanitizerSummary, WARP};
+    use gpusim::{Device, DeviceConfig, SanitizerKind, SanitizerSummary, WARP};
 
     fn device() -> Device {
-        Device::new(DeviceConfig::tiny().with_sanitizer(SanitizerConfig::full()))
+        Device::new(DeviceConfig::tiny().with_sanitizer())
     }
 
     fn summary(dev: &mut Device) -> SanitizerSummary {
