@@ -105,7 +105,7 @@ fn main() {
     // --- the paper's split: one bin-3 batch on the GPU, one bin-2 batch on
     // the CPU.
     let paper = run(&paper_cfg);
-    assert_eq!(paper.schedule.batches, 2, "the paper split is one heavy and one light batch");
+    assert_eq!(paper.schedule.batches(), 2, "the paper split is one heavy and one light batch");
     let paper_makespan = paper.schedule.makespan_model_s();
 
     // --- work-stealing scheduler.
@@ -148,7 +148,7 @@ fn main() {
                 let shard: Vec<&ExtTask> = idx.iter().map(|&i| &tasks[i]).collect();
                 let (outcomes, stats) =
                     GpuLocalAssembler::new(config.clone(), params.clone(), KernelVersion::V2)
-                        .extend_tasks_outcomes_ref(&shard);
+                        .extend_tasks_outcomes(&shard);
                 for (&i, outcome) in idx.iter().zip(outcomes) {
                     results[i] = outcome.into_result();
                 }

@@ -38,7 +38,7 @@ fn main() {
     println!("{}", render_breakdown("GPU local assembly (simulator host time)", &gpu.timings));
     println!(
         "modeled: GPU local assembly {:.4} s simulated V100 device time\n",
-        gpu.stats.la_gpu_sim_seconds.expect("the GPU engine models its seconds"),
+        gpu.stats.gpu.as_ref().expect("the GPU engine models its seconds").seconds,
     );
 
     // --- model at 2 nodes with the arcticsynth profile ---

@@ -1,7 +1,5 @@
 //! Single-nucleotide type with the canonical 2-bit encoding.
 
-use serde::{Deserialize, Serialize};
-
 /// A single DNA nucleotide.
 ///
 /// The discriminants are the standard 2-bit codes (`A=0, C=1, G=2, T=3`),
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(Base::A.complement(), Base::T);
 /// assert_eq!(Base::C.complement(), Base::G);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Base {
     A = 0,

@@ -8,7 +8,6 @@
 
 use crate::base::Base;
 use crate::seq::DnaSeq;
-use serde::{Deserialize, Serialize};
 
 /// Bases per 64-bit word.
 pub const BASES_PER_WORD: usize = 32;
@@ -18,7 +17,7 @@ pub const BASES_PER_WORD: usize = 32;
 /// Base `i` lives in word `i / 32`, bit offset `2 * (i % 32)`,
 /// least-significant bits first. Unused high bits of the last word are zero
 /// (an invariant maintained by all mutators, relied on by `PartialEq`).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct PackedSeq {
     words: Vec<u64>,
     len: usize,

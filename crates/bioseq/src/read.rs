@@ -2,12 +2,11 @@
 
 use crate::qual::QualScore;
 use crate::seq::DnaSeq;
-use serde::{Deserialize, Serialize};
 
 /// A single sequencing read.
 ///
 /// `quals` always has the same length as `seq`; constructors enforce this.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Read {
     /// Read identifier (FASTQ header without the leading `@`).
     pub id: String,
@@ -63,7 +62,7 @@ impl Read {
 
 /// A paired-end read (two mates sequenced from the ends of one fragment;
 /// mate 2 is on the opposite strand).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairedRead {
     pub r1: Read,
     pub r2: Read,

@@ -5,14 +5,13 @@
 //! no shifting. Use [`crate::PackedSeq`] where footprint matters.
 
 use crate::base::Base;
-use serde::{Deserialize, Serialize};
 
 /// A DNA sequence stored as one 2-bit code (`0..=3`) per byte.
 ///
 /// Invariant: every byte of the backing vector is `< 4`. All constructors
 /// uphold this; `from_codes_unchecked` is the only way around it and is
 /// `pub(crate)`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct DnaSeq {
     codes: Vec<u8>,
 }

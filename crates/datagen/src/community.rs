@@ -4,17 +4,16 @@ use bioseq::{Base, DnaSeq};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, LogNormal};
-use serde::{Deserialize, Serialize};
 
 /// One reference genome in the community.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Genome {
     pub id: String,
     pub seq: DnaSeq,
 }
 
 /// A synthetic community: genomes plus normalized relative abundances.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Community {
     pub genomes: Vec<Genome>,
     /// Relative abundances, sum = 1.
@@ -35,7 +34,7 @@ impl Community {
 }
 
 /// Parameters for community generation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CommunityConfig {
     /// Number of species.
     pub n_species: usize,

@@ -14,10 +14,9 @@
 use crate::community::{generate_community, Community, CommunityConfig};
 use crate::reads::{simulate_reads, ReadSimConfig};
 use bioseq::PairedRead;
-use serde::{Deserialize, Serialize};
 
 /// A fully-specified dataset preset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Preset {
     pub name: String,
     pub community: CommunityConfig,

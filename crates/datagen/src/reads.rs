@@ -5,10 +5,9 @@ use bioseq::{phred_to_prob, Base, DnaSeq, PairedRead, Read};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Normal};
-use serde::{Deserialize, Serialize};
 
 /// Read-simulation parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReadSimConfig {
     /// Read length (paper datasets: 150 bp).
     pub read_len: usize,

@@ -2,7 +2,6 @@
 
 use bioseq::{Base, Read};
 use kmer::{CanonicalKmerIter, KmerTable, Spectrum};
-use serde::{Deserialize, Serialize};
 
 /// Occurrence count and extension votes for one canonical k-mer.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// orientation*. When a k-mer occurs reverse-complemented in a read, its
 /// neighbours are complemented and swapped before voting, so votes from both
 /// strands accumulate coherently.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VertexCounts {
     /// Total occurrences (both strands).
     pub count: u32,

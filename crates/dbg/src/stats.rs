@@ -8,10 +8,9 @@
 
 use crate::counts::Side;
 use crate::graph::DbgGraph;
-use serde::{Deserialize, Serialize};
 
 /// Census of vertex roles in the graph.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GraphStats {
     /// Total vertices (canonical k-mers).
     pub vertices: usize,

@@ -3,10 +3,9 @@
 use crate::graph::{DbgGraph, Oriented};
 use bioseq::DnaSeq;
 use kmer::SlotBits;
-use serde::{Deserialize, Serialize};
 
 /// A contiguous assembled sequence with its mean k-mer depth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Contig {
     /// Stable id within the generating run.
     pub id: u64,

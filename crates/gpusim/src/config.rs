@@ -1,14 +1,13 @@
 //! Device configuration: V100-flavoured defaults, everything tunable.
 
 use crate::fault::FaultPlan;
-use serde::{Deserialize, Serialize};
 
 /// Hardware parameters of the simulated device.
 ///
 /// Defaults model the NVIDIA V100 used on Summit and Cori-GPU in the paper.
 /// The derived peak — `sms × schedulers_per_sm × clock_ghz` — is 489.6 warp
 /// GIPS, the "Theoretical Peak" line of the paper's Figures 8 and 9.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeviceConfig {
     /// Human-readable device name.
     pub name: String,
@@ -35,7 +34,6 @@ pub struct DeviceConfig {
     /// Deterministic fault-injection schedule (empty = healthy device).
     pub fault_plan: FaultPlan,
     /// Run every launch under the `gpucheck` sanitizer (off by default).
-    #[serde(default)]
     pub sanitize: bool,
 }
 

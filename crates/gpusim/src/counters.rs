@@ -1,11 +1,9 @@
 //! Instruction and memory-transaction counters.
 
-use serde::{Deserialize, Serialize};
-
 /// Instruction classes tracked by the simulator, mirroring the breakdown in
 /// Figure 10 of the paper (global-memory, local-memory, FP, INT) plus the
 /// control/atomic/shuffle classes that feed total warp-instruction counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstClass {
     /// Integer arithmetic / logic / address computation.
     Int,
@@ -30,7 +28,7 @@ pub enum InstClass {
 /// "Warp instruction" counts are per-warp (one count regardless of how many
 /// lanes participate); lane-level utilization is captured separately by
 /// `active_lane_slots` / `predicated_lane_slots`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Counters {
     /// Integer ALU warp instructions.
     pub int_inst: u64,

@@ -20,10 +20,8 @@
 //!   the ECC contract on data-center GPUs, and it is what makes
 //!   fault-free-identical recovery possible for the layers above.
 
-use serde::{Deserialize, Serialize};
-
 /// One injected fault, pinned to a deterministic firing point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// Deny the `at_alloc`-th allocation attempt (0-based, counted over the
     /// device's lifetime, including denied attempts).
@@ -51,7 +49,7 @@ pub enum Fault {
 }
 
 /// A deterministic schedule of faults for one device.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// The faults, in no particular order; each fires at its own index.
     pub faults: Vec<Fault>,

@@ -9,10 +9,9 @@
 
 use crate::config::DeviceConfig;
 use crate::counters::Counters;
-use serde::{Deserialize, Serialize};
 
 /// Roofline characterization of one kernel (or launch series).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RooflineReport {
     /// Kernel name for display.
     pub name: String,

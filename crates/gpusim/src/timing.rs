@@ -17,10 +17,9 @@
 
 use crate::config::DeviceConfig;
 use crate::counters::Counters;
-use serde::{Deserialize, Serialize};
 
 /// Decomposed timing estimate for one kernel launch.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TimingEstimate {
     /// Cycles if limited purely by instruction issue.
     pub issue_cycles: f64,
@@ -60,7 +59,7 @@ impl TimingEstimate {
 }
 
 /// The governing bottleneck of a launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bound {
     /// Instruction-issue throughput limits the launch.
     Issue,

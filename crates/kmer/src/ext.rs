@@ -7,7 +7,6 @@
 //! (no credible vote) or "fork" (two or more credible votes).
 
 use bioseq::{Base, QualScore};
-use serde::{Deserialize, Serialize};
 
 /// Phred score at and above which a vote counts as high-quality.
 /// MetaHipMer uses Q20 ("1% error") as its quality gate.
@@ -18,14 +17,14 @@ pub const QUAL_TIER_CUTOFF: QualScore = 20;
 /// Counts saturate at `u16::MAX`; candidate read sets are ≤ ~3000 reads so
 /// saturation never occurs in practice, but the arithmetic must not wrap on
 /// adversarial input.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExtCounts {
     hi: [u16; 4],
     lo: [u16; 4],
 }
 
 /// Outcome of classifying an [`ExtCounts`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExtVerdict {
     /// Exactly one credible extension base.
     Extend(Base),

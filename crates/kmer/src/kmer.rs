@@ -1,7 +1,6 @@
 //! Fixed-width packed k-mer type.
 
 use bioseq::{Base, DnaSeq};
-use serde::{Deserialize, Serialize};
 
 /// Maximum supported k. MetaHipMer's iterative assembly uses k up to 99;
 /// four 64-bit words give us headroom to 128.
@@ -16,7 +15,7 @@ pub const KMER_WORDS: usize = MAX_K / 32;
 ///
 /// Invariant: bits above position `2k` are zero (needed for `Eq`/`Ord`/hash
 /// to be well-defined).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Kmer {
     words: [u64; KMER_WORDS],
     k: u16,

@@ -8,10 +8,8 @@
 //! the valley between them — the data-driven version of the paper's
 //! "filter k-mers that occur only once".
 
-use serde::{Deserialize, Serialize};
-
 /// A k-mer multiplicity histogram.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Spectrum {
     /// `counts[m]` = number of distinct k-mers with multiplicity `m`
     /// (index 0 unused). Multiplicities beyond the vector saturate into the

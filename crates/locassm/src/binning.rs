@@ -6,13 +6,13 @@
 //! of the compute; launched on the GPU first so the CPU can overlap bin 2.
 
 use crate::task::ExtTask;
-use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// Reads-per-task threshold separating bin 2 from bin 3 (paper: 10).
 pub const BIN2_LIMIT: usize = 10;
 
 /// The bin a task falls in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bin {
     /// Zero candidate reads.
     Zero,
@@ -32,7 +32,7 @@ pub fn bin_of(task: &ExtTask) -> Bin {
 }
 
 /// Task indices split by bin, plus summary statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BinStats {
     /// Bin 1: tasks with no candidate reads (answered host-side).
     pub zero: Vec<usize>,
@@ -67,20 +67,12 @@ impl BinStats {
 }
 
 /// Sort task indices into the three bins (stable order within a bin).
-pub fn bin_tasks(tasks: &[ExtTask]) -> BinStats {
-    bin_by(tasks.iter().map(bin_of))
-}
-
-/// [`bin_tasks`] over borrowed tasks (scheduler shares are index lists into
-/// a task slice, never clones).
-pub fn bin_tasks_refs(tasks: &[&ExtTask]) -> BinStats {
-    bin_by(tasks.iter().map(|t| bin_of(t)))
-}
-
-fn bin_by(bins: impl Iterator<Item = Bin>) -> BinStats {
+/// Takes owned or borrowed tasks (scheduler shares are index lists into a
+/// task slice, never clones).
+pub fn bin_tasks<T: Borrow<ExtTask>>(tasks: &[T]) -> BinStats {
     let mut stats = BinStats::default();
-    for (i, bin) in bins.enumerate() {
-        match bin {
+    for (i, task) in tasks.iter().enumerate() {
+        match bin_of(task.borrow()) {
             Bin::Zero => stats.zero.push(i),
             Bin::Small => stats.small.push(i),
             Bin::Large => stats.large.push(i),
@@ -144,7 +136,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let stats = bin_tasks(&[]);
+        let stats = bin_tasks::<ExtTask>(&[]);
         assert_eq!(stats.total(), 0);
         assert_eq!(stats.percentages(), (0.0, 0.0, 0.0));
     }

@@ -7,6 +7,7 @@ use crate::task::{ExtResult, ExtTask, TaskOutcome};
 use bioseq::{DnaSeq, Read};
 use kmer::{ExtCounts, ExtVerdict, Kmer, KmerIter};
 use rayon::prelude::*;
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 
 /// Algorithm 1: build the k-mer → extension table from candidate reads.
@@ -114,21 +115,13 @@ pub fn extend_all_cpu(tasks: &[ExtTask], params: &LocalAssemblyParams) -> Vec<Ex
 
 /// Extend every task in parallel with per-task panic isolation: a task
 /// whose extension panics becomes [`TaskOutcome::Failed`] instead of
-/// aborting the whole bin.
-pub fn extend_all_cpu_isolated(
-    tasks: &[ExtTask],
+/// aborting the whole bin. Takes owned or borrowed tasks, so schedulers can
+/// hand the CPU engine a share by index without deep-cloning task data.
+pub fn extend_all_cpu_isolated<T: Borrow<ExtTask> + Sync>(
+    tasks: &[T],
     params: &LocalAssemblyParams,
 ) -> Vec<TaskOutcome> {
-    tasks.par_iter().map(|t| extend_one_isolated(t, params)).collect()
-}
-
-/// [`extend_all_cpu_isolated`] over borrowed tasks, so schedulers can hand
-/// the CPU engine a share by index without deep-cloning task data.
-pub fn extend_cpu_isolated_refs(
-    tasks: &[&ExtTask],
-    params: &LocalAssemblyParams,
-) -> Vec<TaskOutcome> {
-    tasks.par_iter().map(|t| extend_one_isolated(t, params)).collect()
+    tasks.par_iter().map(|t| extend_one_isolated(t.borrow(), params)).collect()
 }
 
 fn extend_one_isolated(t: &ExtTask, params: &LocalAssemblyParams) -> TaskOutcome {

@@ -17,11 +17,13 @@
 //! never deep-cloned per engine.
 
 use crate::binning::bin_tasks;
-use crate::gpu::{GpuRunStats, KernelVersion};
+use crate::cpu::extend_all_cpu_isolated;
+use crate::gpu::{GpuLocalAssembler, GpuRunStats, KernelVersion};
 use crate::params::LocalAssemblyParams;
-use crate::schedule::{build_batches, run_work_steal, ScheduleReport, StealConfig};
+use crate::schedule::{build_batches, ModelError, ScheduleReport, StealConfig};
 use crate::task::{ExtResult, ExtTask, TaskOutcome};
 use gpusim::DeviceConfig;
+use std::time::Instant;
 
 /// Why an overlapped run could not produce results at all. Per-task
 /// failures do NOT produce this — they degrade to skipped tasks, counted
@@ -66,7 +68,7 @@ pub enum SchedulePolicy {
 }
 
 /// Outcome of an overlapped run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct OverlapOutcome {
     /// Results, index-aligned with the input tasks.
     pub results: Vec<ExtResult>,
@@ -148,19 +150,89 @@ impl OverlapDriver {
             results[i] = Some(TaskOutcome::Done(ExtResult::empty()));
         }
         let batches = build_batches(tasks, &bins, params, cfg.batch_words);
-        let run = run_work_steal(
-            tasks,
-            &batches,
-            params,
-            self.device.clone(),
-            self.version,
-            cfg,
-            &mut results,
-        );
+        let mut out = OverlapOutcome {
+            zero_tasks: bins.zero.len(),
+            schedule: ScheduleReport { cpu_words_per_s: cfg.cpu_words_per_s, ..Default::default() },
+            ..Default::default()
+        };
+        let mut engine = GpuLocalAssembler::new(self.device.clone(), params.clone(), self.version);
+        let mut gpu_dead = false;
+        // The deque proper, as two cursors over the built batches: the GPU
+        // pops the heavy head, the CPU pops the light tail.
+        let (mut head, mut tail) = (0usize, batches.len());
 
-        let mut failed_tasks = 0usize;
+        while head < tail {
+            // The engine whose modeled clock is behind takes the next batch;
+            // the GPU from the heavy head, the CPU from the light tail. Ties
+            // go to the GPU (the paper launches the GPU first).
+            let gpu_turn = !gpu_dead && out.schedule.gpu_model_s <= out.schedule.cpu_model_s;
+            let batch = if gpu_turn {
+                head += 1;
+                &batches[head - 1]
+            } else {
+                tail -= 1;
+                &batches[tail]
+            };
+            let share: Vec<&ExtTask> = batch.idx.iter().map(|&i| &tasks[i]).collect();
+
+            if gpu_turn {
+                let t = Instant::now();
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    engine.extend_tasks_outcomes(&share)
+                }));
+                out.gpu_wall_s += t.elapsed().as_secs_f64();
+                match run {
+                    Ok((outcomes, stats)) => {
+                        for (&i, outcome) in batch.idx.iter().zip(outcomes) {
+                            results[i] = Some(outcome);
+                        }
+                        let sched = &mut out.schedule;
+                        sched.gpu_model_s += stats.wall_s();
+                        sched.gpu_batches += 1;
+                        sched.gpu_est_words += batch.est_words;
+                        if !batch.heavy {
+                            sched.gpu_absorbed_light += 1;
+                        }
+                        // Reset budget exhausted: route the rest of the
+                        // deque to the CPU instead of the per-task fallback.
+                        gpu_dead = stats.recovery.device_lost;
+                        out.gpu_stats.get_or_insert_with(GpuRunStats::default).absorb(&stats);
+                        out.gpu_tasks += batch.idx.len();
+                        continue;
+                    }
+                    // Engine bug (device faults are absorbed by the ladder):
+                    // the popped batch re-runs on the CPU below, and the
+                    // deque drains CPU-side from here on.
+                    Err(_panic) => {
+                        gpu_dead = true;
+                        out.gpu_branch_fell_back = true;
+                    }
+                }
+            }
+
+            // The CPU engine: its modeled clock advances by the batch's
+            // estimated words; its measured host seconds are only reported.
+            let t = Instant::now();
+            let outcomes = extend_all_cpu_isolated(&share, params);
+            out.cpu_wall_s += t.elapsed().as_secs_f64();
+            for (&i, outcome) in batch.idx.iter().zip(outcomes) {
+                results[i] = Some(outcome);
+            }
+            let sched = &mut out.schedule;
+            sched.cpu_batches += 1;
+            sched.cpu_est_words += batch.est_words;
+            sched.cpu_model_s = sched.cpu_est_words as f64 / sched.cpu_words_per_s;
+            if batch.heavy {
+                sched.cpu_stole_heavy += 1;
+            }
+            out.cpu_tasks += batch.idx.len();
+        }
+        out.schedule.cpu_measured_s = out.cpu_wall_s;
+        out.schedule.calibration =
+            Some(ModelError { rel_err_vs_realized: out.schedule.cpu_model_err() });
+
         let mut missing = 0usize;
-        let results: Vec<ExtResult> = results
+        out.results = results
             .into_iter()
             .enumerate()
             .map(|(i, r)| {
@@ -172,7 +244,7 @@ impl OverlapDriver {
                     }
                 });
                 if outcome.is_failed() {
-                    failed_tasks += 1;
+                    out.failed_tasks += 1;
                 }
                 outcome.into_result()
             })
@@ -183,19 +255,7 @@ impl OverlapDriver {
                 got: tasks.len() - missing,
             });
         }
-
-        Ok(OverlapOutcome {
-            results,
-            zero_tasks: bins.zero.len(),
-            cpu_tasks: run.cpu_tasks,
-            gpu_tasks: run.gpu_tasks,
-            failed_tasks,
-            gpu_branch_fell_back: run.gpu_branch_fell_back,
-            cpu_wall_s: run.report.cpu_measured_s,
-            gpu_wall_s: run.gpu_wall_s,
-            gpu_stats: run.gpu_stats,
-            schedule: run.report,
-        })
+        Ok(out)
     }
 }
 
@@ -269,7 +329,7 @@ mod tests {
         let params = LocalAssemblyParams::for_tests();
         let outcome = paper_split().run(&tasks, &params).expect("driver runs");
         assert_eq!(outcome.results, extend_all_cpu(&tasks, &params));
-        assert_eq!(outcome.schedule.batches, 2, "one heavy and one light batch");
+        assert_eq!(outcome.schedule.batches(), 2, "one heavy and one light batch");
         assert_eq!(outcome.cpu_tasks + outcome.gpu_tasks + outcome.zero_tasks, tasks.len());
     }
 
@@ -290,7 +350,7 @@ mod tests {
         };
         let outcome = finest.run(&tasks, &params).expect("driver runs");
         assert_eq!(outcome.results, pure, "one task per batch");
-        assert_eq!(outcome.schedule.batches, 16, "one batch per bin-2/3 task");
+        assert_eq!(outcome.schedule.batches(), 16, "one batch per bin-2/3 task");
         assert_eq!(outcome.cpu_tasks + outcome.gpu_tasks, 16);
 
         let outcome = paper_split().run(&tasks, &params).expect("driver runs");
@@ -309,6 +369,29 @@ mod tests {
         let stats = outcome.gpu_stats.expect("gpu ran");
         assert_eq!(stats.device_tasks, 8, "the 8 bin-3 tasks");
         assert!(stats.seconds > 0.0);
+    }
+
+    /// A k above the device layout's limit makes the kernel panic inside
+    /// its launch. The popped batch and the rest of the deque then run on
+    /// the CPU engine, which accepts that k.
+    #[test]
+    fn gpu_panic_falls_back_to_cpu() {
+        let tasks = tasks_with_mixed_bins();
+        let params = LocalAssemblyParams {
+            k_list: vec![21, crate::gpu::layout::MAX_DEVICE_K + 5],
+            start_k_idx: 1,
+            ..LocalAssemblyParams::for_tests()
+        };
+        let outcome = OverlapDriver::default().run(&tasks, &params).expect("driver runs");
+        assert!(outcome.gpu_branch_fell_back);
+        assert_eq!(outcome.results, extend_all_cpu(&tasks, &params));
+        assert!(outcome.results.iter().any(|r| !r.appended.is_empty()), "the k=21 walks extend");
+        assert_eq!(outcome.failed_tasks, 0);
+        assert_eq!(outcome.gpu_tasks, 0, "the GPU completed no batch");
+        assert!(outcome.gpu_stats.is_none());
+        assert_eq!(outcome.cpu_tasks + outcome.gpu_tasks + outcome.zero_tasks, tasks.len());
+        let s = &outcome.schedule;
+        assert_eq!(s.batches(), s.cpu_batches + s.gpu_batches);
     }
 
     #[test]
@@ -383,7 +466,7 @@ mod tests {
         .expect("runs");
         assert_eq!(out.results, extend_all_cpu(&tasks, &params));
         let s = out.gpu_stats.expect("gpu ran");
-        assert!(s.batches > 1, "want a multi-batch run, got {}", s.batches);
+        assert!(s.launches > 1, "want a multi-batch run, got {}", s.launches);
         assert!(s.overlap_saved_s > 0.0, "multi-batch run must overlap pack with exec");
         assert_eq!(s.wall_s(), s.seconds + s.pack_s - s.overlap_saved_s);
         assert!(s.wall_s() < s.seconds + s.pack_s);
@@ -405,6 +488,6 @@ mod tests {
         assert_eq!(modeled(&a), modeled(&b));
         assert_eq!(a.cpu_model_s.to_bits(), b.cpu_model_s.to_bits());
         assert_eq!(a.gpu_model_s.to_bits(), b.gpu_model_s.to_bits());
-        assert!(a.batches > 0, "the run must schedule batches");
+        assert!(a.batches() > 0, "the run must schedule batches");
     }
 }

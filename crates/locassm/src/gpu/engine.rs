@@ -6,7 +6,7 @@
 //! against a device-memory budget (the "Estimate table sizes → Create
 //! batches" boxes of Figure 4) and launched one batch per kernel.
 
-use crate::binning::bin_tasks_refs;
+use crate::binning::bin_tasks;
 use crate::cpu::extend_end_cpu;
 use crate::gpu::kernel::{extension_kernel_v2, KernelVersion};
 use crate::gpu::kernel_v1::extension_kernel_v1;
@@ -18,6 +18,7 @@ use bioseq::DnaSeq;
 use gpusim::{
     Counters, Device, DeviceConfig, DeviceOom, LaunchError, RooflineReport, SanitizerSummary,
 };
+use std::borrow::Borrow;
 
 /// Device attempts per batch of work; each failed attempt halves the batch
 /// (or retries a singleton) until the budget runs out.
@@ -67,12 +68,10 @@ impl RecoveryStats {
 }
 
 /// Execution statistics for a GPU local-assembly run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GpuRunStats {
-    /// Kernel launches completed successfully.
+    /// Kernel launches completed successfully, one per batch.
     pub launches: u64,
-    /// Batches completed (== launches).
-    pub batches: u64,
     /// Tasks executed on the device (bins 2+3).
     pub device_tasks: usize,
     /// Tasks answered host-side (bin 1).
@@ -82,7 +81,7 @@ pub struct GpuRunStats {
     /// Simulated device seconds (kernels + launch overheads).
     pub seconds: f64,
     /// Modeled host seconds spent packing batches (CPU-side data packing +
-    /// H2D of Figure 4, charged at the engine's modeled pack rate).
+    /// H2D of Figure 4, charged at [`DEFAULT_PACK_WORDS_PER_S`]).
     pub pack_s: f64,
     /// Seconds of `pack_s` hidden under kernel execution by the
     /// double-buffered pipeline (pack batch N+1 while batch N executes).
@@ -96,29 +95,7 @@ pub struct GpuRunStats {
     pub sanitizer: SanitizerSummary,
 }
 
-impl Default for GpuRunStats {
-    fn default() -> GpuRunStats {
-        GpuRunStats::empty()
-    }
-}
-
 impl GpuRunStats {
-    fn empty() -> GpuRunStats {
-        GpuRunStats {
-            launches: 0,
-            batches: 0,
-            device_tasks: 0,
-            zero_tasks: 0,
-            counters: Counters::new(),
-            seconds: 0.0,
-            pack_s: 0.0,
-            overlap_saved_s: 0.0,
-            peak_mem_words: 0,
-            recovery: RecoveryStats::default(),
-            sanitizer: SanitizerSummary::default(),
-        }
-    }
-
     /// End-to-end device-pipeline wall seconds: simulated kernel time plus
     /// modeled pack time, minus what double-buffering hid.
     pub fn wall_s(&self) -> f64 {
@@ -134,7 +111,6 @@ impl GpuRunStats {
     /// the work-stealing scheduler).
     pub fn absorb(&mut self, other: &GpuRunStats) {
         self.launches += other.launches;
-        self.batches += other.batches;
         self.device_tasks += other.device_tasks;
         self.zero_tasks += other.zero_tasks;
         self.counters.merge(&other.counters);
@@ -182,8 +158,6 @@ pub struct GpuLocalAssembler {
     /// Set when the device exhausted its reset budget; all remaining work
     /// skips the device rungs of the ladder.
     device_dead: bool,
-    /// Modeled packing throughput in device words per second.
-    pack_words_per_s: f64,
     /// Kernel seconds of the most recent launch still "in flight" for the
     /// double-buffer model: the next batch's pack can hide under it.
     pending_exec_s: f64,
@@ -202,7 +176,6 @@ impl GpuLocalAssembler {
             version,
             mem_budget_frac: 0.8,
             device_dead: false,
-            pack_words_per_s: DEFAULT_PACK_WORDS_PER_S,
             pending_exec_s: 0.0,
         }
     }
@@ -232,27 +205,21 @@ impl GpuLocalAssembler {
 
     /// Extend every task, reporting per-task outcomes. Device failures walk
     /// the recovery ladder; a task is [`TaskOutcome::Failed`] only once
-    /// every rung is exhausted.
-    pub fn extend_tasks_outcomes(&mut self, tasks: &[ExtTask]) -> (Vec<TaskOutcome>, GpuRunStats) {
-        let refs: Vec<&ExtTask> = tasks.iter().collect();
-        self.extend_tasks_outcomes_ref(&refs)
-    }
-
-    /// [`GpuLocalAssembler::extend_tasks_outcomes`] over borrowed tasks, so
+    /// every rung is exhausted. Takes owned or borrowed tasks, so
     /// schedulers can hand out shares by index without deep-cloning task
     /// data (reads included) per engine.
-    pub fn extend_tasks_outcomes_ref(
+    pub fn extend_tasks_outcomes<T: Borrow<ExtTask>>(
         &mut self,
-        tasks: &[&ExtTask],
+        tasks: &[T],
     ) -> (Vec<TaskOutcome>, GpuRunStats) {
-        let bins = bin_tasks_refs(tasks);
+        let tasks: Vec<&ExtTask> = tasks.iter().map(Borrow::borrow).collect();
+        let bins = bin_tasks(&tasks);
         let mut results: Vec<Option<TaskOutcome>> = vec![None; tasks.len()];
         for &i in &bins.zero {
             results[i] = Some(TaskOutcome::Done(ExtResult::empty()));
         }
 
-        let mut stats = GpuRunStats::empty();
-        stats.zero_tasks = bins.zero.len();
+        let mut stats = GpuRunStats { zero_tasks: bins.zero.len(), ..Default::default() };
 
         // Bin 3 first, then bin 2.
         let order: Vec<usize> = bins.large.iter().chain(bins.small.iter()).copied().collect();
@@ -284,7 +251,7 @@ impl GpuLocalAssembler {
 
         stats.device_tasks = order.len() - oversized.len();
         for batch in &batches {
-            self.run_batch_recovering(tasks, batch, &mut results, &mut stats, MAX_BATCH_ATTEMPTS);
+            self.run_batch_recovering(&tasks, batch, &mut results, &mut stats, MAX_BATCH_ATTEMPTS);
         }
         for &i in &oversized {
             let outcome = self.off_device(tasks[i], "task exceeds device memory", &mut stats);
@@ -434,14 +401,13 @@ impl GpuLocalAssembler {
         }
         .map_err(BatchError::Launch)?;
         stats.launches += 1;
-        stats.batches += 1;
         stats.counters.merge(&launch.counters);
         let exec_s = launch.timing.total_seconds();
         stats.seconds += exec_s;
         // Double-buffer model: this batch was packed on the host while the
         // previous batch's kernel was still executing, so up to
         // `pending_exec_s` of the pack cost is hidden.
-        let pack_s = self.device.mem_used_words() as f64 / self.pack_words_per_s;
+        let pack_s = self.device.mem_used_words() as f64 / DEFAULT_PACK_WORDS_PER_S;
         stats.pack_s += pack_s;
         stats.overlap_saved_s += pack_s.min(self.pending_exec_s);
         self.pending_exec_s = exec_s;
@@ -588,7 +554,7 @@ mod tests {
         // Force tiny batches.
         eng.mem_budget_frac = 0.0001; // ~214k words: one task fits, eight don't
         let (gpu, stats) = eng.extend_tasks(&tasks);
-        assert!(stats.batches > 1, "expected multiple batches, got {}", stats.batches);
+        assert!(stats.launches > 1, "expected multiple batches, got {}", stats.launches);
         let params = LocalAssemblyParams::for_tests();
         let cpu = extend_all_cpu(&tasks, &params);
         assert_eq!(cpu, gpu, "batch splitting must not change results");

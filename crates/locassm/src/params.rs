@@ -1,9 +1,7 @@
 //! Parameters, walk outcomes, and the k-shift termination state machine.
 
-use serde::{Deserialize, Serialize};
-
 /// Tuning parameters for local assembly (both engines share these).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LocalAssemblyParams {
     /// Ascending k values the k-shift controller moves through.
     /// MetaHipMer's iterative schedule, clipped to the read length upstream.
@@ -51,7 +49,7 @@ impl LocalAssemblyParams {
 }
 
 /// Terminal state of one mer-walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalkState {
     /// No credible extension (or terminal k-mer absent from the table).
     DeadEnd,
@@ -89,7 +87,7 @@ impl WalkState {
 }
 
 /// Direction of the previous k shift.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShiftDir {
     /// k was last shifted up (after a fork).
     Up,

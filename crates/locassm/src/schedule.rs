@@ -14,8 +14,10 @@
 //!   finisher absorbs the remainder — the CPU can steal leftover bin-3
 //!   batches, the GPU can absorb leftover bin-2 batches.
 //!
+//! This module builds the deque ([`build_batches`]) and defines what a run
+//! reports ([`ScheduleReport`]); [`crate::OverlapDriver::run`] drains it.
 //! Because the GPU is a simulator, "time" here is **modeled**: the GPU
-//! clock advances by [`GpuRunStats::wall_s`] (simulated kernel seconds plus
+//! clock advances by [`crate::gpu::GpuRunStats::wall_s`] (simulated kernel seconds plus
 //! the modeled pack cost minus double-buffer savings) and the CPU clock is
 //! the CPU share's estimated words over the fixed model rate
 //! [`StealConfig::cpu_words_per_s`]. No measured time feeds either clock,
@@ -32,13 +34,9 @@
 //! batch).
 
 use crate::binning::BinStats;
-use crate::cpu::extend_cpu_isolated_refs;
 use crate::gpu::pack::estimate_task_cost;
-use crate::gpu::{GpuLocalAssembler, GpuRunStats, KernelVersion};
 use crate::params::LocalAssemblyParams;
-use crate::task::{ExtTask, TaskOutcome};
-use gpusim::DeviceConfig;
-use std::time::Instant;
+use crate::task::ExtTask;
 
 /// Knobs of the work-stealing scheduler.
 #[derive(Debug, Clone)]
@@ -75,8 +73,6 @@ pub struct TaskBatch {
 /// makespan, with the CPU engine's measured seconds alongside.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScheduleReport {
-    /// Batches handed out.
-    pub batches: usize,
     /// Batches the GPU engine drained from the head.
     pub gpu_batches: usize,
     /// Batches the CPU engine stole from the tail.
@@ -115,6 +111,11 @@ pub struct ModelError {
 }
 
 impl ScheduleReport {
+    /// Batches handed out: each popped batch ran on exactly one engine.
+    pub fn batches(&self) -> usize {
+        self.cpu_batches + self.gpu_batches
+    }
+
     /// Modeled overlap makespan: both engines run concurrently, so the run
     /// ends when the slower clock does.
     pub fn makespan_model_s(&self) -> f64 {
@@ -205,139 +206,6 @@ pub fn build_batches(
         batches.extend(light);
     }
     batches
-}
-
-/// Everything a work-stealing run hands back to the driver.
-pub(crate) struct StealRun {
-    pub report: ScheduleReport,
-    pub gpu_stats: Option<GpuRunStats>,
-    /// The GPU engine branch panicked; its popped batch and the rest of the
-    /// deque were absorbed by the CPU engine.
-    pub gpu_branch_fell_back: bool,
-    /// Host wall seconds spent driving the GPU engine (simulation cost).
-    pub gpu_wall_s: f64,
-    /// Tasks executed by the CPU engine.
-    pub cpu_tasks: usize,
-    /// Tasks executed by the GPU engine.
-    pub gpu_tasks: usize,
-}
-
-/// Drain the deque with two engines under modeled clocks, writing per-task
-/// outcomes into `results` (index-aligned with `tasks`).
-pub(crate) fn run_work_steal(
-    tasks: &[ExtTask],
-    batches: &[TaskBatch],
-    params: &LocalAssemblyParams,
-    device: DeviceConfig,
-    version: KernelVersion,
-    cfg: &StealConfig,
-    results: &mut [Option<TaskOutcome>],
-) -> StealRun {
-    let mut engine = GpuLocalAssembler::new(device, params.clone(), version);
-    let mut report = ScheduleReport {
-        batches: batches.len(),
-        cpu_words_per_s: cfg.cpu_words_per_s,
-        ..Default::default()
-    };
-    let mut gpu_stats = GpuRunStats::default();
-    let mut gpu_ran = false;
-    let mut gpu_dead = false;
-    let mut fell_back = false;
-    let mut gpu_wall = 0.0f64;
-    let (mut cpu_tasks, mut gpu_tasks) = (0usize, 0usize);
-    // The deque proper, as two cursors over the built batches: the GPU
-    // pops the heavy head, the CPU pops the light tail.
-    let (mut head, mut tail) = (0usize, batches.len());
-
-    while head < tail {
-        // The engine whose modeled clock is behind takes the next batch;
-        // the GPU from the heavy head, the CPU from the light tail. Ties go
-        // to the GPU (the paper launches the GPU first).
-        let gpu_turn = !gpu_dead && report.gpu_model_s <= report.cpu_model_s;
-        let batch = if gpu_turn {
-            head += 1;
-            &batches[head - 1]
-        } else {
-            tail -= 1;
-            &batches[tail]
-        };
-
-        if gpu_turn {
-            let refs: Vec<&ExtTask> = batch.idx.iter().map(|&i| &tasks[i]).collect();
-            let t = Instant::now();
-            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                engine.extend_tasks_outcomes_ref(&refs)
-            }));
-            gpu_wall += t.elapsed().as_secs_f64();
-            match run {
-                Ok((outcomes, stats)) => {
-                    for (&i, outcome) in batch.idx.iter().zip(outcomes) {
-                        results[i] = Some(outcome);
-                    }
-                    report.gpu_model_s += stats.wall_s();
-                    if stats.recovery.device_lost {
-                        // Reset budget exhausted: route the rest of the
-                        // deque to the CPU instead of the per-task fallback.
-                        gpu_dead = true;
-                    }
-                    gpu_stats.absorb(&stats);
-                    gpu_ran = true;
-                    gpu_tasks += batch.idx.len();
-                    report.gpu_batches += 1;
-                    report.gpu_est_words += batch.est_words;
-                    if !batch.heavy {
-                        report.gpu_absorbed_light += 1;
-                    }
-                }
-                Err(_panic) => {
-                    // Engine bug (device faults are absorbed by the
-                    // ladder): the popped batch re-runs on the CPU and the
-                    // deque drains CPU-side from here on.
-                    gpu_dead = true;
-                    fell_back = true;
-                    run_batch_cpu(tasks, batch, params, results, &mut report);
-                    cpu_tasks += batch.idx.len();
-                }
-            }
-        } else {
-            run_batch_cpu(tasks, batch, params, results, &mut report);
-            cpu_tasks += batch.idx.len();
-        }
-    }
-
-    report.calibration = Some(ModelError { rel_err_vs_realized: report.cpu_model_err() });
-    StealRun {
-        report,
-        gpu_stats: gpu_ran.then_some(gpu_stats),
-        gpu_branch_fell_back: fell_back,
-        gpu_wall_s: gpu_wall,
-        cpu_tasks,
-        gpu_tasks,
-    }
-}
-
-/// Run one batch on the CPU engine, adding its estimated words, its modeled
-/// seconds and its measured host wall seconds to the report.
-fn run_batch_cpu(
-    tasks: &[ExtTask],
-    batch: &TaskBatch,
-    params: &LocalAssemblyParams,
-    results: &mut [Option<TaskOutcome>],
-    report: &mut ScheduleReport,
-) {
-    let refs: Vec<&ExtTask> = batch.idx.iter().map(|&i| &tasks[i]).collect();
-    let t = Instant::now();
-    let outcomes = extend_cpu_isolated_refs(&refs, params);
-    report.cpu_measured_s += t.elapsed().as_secs_f64();
-    for (&i, outcome) in batch.idx.iter().zip(outcomes) {
-        results[i] = Some(outcome);
-    }
-    report.cpu_batches += 1;
-    report.cpu_est_words += batch.est_words;
-    report.cpu_model_s = report.cpu_est_words as f64 / report.cpu_words_per_s;
-    if batch.heavy {
-        report.cpu_stole_heavy += 1;
-    }
 }
 
 #[cfg(test)]

@@ -5,10 +5,9 @@
 
 use crate::params::WalkState;
 use crate::task::ExtResult;
-use serde::{Deserialize, Serialize};
 
 /// Distribution of outcomes across a result batch.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExtSummary {
     /// Total tasks summarized.
     pub tasks: usize,

@@ -7,12 +7,11 @@
 
 use crate::params::LocalAssemblyParams;
 use bioseq::{DnaSeq, Read};
-use serde::{Deserialize, Serialize};
 
 use crate::params::WalkState;
 
 /// Which contig end a task extends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ContigEnd {
     /// Extend leftward (the tail is the reverse complement of the prefix).
     Left,
@@ -35,7 +34,7 @@ pub struct ExtTask {
 }
 
 /// The outcome of extending one task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtResult {
     /// Bases appended (in normalized/rightward orientation).
     pub appended: DnaSeq,

@@ -114,6 +114,8 @@ USAGE:
       modeled rate (default 2.8e7 estimated words/s).
       --cpu-words-per-s R sets that modeled rate to R words/s; it implies
       --overlap.
+      --iterative runs k = 21, 33, 55, 77, 99 up to the read length; it
+      cannot be combined with --k.
       Unknown flags are rejected.
 ";
 
@@ -172,6 +174,11 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
         "overlap",
         "cpu-words-per-s",
     ])?;
+    if cli.has("iterative") && cli.get("k").is_some() {
+        return Err("--k cannot be combined with --iterative, which derives its k schedule \
+                    from the read length"
+            .to_string());
+    }
     let r1_path = cli.require("r1")?;
     let r2_path = cli.require("r2")?;
     let out = PathBuf::from(cli.require("out")?);
@@ -540,6 +547,15 @@ mod tests {
         }
         let err = run(&argv("simulate --out sim --sclae 0.1")).expect_err("typo in simulate");
         assert!(err.contains("unknown flag --sclae "), "{err}");
+    }
+
+    #[test]
+    fn iterative_rejects_k() {
+        // The k loop derives its schedule from the read length; an explicit
+        // k must fail loudly rather than be ignored.
+        let err = run(&argv("assemble --r1 a.fq --r2 b.fq --out asm --iterative --k 55"))
+            .expect_err("--iterative with --k must be rejected");
+        assert!(err.contains("--k") && err.contains("--iterative"), "{err}");
     }
 
     #[test]

@@ -174,12 +174,12 @@ mod tests {
         let line = format!("  {:<24} {}\n", "tasks skipped", gpu.stats.la_failed_tasks);
         assert!(report.contains(&line), "{report}");
         // The recovery counters of every round are summed, not dropped.
-        let recovery = gpu.stats.recovery.as_ref().expect("the GPU engine reports recovery");
+        let recovery = &gpu.stats.gpu.as_ref().expect("the GPU engine reports recovery").recovery;
         assert!(recovery.device_lost);
         assert!(recovery.device_resets >= 2, "one reset budget per round: {recovery:?}");
         assert!(report.contains("device lost"), "{report}");
         assert!(report.contains("device resets"), "{report}");
-        assert_eq!(cpu.stats.recovery, None, "the CPU engine has no ladder");
+        assert!(cpu.stats.gpu.is_none(), "the CPU engine has no ladder");
     }
 
     #[test]
@@ -191,7 +191,7 @@ mod tests {
             let out = run_iterative(&pairs, &cfg, &[21, 31]);
             assert_eq!(out.contigs, cpu.contigs, "{:?}", cfg.engine);
             assert_eq!(out.stats.la_failed_tasks, 0);
-            let recovery = out.stats.recovery.as_ref().expect("a GPU engine ran every round");
+            let recovery = &out.stats.gpu.as_ref().expect("a GPU engine ran every round").recovery;
             assert!(!recovery.any_recovery(), "healthy device: {recovery:?}");
         }
     }

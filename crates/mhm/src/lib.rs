@@ -20,7 +20,7 @@
 //! k = k₁, k₂, …"); both return a [`PipelineResult`] with one
 //! [`RoundStats`] per round. Its [`PhaseTimings`] hold measured host
 //! seconds on every engine; the GPU's modeled device seconds are kept apart
-//! in [`PipelineStats::la_gpu_sim_seconds`]. [`scaling`] projects
+//! in [`PipelineStats::gpu`]. [`scaling`] projects
 //! measured profiles onto Summit node counts (64–1024) with the α–β
 //! communication model and the paper-anchored GPU-overhead model, producing
 //! the series behind Figures 2, 12, 13 and 14.

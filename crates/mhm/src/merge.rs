@@ -8,10 +8,9 @@
 
 use bioseq::{DnaSeq, PairedRead, Read};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Merge parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MergeParams {
     /// Minimum overlap between mate 1 and rc(mate 2).
     pub min_overlap: usize,
@@ -26,7 +25,7 @@ impl Default for MergeParams {
 }
 
 /// Outcome statistics.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MergeStats {
     pub pairs_in: usize,
     pub merged: usize,

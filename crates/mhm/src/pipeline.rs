@@ -9,17 +9,16 @@ use align::{collect_candidates, CandidateParams, SeedIndex};
 use bioseq::{DnaSeq, PairedRead, Read};
 use dbg::{count_kmers, generate_contigs, DbgGraph};
 use gpusim::DeviceConfig;
-use locassm::gpu::{GpuLocalAssembler, GpuRunStats, KernelVersion, RecoveryStats};
+use locassm::gpu::{GpuLocalAssembler, GpuRunStats, KernelVersion};
 use locassm::{
     apply_extensions, bin_tasks, extend_all_cpu_isolated, make_tasks, summarize, BinStats,
     DriverError, ExtResult, ExtSummary, ExtTask, LocalAssemblyParams, OverlapDriver,
     ScheduleReport, TaskOutcome,
 };
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Pipeline phases, named as in the paper's run-time breakdowns (Fig. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     MergeReads,
     KmerAnalysis,
@@ -60,7 +59,7 @@ impl Phase {
 }
 
 /// Seconds per phase.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PhaseTimings {
     entries: Vec<(Phase, f64)>,
 }
@@ -156,12 +155,12 @@ pub struct PipelineResult {
     pub scaffolds: Vec<Scaffold>,
     /// Measured host seconds per phase, summed over rounds, on every
     /// engine. The LocalAssembly row runs from building the tasks to
-    /// applying the extensions, simulator host time included, and equals
-    /// `stats.la_wall_seconds`. Modeled device seconds never land here;
-    /// they are in `stats.la_gpu_sim_seconds`.
+    /// applying the extensions, simulator host time included. Modeled
+    /// device seconds never land here; they are in `stats.gpu.seconds`.
     pub timings: PhaseTimings,
     pub stats: PipelineStats,
-    /// One entry per k round, in schedule order (one for a single-k run).
+    /// One entry per k round, in schedule order (one for a single-k run);
+    /// the last describes the round the contigs come from.
     pub rounds: Vec<RoundStats>,
 }
 
@@ -169,16 +168,14 @@ impl PipelineResult {
     /// Whether local assembly had to exercise any rung of the recovery
     /// ladder (retry, batch shrink, device reset, CPU fallback, or skip).
     pub fn degraded(&self) -> bool {
-        self.stats.recovery.as_ref().is_some_and(RecoveryStats::any_recovery)
+        self.stats.gpu.as_ref().is_some_and(|g| g.recovery.any_recovery())
             || self.stats.la_failed_tasks > 0
     }
 }
 
-/// Run statistics. Each field follows one of three rules: *run* fields
-/// describe the whole run once, *summed* fields add up the work of every k
-/// round, and *final-round* fields describe the last round of the schedule
-/// (the only round of a single-k run). Per-round facts are in
-/// [`RoundStats`].
+/// Run statistics. Each field follows one of two rules: *run* fields
+/// describe the whole run once, and *summed* fields add up the work of
+/// every k round. Per-round facts are in [`RoundStats`], one per round.
 #[derive(Debug, Default)]
 pub struct PipelineStats {
     /// Run: input read pairs.
@@ -187,41 +184,15 @@ pub struct PipelineStats {
     pub merge: MergeStats,
     /// Run: reads after merging.
     pub reads_for_assembly: usize,
-    /// Final round: distinct k-mers that passed the singleton filter.
-    pub distinct_kmers: usize,
-    /// Final round: contigs generated before the length filter.
-    pub contigs_initial: usize,
-    /// Final round: contigs kept by the length filter.
-    pub contigs_kept: usize,
-    /// Final round: local-assembly tasks by bin.
-    pub bins: BinStats,
-    /// Final round: local-assembly tasks.
-    pub tasks: usize,
-    /// Final round: bases local assembly appended.
-    pub bases_appended: usize,
-    /// Final round: walk-outcome telemetry (states, iterations, extension
-    /// lengths).
-    pub ext_summary: ExtSummary,
-    /// Summed: measured host seconds of the local-assembly phase, whichever
-    /// engine ran it; equals `timings.get(Phase::LocalAssembly)`.
-    pub la_wall_seconds: f64,
-    /// Summed: modeled (simulated) device seconds of the GPU (GPU and
-    /// overlap engines; for overlap, the GPU side only, not the schedule
-    /// makespan). Never added to the measured phase table.
-    pub la_gpu_sim_seconds: Option<f64>,
-    /// Summed: GPU engine run stats (GPU and overlap engines).
+    /// Summed: GPU engine run stats (GPU and overlap engines). Its
+    /// `seconds` are modeled (simulated) device seconds, for overlap the
+    /// GPU side only, not the schedule makespan, and never added to the
+    /// measured phase table; its `recovery` counters are all-zero for a
+    /// fault-free run.
     pub gpu: Option<GpuRunStats>,
-    /// Summed: recovery-ladder counters from the GPU engine (GPU and overlap
-    /// engines); all-zero for a fault-free run.
-    pub recovery: Option<RecoveryStats>,
     /// Summed: tasks skipped after every recovery rung failed (their contigs
     /// keep their unextended sequence).
     pub la_failed_tasks: usize,
-    /// Final round: overlap-scheduler report (overlap engine only): shares,
-    /// steal counts, and the virtual-time makespan model.
-    pub overlap: Option<ScheduleReport>,
-    /// Run: scaffolds.
-    pub scaffolds: usize,
     /// Run: bytes of the in-memory scaffold FASTA (single-k runs only).
     pub fasta_bytes: usize,
 }
@@ -232,12 +203,22 @@ pub struct RoundStats {
     pub k: usize,
     /// Contiguity of the round's contigs after local-assembly extension.
     pub stats: AssemblyStats,
-    /// Bases local assembly appended.
-    pub bases_appended: usize,
+    /// Distinct k-mers that passed the singleton filter.
+    pub distinct_kmers: usize,
+    /// Contigs generated before the length filter.
+    pub contigs_initial: usize,
+    /// Contigs kept by the length filter.
+    pub contigs_kept: usize,
+    /// Local-assembly tasks by bin.
+    pub bins: BinStats,
+    /// Local-assembly walk telemetry: tasks, bases appended, walk states,
+    /// iterations and extension lengths.
+    pub ext_summary: ExtSummary,
     /// Local-assembly tasks skipped after every recovery rung failed (their
     /// contigs keep this round's sequence).
     pub failed_tasks: usize,
-    /// Overlap-scheduler report (overlap engine only).
+    /// Overlap-scheduler report (overlap engine only): shares, steal
+    /// counts, and the virtual-time makespan model.
     pub overlap: Option<ScheduleReport>,
 }
 
@@ -303,7 +284,7 @@ pub fn run_local_assembly(
 ///
 /// Recoverable device faults (injected or genuine OOM/launch failures) are
 /// absorbed by the local-assembly recovery ladder and reported as counters
-/// in [`PipelineStats::recovery`]; an `Err` means the run could not
+/// in `PipelineStats::gpu`'s `recovery`; an `Err` means the run could not
 /// produce a result at all.
 pub fn run_pipeline(
     pairs: &[PairedRead],
@@ -356,7 +337,6 @@ pub fn run_rounds(
 
     let t = Instant::now();
     let scaffolds = scaffold_contigs(&contigs, pairs, &cfg.scaffold);
-    stats.scaffolds = scaffolds.len();
     timings.add(Phase::Scaffolding, t.elapsed().as_secs_f64());
 
     // File I/O: serialize to an in-memory sink (callers persist if they
@@ -379,8 +359,9 @@ pub fn run_rounds(
 }
 
 /// One k round over `prev`, the previous round's contigs (empty in the
-/// first round). Books each phase's host seconds in `timings`, folds the
-/// round into `stats` by their rules, and returns the extended contigs.
+/// first round). Books each phase's host seconds in `timings`, adds the
+/// round's local-assembly work to the summed `stats`, and returns the
+/// extended contigs.
 fn run_round(
     k: usize,
     reads: &[Read],
@@ -401,15 +382,14 @@ fn run_round(
         };
         count_kmers(count_over, k, cfg.min_kmer_count)
     };
-    stats.distinct_kmers = counts.len();
+    let distinct_kmers = counts.len();
     timings.add(Phase::KmerAnalysis, t.elapsed().as_secs_f64());
 
     let t = Instant::now();
     let raw_contigs = generate_contigs(&DbgGraph::new(k, counts), cfg.min_votes);
-    stats.contigs_initial = raw_contigs.len();
+    let contigs_initial = raw_contigs.len();
     let contigs: Vec<DnaSeq> =
         raw_contigs.into_iter().filter(|c| c.len() >= cfg.min_contig_len).map(|c| c.seq).collect();
-    stats.contigs_kept = contigs.len();
     timings.add(Phase::ContigGeneration, t.elapsed().as_secs_f64());
 
     // Alignment: candidates come from the real reads only, so contigs never
@@ -439,31 +419,25 @@ fn run_round(
     let cand_pairs: Vec<(Vec<Read>, Vec<Read>)> =
         cands.into_iter().map(|c| (c.right, c.left)).collect();
     let tasks = make_tasks(&contigs, &cand_pairs, &cfg.locassm);
-    stats.tasks = tasks.len();
-    stats.bins = bin_tasks(&tasks);
+    let bins = bin_tasks(&tasks);
     let la = run_local_assembly(&tasks, &cfg.locassm, &cfg.engine)
         .map_err(|e| PipelineError::engine(Phase::LocalAssembly, e))?;
-    stats.ext_summary = summarize(&la.results);
+    let ext_summary = summarize(&la.results);
     let extended = apply_extensions(&contigs, &tasks, &la.results);
-    let la_seconds = t.elapsed().as_secs_f64();
-    timings.add(Phase::LocalAssembly, la_seconds);
+    timings.add(Phase::LocalAssembly, t.elapsed().as_secs_f64());
 
-    stats.la_wall_seconds += la_seconds;
     stats.la_failed_tasks += la.failed_tasks;
     if let Some(gpu) = la.gpu {
-        *stats.la_gpu_sim_seconds.get_or_insert(0.0) += gpu.seconds;
-        stats.recovery.get_or_insert_with(RecoveryStats::default).absorb(&gpu.recovery);
-        match &mut stats.gpu {
-            Some(sum) => sum.absorb(&gpu),
-            None => stats.gpu = Some(gpu),
-        }
+        stats.gpu.get_or_insert_with(GpuRunStats::default).absorb(&gpu);
     }
-    stats.bases_appended = stats.ext_summary.bases_appended;
-    stats.overlap.clone_from(&la.schedule);
     let round = RoundStats {
         k,
         stats: AssemblyStats::of(&extended),
-        bases_appended: stats.bases_appended,
+        distinct_kmers,
+        contigs_initial,
+        contigs_kept: contigs.len(),
+        bins,
+        ext_summary,
         failed_tasks: la.failed_tasks,
         overlap: la.schedule,
     };
@@ -517,8 +491,9 @@ mod tests {
         let (community, pairs) = tiny_dataset();
         let cfg = PipelineConfig::default();
         let result = run_pipeline(&pairs, &cfg).expect("pipeline runs");
-        assert!(result.stats.contigs_kept > 0, "no contigs survived");
-        assert!(result.stats.distinct_kmers > 1000);
+        let round = &result.rounds[0];
+        assert!(round.contigs_kept > 0, "no contigs survived");
+        assert!(round.distinct_kmers > 1000);
         // Longest contig should cover a large chunk of some genome.
         let longest = result.contigs.iter().map(DnaSeq::len).max().unwrap();
         let min_genome = community.genomes.iter().map(|g| g.seq.len()).min().unwrap();
@@ -544,8 +519,9 @@ mod tests {
         let cpu = run_pipeline(&pairs, &cpu_cfg).expect("pipeline runs");
         let gpu = run_pipeline(&pairs, &gpu_cfg).expect("pipeline runs");
         assert_eq!(cpu.contigs, gpu.contigs, "engines must produce identical assemblies");
-        assert!(gpu.stats.la_gpu_sim_seconds.unwrap() > 0.0);
-        assert!(gpu.stats.gpu.as_ref().unwrap().counters.warp_insts() > 0);
+        let gpu_stats = gpu.stats.gpu.as_ref().unwrap();
+        assert!(gpu_stats.seconds > 0.0);
+        assert!(gpu_stats.counters.warp_insts() > 0);
     }
 
     #[test]
@@ -556,10 +532,13 @@ mod tests {
             ..PipelineConfig::default()
         };
         let result = run_pipeline(&pairs, &cfg).expect("pipeline runs");
-        assert_eq!(result.timings.get(Phase::LocalAssembly), result.stats.la_wall_seconds);
-        let modeled = result.stats.la_gpu_sim_seconds.expect("the GPU engine models its seconds");
+        let modeled = result.stats.gpu.as_ref().expect("the GPU engine models its seconds").seconds;
         assert!(modeled > 0.0);
-        assert!(result.stats.la_wall_seconds > 0.0);
+        // The row times the simulator on the host, which takes far longer
+        // than the device time it models; a row holding the modeled
+        // seconds would fail this.
+        let row = result.timings.get(Phase::LocalAssembly);
+        assert!(row > modeled, "row {row} s must exceed the modeled {modeled} s");
     }
 
     #[test]
@@ -602,7 +581,8 @@ mod tests {
             &ReadSimConfig { n_pairs: 3_000, read_len: 100, seed: 12, ..Default::default() },
         );
         let result = run_pipeline(&pairs, &PipelineConfig::default()).expect("pipeline runs");
-        assert!(result.stats.bases_appended > 0, "local assembly appended nothing");
+        let appended = result.rounds[0].ext_summary.bases_appended;
+        assert!(appended > 0, "local assembly appended nothing");
     }
 
     #[test]
@@ -617,8 +597,15 @@ mod tests {
     fn ext_summary_consistent_with_stats() {
         let (_, pairs) = tiny_dataset();
         let result = run_pipeline(&pairs, &PipelineConfig::default()).expect("pipeline runs");
-        assert_eq!(result.stats.ext_summary.tasks, result.stats.tasks);
-        assert_eq!(result.stats.ext_summary.bases_appended, result.stats.bases_appended);
+        let round = &result.rounds[0];
+        assert_eq!(round.ext_summary.tasks, round.bins.total());
+        // The summary's appended bases are exactly what extension added to
+        // the contigs of a run without local assembly.
+        let mut no_la = PipelineConfig::default();
+        no_la.locassm.max_total_extension = 0;
+        let base = run_pipeline(&pairs, &no_la).expect("pipeline runs");
+        let bases = |r: &PipelineResult| r.contigs.iter().map(DnaSeq::len).sum::<usize>();
+        assert_eq!(bases(&result), bases(&base) + round.ext_summary.bases_appended);
     }
 
     #[test]

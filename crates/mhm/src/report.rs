@@ -1,6 +1,8 @@
 //! Text rendering of breakdowns and series tables for the figure harnesses.
 
 use crate::pipeline::{PhaseTimings, PipelineResult, PipelineStats};
+use locassm::gpu::GpuRunStats;
+use locassm::ScheduleReport;
 
 /// Render a phase breakdown as a fixed-width table with percentage bars —
 //  the textual equivalent of the paper's pie charts (Fig. 2, Fig. 12).
@@ -30,7 +32,7 @@ pub fn render_recovery(stats: &PipelineStats) -> String {
     let mut line = |label: &str, value: String| {
         out.push_str(&format!("  {label:<24} {value}\n"));
     };
-    if let Some(rec) = &stats.recovery {
+    if let Some(rec) = stats.gpu.as_ref().map(|g| &g.recovery) {
         if rec.launch_retries > 0 {
             line("launch retries", rec.launch_retries.to_string());
         }
@@ -72,15 +74,18 @@ pub fn render_run(result: &PipelineResult) -> String {
         out.push('\n');
     }
     out.push_str(&render_breakdown("pipeline", &result.timings));
-    if let Some(sim) = result.stats.la_gpu_sim_seconds {
+    let gpu = result.stats.gpu.as_ref();
+    if let Some(gpu) = gpu {
         out.push_str(&format!(
-            "modeled GPU local assembly {sim:.6} s (simulated device time, not in TOTAL)\n"
+            "modeled GPU local assembly {:.6} s (simulated device time, not in TOTAL)\n",
+            gpu.seconds
         ));
     }
     if result.degraded() {
         out.push_str(&render_recovery(&result.stats));
     }
-    out.push_str(&render_overlap(&result.stats));
+    let sched = result.rounds.last().and_then(|r| r.overlap.as_ref());
+    out.push_str(&render_overlap(sched, gpu));
     out.push_str(&render_sanitizer(&result.stats));
     out
 }
@@ -98,11 +103,12 @@ pub fn render_sanitizer(stats: &PipelineStats) -> String {
     format!("\n{}", summary.render())
 }
 
-/// Render the overlap-scheduler section: engine shares, steal counts, the
-/// CPU rate model against measured CPU seconds, and the double-buffer
-/// savings. Empty when the run did not use the overlap driver.
-pub fn render_overlap(stats: &PipelineStats) -> String {
-    let Some(sched) = &stats.overlap else {
+/// Render the overlap-scheduler section from the final round's report:
+/// engine shares, steal counts, the CPU rate model against measured CPU
+/// seconds, and the double-buffer savings of `gpu`. Empty when the run did
+/// not use the overlap driver.
+pub fn render_overlap(sched: Option<&ScheduleReport>, gpu: Option<&GpuRunStats>) -> String {
+    let Some(sched) = sched else {
         return String::new();
     };
     let mut out = String::from("\noverlap scheduler (work-steal)\n");
@@ -120,7 +126,7 @@ pub fn render_overlap(stats: &PipelineStats) -> String {
     );
     line(
         "batches",
-        format!("cpu {} / gpu {} of {}", sched.cpu_batches, sched.gpu_batches, sched.batches),
+        format!("cpu {} / gpu {} of {}", sched.cpu_batches, sched.gpu_batches, sched.batches()),
     );
     if sched.cpu_stole_heavy > 0 {
         line("bin-3 stolen by CPU", sched.cpu_stole_heavy.to_string());
@@ -141,7 +147,7 @@ pub fn render_overlap(stats: &PipelineStats) -> String {
             100.0 * sched.cpu_model_err()
         ),
     );
-    if let Some(gpu) = &stats.gpu {
+    if let Some(gpu) = gpu {
         if gpu.pack_s > 0.0 {
             line(
                 "pack overlap",
@@ -221,14 +227,13 @@ mod tests {
     fn sanitizer_section_empty_without_gpu_or_sanitizer() {
         let stats = PipelineStats::default();
         assert_eq!(render_sanitizer(&stats), "");
-        let stats =
-            PipelineStats { gpu: Some(locassm::gpu::GpuRunStats::default()), ..Default::default() };
+        let stats = PipelineStats { gpu: Some(GpuRunStats::default()), ..Default::default() };
         assert_eq!(render_sanitizer(&stats), "", "sanitizer-off GPU runs print nothing");
     }
 
     #[test]
     fn sanitizer_section_reports_clean_run() {
-        let mut gpu = locassm::gpu::GpuRunStats::default();
+        let mut gpu = GpuRunStats::default();
         gpu.sanitizer.enabled = true;
         let stats = PipelineStats { gpu: Some(gpu), ..Default::default() };
         let s = render_sanitizer(&stats);
@@ -237,29 +242,41 @@ mod tests {
 
     #[test]
     fn overlap_section_empty_without_overlap_driver() {
-        let stats = PipelineStats::default();
-        assert_eq!(render_overlap(&stats), "");
+        assert_eq!(render_overlap(None, None), "");
+        assert_eq!(render_overlap(None, Some(&GpuRunStats::default())), "", "plain GPU run");
+    }
+
+    /// The `cpu N / gpu M` split of a labelled line, parsed the way
+    /// `perfbench/run.py` reads it: `^\s*{label}\s+cpu (\d+) / gpu (\d+)`.
+    fn split_of(report: &str, label: &str) -> Option<(u64, u64)> {
+        report.lines().find_map(|line| {
+            let rest = line.trim_start().strip_prefix(label)?;
+            let rest = rest.strip_prefix(char::is_whitespace)?.trim_start();
+            let (cpu, gpu) = rest.strip_prefix("cpu ")?.split_once(" / gpu ")?;
+            let gpu = gpu.split(|c: char| !c.is_ascii_digit()).next()?;
+            Some((cpu.parse().ok()?, gpu.parse().ok()?))
+        })
     }
 
     #[test]
     fn overlap_section_reports_shares_and_steals() {
-        let stats = PipelineStats {
-            overlap: Some(locassm::ScheduleReport {
-                batches: 6,
-                gpu_batches: 4,
-                cpu_batches: 2,
-                cpu_stole_heavy: 1,
-                cpu_est_words: 900,
-                gpu_est_words: 1100,
-                cpu_model_s: 0.5,
-                gpu_model_s: 0.4,
-                ..Default::default()
-            }),
+        let sched = ScheduleReport {
+            gpu_batches: 4,
+            cpu_batches: 2,
+            cpu_stole_heavy: 1,
+            cpu_est_words: 900,
+            gpu_est_words: 1100,
+            cpu_model_s: 0.5,
+            gpu_model_s: 0.4,
             ..Default::default()
         };
-        let s = render_overlap(&stats);
+        let s = render_overlap(Some(&sched), None);
         assert!(s.contains("work-steal"), "{s}");
         assert!(s.contains("cpu 900 / gpu 1100"), "{s}");
+        // The batch total is derived from the two engines' counts.
+        assert!(s.lines().any(|l| l == "  batches                  cpu 2 / gpu 4 of 6"), "{s}");
+        assert_eq!(split_of(&s, "batches"), Some((2, 4)), "{s}");
+        assert_eq!(split_of(&s, "shares (est words)"), Some((900, 1100)), "{s}");
         assert!(s.contains("bin-3 stolen by CPU"), "{s}");
         assert!(s.contains("model makespan"), "{s}");
         assert!(!s.contains("bin-2 absorbed"), "unfired counters stay silent: {s}");
@@ -267,21 +284,17 @@ mod tests {
 
     #[test]
     fn overlap_section_reports_cpu_rate_model() {
-        let stats = PipelineStats {
-            overlap: Some(locassm::ScheduleReport {
-                batches: 4,
-                gpu_batches: 2,
-                cpu_batches: 2,
-                cpu_est_words: 500,
-                gpu_est_words: 500,
-                cpu_words_per_s: 2.0e3,
-                cpu_model_s: 0.25,
-                cpu_measured_s: 0.2,
-                ..Default::default()
-            }),
+        let sched = ScheduleReport {
+            gpu_batches: 2,
+            cpu_batches: 2,
+            cpu_est_words: 500,
+            gpu_est_words: 500,
+            cpu_words_per_s: 2.0e3,
+            cpu_model_s: 0.25,
+            cpu_measured_s: 0.2,
             ..Default::default()
         };
-        let s = render_overlap(&stats);
+        let s = render_overlap(Some(&sched), None);
         let line = s.lines().find(|l| l.contains("cpu rate model")).expect("model line");
         assert!(
             line.ends_with(
@@ -294,14 +307,15 @@ mod tests {
     #[test]
     fn recovery_section_lists_fired_rungs() {
         use locassm::gpu::RecoveryStats;
+        let recovery = RecoveryStats {
+            batch_splits: 2,
+            device_resets: 1,
+            backoff_s: 0.001,
+            cpu_fallback_tasks: 3,
+            ..Default::default()
+        };
         let stats = PipelineStats {
-            recovery: Some(RecoveryStats {
-                batch_splits: 2,
-                device_resets: 1,
-                backoff_s: 0.001,
-                cpu_fallback_tasks: 3,
-                ..Default::default()
-            }),
+            gpu: Some(GpuRunStats { recovery, ..Default::default() }),
             la_failed_tasks: 1,
             ..Default::default()
         };

@@ -8,7 +8,6 @@
 use align::{align_read, AlignParams, SeedIndex};
 use bioseq::{DnaSeq, PairedRead};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Scaffolding parameters.
@@ -31,7 +30,7 @@ impl Default for ScaffoldParams {
 }
 
 /// A contig end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 enum End {
     Left,
     Right,
@@ -50,7 +49,7 @@ impl End {
 }
 
 /// An ordered, oriented chain of contigs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scaffold {
     /// `(contig index, flipped?)` in scaffold order.
     pub members: Vec<(usize, bool)>,

@@ -22,7 +22,6 @@
 //! no additional fitting — a useful consistency check.
 
 use crate::pipeline::{Phase, PhaseTimings};
-use serde::{Deserialize, Serialize};
 
 /// Why a scaling-model query was rejected. The model is *anchored*, not a
 /// general law: it can only interpolate between its calibration points, so
@@ -54,7 +53,7 @@ impl std::fmt::Display for ScalingError {
 impl std::error::Error for ScalingError {}
 
 /// How a phase scales with node count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PhaseScaling {
     /// Node-local compute: `t(N) = t64 · 64/N`.
     Local,
@@ -65,7 +64,7 @@ pub enum PhaseScaling {
 }
 
 /// Anchors lifted from the paper.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PaperAnchors {
     /// Anchor node count (64).
     pub nodes_anchor: f64,
@@ -108,7 +107,7 @@ impl Default for PaperAnchors {
 }
 
 /// The solved scaling model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScalingModel {
     pub anchors: PaperAnchors,
     /// Node-seconds of CPU local-assembly work (`C` in the derivation).

@@ -4,10 +4,9 @@
 
 use bioseq::DnaSeq;
 use kmer::{CanonicalKmerIter, KmerTable};
-use serde::{Deserialize, Serialize};
 
 /// Contiguity statistics of a contig/scaffold set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AssemblyStats {
     /// Number of sequences.
     pub count: usize,
@@ -61,7 +60,7 @@ impl AssemblyStats {
 }
 
 /// Reference-based evaluation of an assembly against known genomes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefEval {
     /// Fraction of reference k-mers recovered by the assembly.
     pub genome_fraction: f64,

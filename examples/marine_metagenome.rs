@@ -43,11 +43,14 @@ fn main() {
     println!("{}", render_breakdown("with GPU local assembly (simulator host time)", &gpu.timings));
     println!(
         "modeled: GPU local assembly {:.4} s simulated V100 device time",
-        gpu.stats.la_gpu_sim_seconds.expect("the GPU engine models its seconds"),
+        gpu.stats.gpu.as_ref().expect("the GPU engine models its seconds").seconds,
     );
+    let round = gpu.rounds.last().expect("one round");
     println!(
         "\nassembly: {} contigs, {} scaffolds, {} bases appended by local assembly",
-        gpu.stats.contigs_kept, gpu.stats.scaffolds, gpu.stats.bases_appended
+        round.contigs_kept,
+        gpu.scaffolds.len(),
+        round.ext_summary.bases_appended
     );
     let gstats = gpu.stats.gpu.as_ref().expect("gpu stats");
     println!(

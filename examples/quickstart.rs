@@ -42,16 +42,18 @@ fn main() {
     let result = run_pipeline(&pairs, &PipelineConfig::default()).expect("pipeline runs");
 
     // 4. Report.
-    let s = &result.stats;
+    let merge = &result.stats.merge;
+    let r = &result.rounds[0];
     println!("\nassembly:");
-    println!("  merged pairs:        {}/{}", s.merge.merged, s.merge.pairs_in);
-    println!("  distinct k-mers:     {}", s.distinct_kmers);
-    println!("  contigs:             {} (of {} raw)", s.contigs_kept, s.contigs_initial);
-    println!("  local assembly:      {} tasks, {} bases appended", s.tasks, s.bases_appended);
-    println!("  walk outcomes:       {}", s.ext_summary.render());
-    let (b1, b2, b3) = s.bins.percentages();
+    println!("  merged pairs:        {}/{}", merge.merged, merge.pairs_in);
+    println!("  distinct k-mers:     {}", r.distinct_kmers);
+    println!("  contigs:             {} (of {} raw)", r.contigs_kept, r.contigs_initial);
+    let ext = &r.ext_summary;
+    println!("  local assembly:      {} tasks, {} bases appended", ext.tasks, ext.bases_appended);
+    println!("  walk outcomes:       {}", ext.render());
+    let (b1, b2, b3) = r.bins.percentages();
     println!("  task bins:           {b1:.1}% zero-read, {b2:.1}% small, {b3:.2}% large");
-    println!("  scaffolds:           {}", s.scaffolds);
+    println!("  scaffolds:           {}", result.scaffolds.len());
     let longest = result.contigs.iter().map(|c| c.len()).max().unwrap_or(0);
     println!("  longest contig:      {longest} bp");
     println!();

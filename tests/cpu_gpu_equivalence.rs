@@ -135,7 +135,7 @@ fn batch_split_invariance() {
         KernelVersion::V2,
     );
     let (many, stats) = small_dev.extend_tasks(&tasks);
-    assert!(stats.batches >= 2, "expected multiple batches, got {}", stats.batches);
+    assert!(stats.launches >= 2, "expected multiple batches, got {}", stats.launches);
     assert_eq!(one, many);
 }
 

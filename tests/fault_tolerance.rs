@@ -109,7 +109,7 @@ fn pipeline_with_faulty_device_matches_cpu_contigs() {
     .expect("faulty pipeline must still complete");
     assert_eq!(cpu.contigs, gpu.contigs, "faults must not change contigs");
     assert!(gpu.degraded(), "recovery must be visible in the result");
-    let recovery = gpu.stats.recovery.as_ref().expect("gpu run records recovery");
+    let recovery = &gpu.stats.gpu.as_ref().expect("gpu run records recovery").recovery;
     assert!(recovery.any_recovery());
 }
 

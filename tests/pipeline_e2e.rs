@@ -76,7 +76,7 @@ fn assembles_multi_species_community() {
     let pairs = reads_for(&c, 6_000, 101);
     let result = run_pipeline(&pairs, &PipelineConfig::default()).expect("pipeline runs");
 
-    assert!(result.stats.contigs_kept >= 3, "too few contigs");
+    assert!(result.rounds[0].contigs_kept >= 3, "too few contigs");
     // The bulk of assembled sequence must be genuine genome sequence.
     let good = result.contigs.iter().filter(|ctg| matches_some_genome(ctg, &c)).count();
     assert!(
@@ -104,7 +104,8 @@ fn local_assembly_improves_contiguity() {
 
     let base = run_pipeline(&pairs, &no_la).expect("pipeline runs");
     let ext = run_pipeline(&pairs, &with_la).expect("pipeline runs");
-    assert!(ext.stats.bases_appended > 0, "extension appended nothing");
+    let appended = ext.rounds[0].ext_summary.bases_appended;
+    assert!(appended > 0, "extension appended nothing");
     let (n50_base, n50_ext) = (n50(&base.contigs), n50(&ext.contigs));
     assert!(
         n50_ext >= n50_base,
@@ -112,7 +113,7 @@ fn local_assembly_improves_contiguity() {
     );
     let total_base: usize = base.contigs.iter().map(DnaSeq::len).sum();
     let total_ext: usize = ext.contigs.iter().map(DnaSeq::len).sum();
-    assert_eq!(total_ext, total_base + ext.stats.bases_appended);
+    assert_eq!(total_ext, total_base + appended);
 }
 
 #[test]
@@ -137,7 +138,7 @@ fn extensions_are_correct_sequence() {
         &ReadSimConfig { n_pairs: 5_000, read_len: 100, seed: 301, ..Default::default() },
     );
     let result = run_pipeline(&pairs, &PipelineConfig::default()).expect("pipeline runs");
-    assert!(result.stats.bases_appended > 0);
+    assert!(result.rounds[0].ext_summary.bases_appended > 0);
     let long_contigs: Vec<&DnaSeq> = result.contigs.iter().filter(|c| c.len() >= 150).collect();
     assert!(!long_contigs.is_empty());
     let good = long_contigs.iter().filter(|ctg| matches_some_genome(ctg, &c)).count();
@@ -175,7 +176,7 @@ fn scaffolding_joins_contigs() {
     // Each contig appears in exactly one scaffold.
     let member_count: usize = result.scaffolds.iter().map(|s| s.members.len()).sum();
     assert_eq!(member_count, result.contigs.len());
-    assert!(result.stats.scaffolds <= result.stats.contigs_kept);
+    assert!(result.scaffolds.len() <= result.rounds[0].contigs_kept);
 }
 
 #[test]
@@ -186,7 +187,7 @@ fn deterministic_end_to_end() {
     let b = run_pipeline(&pairs, &PipelineConfig::default()).expect("pipeline runs");
     assert_eq!(a.contigs, b.contigs);
     assert_eq!(a.scaffolds, b.scaffolds);
-    assert_eq!(a.stats.bases_appended, b.stats.bases_appended);
+    assert_eq!(a.rounds[0].ext_summary, b.rounds[0].ext_summary);
 }
 
 #[test]
@@ -208,7 +209,7 @@ fn assert_thread_count_invariant(gpu: bool, run: impl Fn() -> PipelineResult + S
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
         let r = pool.install(&run);
         let rendered: Vec<DnaSeq> = r.scaffolds.iter().map(|s| s.render(&r.contigs)).collect();
-        let sim_bits = r.stats.la_gpu_sim_seconds.map(f64::to_bits);
+        let sim_bits = r.stats.gpu.as_ref().map(|g| g.seconds.to_bits());
         let counters = r.stats.gpu.as_ref().map(|g| g.counters);
         (r.contigs, rendered, sim_bits, counters)
     };
