@@ -48,9 +48,7 @@ fn bench_warp_ops(c: &mut Criterion) {
     ];
     for (name, op) in ops {
         group.bench_function(name, |b| {
-            b.iter(|| {
-                dev.launch(1, 0, |ctx| (0..OPS).for_each(|_| op(ctx))).expect("healthy device")
-            })
+            b.iter(|| dev.launch(1, 0, |ctx| (0..OPS).for_each(|_| op(ctx))))
         });
     }
     group.finish();
@@ -68,7 +66,6 @@ fn bench_v2_launch(c: &mut Criterion) {
     };
     let launch = |(mut dev, batch): (Device, GpuBatch)| {
         dev.launch(tasks.len(), batch.window, |ctx| extension_kernel_v2(ctx, &batch, &params))
-            .expect("healthy device")
     };
     let insts = launch(packed()).counters.warp_insts();
     println!("v2_launch: {} warps, {insts} warp instructions per launch", tasks.len());

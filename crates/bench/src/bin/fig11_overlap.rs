@@ -2,7 +2,7 @@
 //! GPU, bin 2 on the CPU) vs the work-stealing scheduler on a size-skewed
 //! seeded workload, plus the multi-GPU striping comparison (round-robin vs
 //! `stripe_lpt`, homogeneous and mixed-fleet) and byte-identity checks
-//! across scheduler × fault configurations.
+//! across scheduler × device configurations (healthy, failing kernel).
 //!
 //! Emits `results/BENCH_overlap.json` (hand-rolled JSON; the workspace has
 //! no serde_json). Every field is modeled and deterministic, so CI runs the
@@ -12,7 +12,8 @@
 //! numbers in a file.
 
 use bioseq::{DnaSeq, Read};
-use gpusim::{DeviceConfig, Fault, FaultPlan};
+use gpusim::DeviceConfig;
+use locassm::gpu::layout::MAX_DEVICE_K;
 use locassm::gpu::pack::estimate_task_words;
 use locassm::gpu::{stripe_lpt, GpuLocalAssembler, KernelVersion};
 use locassm::{
@@ -195,27 +196,19 @@ fn main() {
          {balance_mixed_aware:.3} vs {balance_mixed_blind:.3}"
     );
 
-    // --- byte-identity across scheduler × fault configurations.
-    let fault_plans = [
-        ("none", FaultPlan::default()),
-        (
-            "oom+hang",
-            FaultPlan {
-                faults: vec![
-                    Fault::SlabOom { at_alloc: 0 },
-                    Fault::KernelHang { at_launch: 1, after_cycles: 5_000 },
-                ],
-            },
-        ),
-        (
-            "device-loss",
-            FaultPlan {
-                faults: (0..64)
-                    .map(|i| Fault::KernelHang { at_launch: i, after_cycles: 100 })
-                    .collect(),
-            },
-        ),
-    ];
+    // --- byte-identity across scheduler × device configurations. The
+    // failing kernel starts at a k above the device layout's limit: the
+    // GPU's first batch panics and runs on the CPU fallback, and the rest
+    // of the deque drains to the CPU. Each is compared with a CPU
+    // reference at its own parameters.
+    let failing = LocalAssemblyParams {
+        k_list: vec![21, MAX_DEVICE_K + 5],
+        start_k_idx: 1,
+        ..params.clone()
+    };
+    let failing_reference = extend_all_cpu(&tasks, &failing);
+    let devices =
+        [("healthy", &params, &reference), ("failing-kernel", &failing, &failing_reference)];
     let seeded = |rate: f64| {
         SchedulePolicy::WorkSteal(StealConfig { cpu_words_per_s: rate, ..steal_cfg.clone() })
     };
@@ -231,22 +224,22 @@ fn main() {
         ("ws-seed-lo", seeded(cpu_rate / 10.0)),
     ];
     let mut identical_configs = 0usize;
-    for (fname, plan) in &fault_plans {
+    for (dname, run_params, expected) in devices {
         for (sname, schedule) in &schedules {
             let driver = OverlapDriver {
-                device: device.clone().with_fault_plan(plan.clone()),
+                device: device.clone(),
                 version: KernelVersion::V2,
                 schedule: schedule.clone(),
             };
-            let out = driver.run(&tasks, &params).expect("driver runs");
+            let out = driver.run(&tasks, run_params).expect("driver runs");
             assert_eq!(
-                out.results, reference,
-                "results must be byte-identical under {sname} x {fname}"
+                &out.results, expected,
+                "results must be byte-identical under {sname} x {dname}"
             );
             identical_configs += 1;
         }
     }
-    println!("byte-identity: {identical_configs} scheduler x fault configurations verified");
+    println!("byte-identity: {identical_configs} scheduler x device configurations verified");
 
     // --- emit BENCH_overlap.json (hand-rolled; no serde_json in tree).
     let mut json = String::from("{\n");

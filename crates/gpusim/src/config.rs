@@ -1,7 +1,5 @@
 //! Device configuration: V100-flavoured defaults, everything tunable.
 
-use crate::fault::FaultPlan;
-
 /// Hardware parameters of the simulated device.
 ///
 /// Defaults model the NVIDIA V100 used on Summit and Cori-GPU in the paper.
@@ -31,8 +29,6 @@ pub struct DeviceConfig {
     pub launch_overhead_us: f64,
     /// L1/shared aggregate bandwidth in transactions per cycle per SM.
     pub l1_tx_per_cycle_per_sm: f64,
-    /// Deterministic fault-injection schedule (empty = healthy device).
-    pub fault_plan: FaultPlan,
     /// Run every launch under the `gpucheck` sanitizer (off by default).
     pub sanitize: bool,
 }
@@ -58,7 +54,6 @@ impl DeviceConfig {
             global_mem_bytes: 16 * (1 << 30),
             launch_overhead_us: 10.0,
             l1_tx_per_cycle_per_sm: 4.0,
-            fault_plan: FaultPlan::none(),
             sanitize: false,
         }
     }
@@ -77,15 +72,8 @@ impl DeviceConfig {
             global_mem_bytes: 1 << 24,
             launch_overhead_us: 1.0,
             l1_tx_per_cycle_per_sm: 2.0,
-            fault_plan: FaultPlan::none(),
             sanitize: false,
         }
-    }
-
-    /// Attach a fault-injection schedule (builder style).
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> DeviceConfig {
-        self.fault_plan = plan;
-        self
     }
 
     /// Turn the `gpucheck` sanitizer on (builder style).

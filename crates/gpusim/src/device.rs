@@ -2,7 +2,6 @@
 
 use crate::config::DeviceConfig;
 use crate::counters::Counters;
-use crate::fault::{Fault, LaunchError};
 use crate::mem::{Buf, DeviceOom, GlobalMem};
 use crate::sanitizer::{Sanitizer, SanitizerSummary};
 use crate::timing::{self, TimingEstimate};
@@ -33,12 +32,6 @@ pub struct LaunchStats {
 }
 
 /// A simulated GPU: global memory plus accumulated execution counters.
-///
-/// Faults from the config's [`FaultPlan`](crate::fault::FaultPlan) fire at
-/// deterministic allocation/launch indices. A fatal fault ([`Fault::KernelHang`],
-/// [`Fault::BitFlip`]) *poisons* the device — every subsequent launch fails
-/// with [`LaunchError::DeviceLost`] until [`Device::reset_device`] is called —
-/// mirroring CUDA sticky errors.
 pub struct Device {
     config: DeviceConfig,
     mem: GlobalMem,
@@ -47,14 +40,6 @@ pub struct Device {
     /// Seconds of simulated kernel time accumulated across launches.
     total_time_s: f64,
     launches: u64,
-    /// Allocation attempts over the device's lifetime (denied ones included).
-    allocs: u64,
-    /// `fired[i]` ⇔ `config.fault_plan.faults[i]` has already fired.
-    fired: Vec<bool>,
-    /// The fatal error poisoning the context, if any.
-    poisoned: Option<LaunchError>,
-    /// Completed device resets.
-    resets: u64,
     /// `gpucheck` dynamic checker (config- or env-enabled).
     sanitizer: Option<Box<Sanitizer>>,
 }
@@ -65,7 +50,6 @@ impl Device {
     /// on even when the config leaves it off.
     pub fn new(config: DeviceConfig) -> Device {
         let cap = config.capacity_words();
-        let fired = vec![false; config.fault_plan.faults.len()];
         let sanitizer = (config.sanitize || sanitize_env_forced()).then(|| {
             crate::mem::enable_strict_bounds();
             Box::new(Sanitizer::new())
@@ -76,10 +60,6 @@ impl Device {
             total: Counters::new(),
             total_time_s: 0.0,
             launches: 0,
-            allocs: 0,
-            fired,
-            poisoned: None,
-            resets: 0,
             sanitizer,
         }
     }
@@ -101,10 +81,6 @@ impl Device {
     }
 
     /// Allocate `words` 64-bit words of zeroed global memory.
-    ///
-    /// An armed [`Fault::SlabOom`] matching this allocation attempt makes it
-    /// fail with [`DeviceOom`] even if capacity remains; the device stays
-    /// usable (callers shrink and retry).
     pub fn alloc(&mut self, words: u64) -> Result<Buf, DeviceOom> {
         self.alloc_inner(words, true)
     }
@@ -118,20 +94,6 @@ impl Device {
     }
 
     fn alloc_inner(&mut self, words: u64, initialized: bool) -> Result<Buf, DeviceOom> {
-        let attempt = self.allocs;
-        self.allocs += 1;
-        for i in 0..self.config.fault_plan.faults.len() {
-            if self.fired[i] {
-                continue;
-            }
-            if let Fault::SlabOom { at_alloc } = self.config.fault_plan.faults[i] {
-                if at_alloc == attempt {
-                    self.fired[i] = true;
-                    let free = self.config.capacity_words() - self.mem.used_words();
-                    return Err(DeviceOom { requested_words: words, free_words: free });
-                }
-            }
-        }
         let buf = self.mem.alloc(words)?;
         if let Some(s) = self.sanitizer.as_mut() {
             s.on_alloc(buf.addr, buf.len, initialized);
@@ -184,26 +146,18 @@ impl Device {
     /// launch runs as one range on the calling thread, because the
     /// sanitizer's state is per launch.
     ///
-    /// Returns per-launch counters and a timing estimate, or a
-    /// [`LaunchError`] when an injected fault fires (or the device is
-    /// already poisoned by one). Failed launch attempts still count toward
-    /// [`Device::launches`], and a hang's watchdog wait is charged to
-    /// [`Device::total_time_s`].
+    /// Returns per-launch counters and a timing estimate. A panicking
+    /// kernel unwinds to the caller (from a pool thread, rayon re-raises it
+    /// on the calling thread); the launch still counts toward
+    /// [`Device::launches`], but its counters and time are not added.
     pub fn launch(
         &mut self,
         warps: usize,
         local_words_per_lane: usize,
         kernel: impl Fn(&mut WarpCtx) + Sync,
-    ) -> Result<LaunchStats, LaunchError> {
+    ) -> LaunchStats {
         let launch_idx = self.launches;
         self.launches += 1;
-        if self.poisoned.is_some() {
-            return Err(LaunchError::DeviceLost { launch_idx });
-        }
-        if let Some(err) = self.fire_launch_fault(launch_idx) {
-            self.poisoned = Some(err);
-            return Err(err);
-        }
         if let Some(s) = self.sanitizer.as_mut() {
             s.begin_launch(launch_idx);
         }
@@ -241,60 +195,7 @@ impl Device {
         let timing = timing::estimate(&self.config, &counters, warps);
         self.total.merge(&counters);
         self.total_time_s += timing.total_seconds();
-        Ok(LaunchStats { warps, counters, timing })
-    }
-
-    /// Fire the first armed launch-scoped fault matching `launch_idx`.
-    fn fire_launch_fault(&mut self, launch_idx: u64) -> Option<LaunchError> {
-        for i in 0..self.config.fault_plan.faults.len() {
-            if self.fired[i] {
-                continue;
-            }
-            match self.config.fault_plan.faults[i] {
-                Fault::KernelHang { at_launch, after_cycles } if at_launch == launch_idx => {
-                    self.fired[i] = true;
-                    // The host blocks on the watchdog before seeing the error.
-                    self.total_time_s += after_cycles as f64 / (self.config.clock_ghz * 1e9);
-                    return Some(LaunchError::Hang { launch_idx, after_cycles });
-                }
-                Fault::BitFlip { at_launch, addr } if at_launch == launch_idx => {
-                    self.fired[i] = true;
-                    if addr < self.mem.used_words() {
-                        self.mem.write(addr, self.mem.read(addr) ^ 1);
-                    }
-                    return Some(LaunchError::MemCorruption { launch_idx, addr });
-                }
-                _ => {}
-            }
-        }
-        None
-    }
-
-    /// Recover a poisoned context: clears the sticky error and the memory
-    /// arena (device memory does not survive a reset), keeps counters and
-    /// already-fired faults. Counterpart of `cudaDeviceReset`.
-    pub fn reset_device(&mut self) {
-        self.poisoned = None;
-        self.mem.reset();
-        if let Some(s) = self.sanitizer.as_mut() {
-            s.on_reset();
-        }
-        self.resets += 1;
-    }
-
-    /// Whether a fatal fault has poisoned the context.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.is_some()
-    }
-
-    /// Completed [`Device::reset_device`] calls.
-    pub fn resets(&self) -> u64 {
-        self.resets
-    }
-
-    /// Number of injected faults that have fired so far.
-    pub fn faults_fired(&self) -> u64 {
-        self.fired.iter().filter(|&&f| f).count() as u64
+        LaunchStats { warps, counters, timing }
     }
 
     /// Counters accumulated across all launches.
@@ -323,7 +224,6 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
     use crate::warp::WARP;
 
     #[test]
@@ -337,19 +237,17 @@ mod tests {
         dev.h2d(b, 0, &(0..n as u64).map(|x| x * 2).collect::<Vec<_>>());
 
         let warps = n / WARP;
-        let stats = dev
-            .launch(warps, 0, |ctx| {
-                let base = (ctx.warp_id * WARP) as u64;
-                let addrs_a = ctx.lanes_from(|l| Some(a.at(base + l as u64)));
-                let va = ctx.ld_global(&addrs_a);
-                let addrs_b = ctx.lanes_from(|l| Some(b.at(base + l as u64)));
-                let vb = ctx.ld_global(&addrs_b);
-                ctx.int_ops(1);
-                let sum = ctx.lanes_from(|l| va[l] + vb[l]);
-                let addrs_c = ctx.lanes_from(|l| Some(c.at(base + l as u64)));
-                ctx.st_global(&addrs_c, &sum);
-            })
-            .expect("healthy device");
+        let stats = dev.launch(warps, 0, |ctx| {
+            let base = (ctx.warp_id * WARP) as u64;
+            let addrs_a = ctx.lanes_from(|l| Some(a.at(base + l as u64)));
+            let va = ctx.ld_global(&addrs_a);
+            let addrs_b = ctx.lanes_from(|l| Some(b.at(base + l as u64)));
+            let vb = ctx.ld_global(&addrs_b);
+            ctx.int_ops(1);
+            let sum = ctx.lanes_from(|l| va[l] + vb[l]);
+            let addrs_c = ctx.lanes_from(|l| Some(c.at(base + l as u64)));
+            ctx.st_global(&addrs_c, &sum);
+        });
 
         let out = dev.d2h(c, 0, n as u64);
         for (i, &v) in out.iter().enumerate() {
@@ -375,8 +273,7 @@ mod tests {
             let vals = ctx.ld_global(&addrs);
             let ops = ctx.lanes_from(|l| Some((hist.at(vals[l]), 1u64)));
             ctx.atomic_add(&ops);
-        })
-        .expect("healthy device");
+        });
 
         let out = dev.d2h(hist, 0, 4);
         assert_eq!(out, vec![32, 32, 32, 32]);
@@ -393,23 +290,19 @@ mod tests {
             let out = dev.alloc((warps * WARP) as u64).unwrap();
             let shared = dev.alloc(3).unwrap(); // [sum, claim, claim winners]
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            let stats = pool
-                .install(|| {
-                    dev.launch(warps, 2, |ctx| {
-                        let w = ctx.warp_id as u64;
-                        ctx.int_ops(1 + w % 5);
-                        let addrs = ctx.lanes_from(|l| Some(out.at(w * WARP as u64 + l as u64)));
-                        let vals = ctx.lanes_from(|l| w * 1000 + l as u64);
-                        ctx.st_global(&addrs, &vals);
-                        ctx.atomic_add(&ctx.lanes_from(|_| Some((shared.at(0), w + 1))));
-                        let old = ctx.atomic_cas(&ctx.lanes_from(|_| Some((shared.at(1), 0, 1))));
-                        let won = old.iter().filter(|&&o| o == 0).count() as u64;
-                        ctx.atomic_add(
-                            &ctx.lanes_from(|l| (l == 0).then_some((shared.at(2), won))),
-                        );
-                    })
+            let stats = pool.install(|| {
+                dev.launch(warps, 2, |ctx| {
+                    let w = ctx.warp_id as u64;
+                    ctx.int_ops(1 + w % 5);
+                    let addrs = ctx.lanes_from(|l| Some(out.at(w * WARP as u64 + l as u64)));
+                    let vals = ctx.lanes_from(|l| w * 1000 + l as u64);
+                    ctx.st_global(&addrs, &vals);
+                    ctx.atomic_add(&ctx.lanes_from(|_| Some((shared.at(0), w + 1))));
+                    let old = ctx.atomic_cas(&ctx.lanes_from(|_| Some((shared.at(1), 0, 1))));
+                    let won = old.iter().filter(|&&o| o == 0).count() as u64;
+                    ctx.atomic_add(&ctx.lanes_from(|l| (l == 0).then_some((shared.at(2), won))));
                 })
-                .expect("healthy device");
+            });
             (stats, dev.d2h(out, 0, out.len), dev.d2h(shared, 0, 3))
         };
         let (stats, out, shared) = run(1);
@@ -435,8 +328,8 @@ mod tests {
     #[test]
     fn counters_accumulate_across_launches() {
         let mut dev = Device::new(DeviceConfig::tiny());
-        dev.launch(1, 0, |ctx| ctx.int_ops(5)).expect("healthy device");
-        dev.launch(1, 0, |ctx| ctx.int_ops(7)).expect("healthy device");
+        dev.launch(1, 0, |ctx| ctx.int_ops(5));
+        dev.launch(1, 0, |ctx| ctx.int_ops(7));
         assert_eq!(dev.total_counters().int_inst, 12);
         assert_eq!(dev.launches(), 2);
         dev.reset_counters();
@@ -448,64 +341,6 @@ mod tests {
         let mut dev = Device::new(DeviceConfig::tiny());
         let cap = dev.config().capacity_words();
         assert!(dev.alloc(cap + 1).is_err());
-    }
-
-    #[test]
-    fn injected_slab_oom_fires_once_then_device_recovers() {
-        let plan = FaultPlan::single(Fault::SlabOom { at_alloc: 1 });
-        let mut dev = Device::new(DeviceConfig::tiny().with_fault_plan(plan));
-        assert!(dev.alloc(16).is_ok()); // attempt 0
-        let err = dev.alloc(16).unwrap_err(); // attempt 1: injected
-        assert_eq!(err.requested_words, 16);
-        assert!(dev.alloc(16).is_ok()); // one-shot: attempt 2 succeeds
-        assert!(!dev.is_poisoned());
-        assert_eq!(dev.faults_fired(), 1);
-    }
-
-    #[test]
-    fn kernel_hang_poisons_until_reset() {
-        let plan = FaultPlan::single(Fault::KernelHang { at_launch: 1, after_cycles: 1000 });
-        let mut dev = Device::new(DeviceConfig::tiny().with_fault_plan(plan));
-        dev.launch(1, 0, |ctx| ctx.int_ops(1)).expect("launch 0 healthy");
-        let t_before = dev.total_time_s();
-        let err = dev.launch(1, 0, |ctx| ctx.int_ops(1)).unwrap_err();
-        assert!(matches!(err, LaunchError::Hang { launch_idx: 1, after_cycles: 1000 }));
-        assert!(err.needs_reset());
-        assert!(dev.total_time_s() > t_before, "watchdog wait is charged");
-        // Sticky: further launches fail until reset.
-        assert!(matches!(
-            dev.launch(1, 0, |ctx| ctx.int_ops(1)).unwrap_err(),
-            LaunchError::DeviceLost { .. }
-        ));
-        dev.reset_device();
-        assert!(!dev.is_poisoned());
-        assert_eq!(dev.resets(), 1);
-        dev.launch(1, 0, |ctx| ctx.int_ops(1)).expect("healthy after reset");
-    }
-
-    #[test]
-    fn bit_flip_corrupts_memory_and_poisons() {
-        let plan = FaultPlan::single(Fault::BitFlip { at_launch: 0, addr: 3 });
-        let mut dev = Device::new(DeviceConfig::tiny().with_fault_plan(plan));
-        let buf = dev.alloc(8).unwrap();
-        dev.h2d(buf, 0, &[10, 11, 12, 13, 14, 15, 16, 17]);
-        let err = dev.launch(1, 0, |ctx| ctx.int_ops(1)).unwrap_err();
-        assert!(matches!(err, LaunchError::MemCorruption { launch_idx: 0, addr: 3 }));
-        assert!(dev.is_poisoned());
-        assert_eq!(dev.d2h_word(buf, 3), 13 ^ 1, "one bit flipped in place");
-        // Reset clears the arena: memory does not survive a device reset.
-        dev.reset_device();
-        assert_eq!(dev.mem_used_words(), 0);
-    }
-
-    #[test]
-    fn fault_free_run_unaffected_by_empty_plan() {
-        let mut dev = Device::new(DeviceConfig::tiny());
-        for _ in 0..4 {
-            dev.launch(1, 0, |ctx| ctx.int_ops(1)).expect("no faults planned");
-        }
-        assert_eq!(dev.faults_fired(), 0);
-        assert_eq!(dev.resets(), 0);
     }
 
     mod sanitized {
@@ -539,8 +374,7 @@ mod tests {
             dev.launch(1, 0, |ctx| {
                 ctx.ld_global_lane(0, fresh.at(0)); // live: fine
                 ctx.ld_global_lane(0, stale.at(12)); // stale epoch: flagged
-            })
-            .expect("launch ok");
+            });
             let sum = dev.take_sanitizer_summary().expect("sanitizer on");
             assert_eq!(sum.count(SanitizerKind::UseAfterReset), 1);
             assert_eq!(sum.count(SanitizerKind::OutOfBounds), 0);
@@ -556,8 +390,7 @@ mod tests {
                 ctx.ld_global_lane(0, raw.at(3)); // cudaMalloc semantics: uninit
                 ctx.st_global_lane(0, raw.at(4), 9); // store defines...
                 ctx.ld_global_lane(0, raw.at(4)); // ...so this is clean
-            })
-            .expect("launch ok");
+            });
             let sum = dev.take_sanitizer_summary().expect("sanitizer on");
             assert_eq!(sum.count(SanitizerKind::UninitRead), 1);
         }
@@ -570,8 +403,7 @@ mod tests {
             dev.launch(1, 0, |ctx| {
                 ctx.ld_global_lane(0, raw.at(2));
                 ctx.ld_global_lane(0, raw.at(3));
-            })
-            .expect("launch ok");
+            });
             let sum = dev.take_sanitizer_summary().expect("sanitizer on");
             assert!(sum.is_clean(), "{}", sum.render());
         }
@@ -582,8 +414,7 @@ mod tests {
             dev.alloc(4).unwrap();
             dev.launch(1, 0, |ctx| {
                 ctx.ld_global_lane(0, 100); // OOB
-            })
-            .expect("launch ok");
+            });
             assert_eq!(dev.take_sanitizer_summary().unwrap().total(), 1);
             let again = dev.take_sanitizer_summary().unwrap();
             assert!(again.enabled && again.total() == 0);
@@ -595,8 +426,7 @@ mod tests {
             let buf = dev.alloc(4).unwrap();
             dev.launch(2, 0, |ctx| {
                 ctx.st_global_lane(0, buf.at(0), ctx.warp_id as u64);
-            })
-            .expect("launch ok");
+            });
             let sum = dev.take_sanitizer_summary().expect("sanitizer on");
             assert!(sum.count(SanitizerKind::WarpRace) > 0);
             assert_eq!(sum.count(SanitizerKind::LaneRace), 0);
@@ -614,8 +444,7 @@ mod tests {
                     let vals = ctx.lanes_from(|l| l as u64);
                     ctx.st_global(&addrs, &vals);
                     ctx.ld_global(&addrs);
-                })
-                .expect("launch ok");
+                });
             }
             let sum = dev.take_sanitizer_summary().expect("sanitizer on");
             assert!(sum.is_clean(), "{}", sum.render());

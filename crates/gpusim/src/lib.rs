@@ -28,9 +28,10 @@
 //! × 1.53 GHz ⇒ the paper's 489.6 warp-GIPS peak), from which
 //! [`roofline::RooflineReport`] computes warp GIPS and instruction intensity.
 //!
-//! Device *failures* can be injected deterministically via [`fault::FaultPlan`]
-//! (denied allocations, kernel hangs, detected memory corruption) to exercise
-//! the recovery paths of the layers above.
+//! A kernel that panics (for example on a k its data layout cannot hold)
+//! unwinds out of [`Device::launch`] to the caller, like any Rust function;
+//! allocation beyond capacity is a [`DeviceOom`]. Those are the device's
+//! only failures.
 //!
 //! A `compute-sanitizer`-style checking layer — **`gpucheck`**
 //! ([`sanitizer`], [`shadow`]) — is one switch: on per device via
@@ -60,7 +61,6 @@
 pub mod config;
 pub mod counters;
 pub mod device;
-pub mod fault;
 pub mod mem;
 pub mod roofline;
 pub mod sanitizer;
@@ -71,7 +71,6 @@ pub mod warp;
 pub use config::DeviceConfig;
 pub use counters::{Counters, InstClass};
 pub use device::{sanitize_env_forced, Device, LaunchStats};
-pub use fault::{Fault, FaultPlan, LaunchError};
 pub use mem::{Buf, DeviceOom};
 pub use roofline::RooflineReport;
 pub use sanitizer::{SanitizerKind, SanitizerReport, SanitizerSummary};

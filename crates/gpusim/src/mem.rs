@@ -141,12 +141,6 @@ impl GlobalMem {
         self.word(addr).load(Ordering::Relaxed)
     }
 
-    /// Raw host-side word write.
-    #[inline]
-    pub fn write(&mut self, addr: u64, val: u64) {
-        *self.words[usize::try_from(addr).expect("addr fits usize")].get_mut() = val;
-    }
-
     /// Lane-side word store.
     #[inline]
     pub(crate) fn store(&self, addr: u64, val: u64) {
@@ -215,7 +209,7 @@ mod tests {
         let a = m.alloc(10).unwrap();
         let b = m.alloc(10).unwrap();
         assert_eq!(a.addr + a.len, b.addr);
-        m.write(a.at(9), 7);
+        m.write_slice(a, 9, &[7]);
         assert_eq!(m.read(b.at(0)), 0);
     }
 

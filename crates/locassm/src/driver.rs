@@ -76,14 +76,12 @@ pub struct OverlapOutcome {
     pub zero_tasks: usize,
     /// Tasks the CPU engine handled.
     pub cpu_tasks: usize,
-    /// Tasks the GPU engine handled.
+    /// Tasks the GPU engine handled, those its CPU fallback ran included.
     pub gpu_tasks: usize,
-    /// Tasks that failed on every rung of the recovery ladder and were
-    /// skipped (their contigs keep their current sequence).
+    /// Tasks whose CPU run panicked, on the CPU engine or the GPU engine's
+    /// CPU fallback, and were skipped (their contigs keep their current
+    /// sequence).
     pub failed_tasks: usize,
-    /// The GPU engine branch panicked and its remaining share was re-run
-    /// on the CPU engine.
-    pub gpu_branch_fell_back: bool,
     /// Host wall seconds of the CPU side.
     pub cpu_wall_s: f64,
     /// Host wall seconds spent driving the GPU side (simulation cost).
@@ -96,7 +94,7 @@ pub struct OverlapOutcome {
 
 /// The overlap driver.
 pub struct OverlapDriver {
-    /// Simulated device the GPU engine runs on (fault plan included).
+    /// Simulated device the GPU engine runs on.
     pub device: DeviceConfig,
     /// Kernel version the GPU engine launches.
     pub version: KernelVersion,
@@ -132,11 +130,10 @@ impl OverlapDriver {
 
     /// Run all tasks with CPU/GPU overlap.
     ///
-    /// Device faults are handled inside the GPU engine's recovery ladder
-    /// (retry → shrink → reset → CPU fallback); if the GPU engine panics,
-    /// its batch and the rest of the deque run on the CPU engine with
-    /// per-task panic isolation, so a single bad task is skipped, never
-    /// fatal.
+    /// A batch the device fails runs on the GPU engine's CPU fallback, and
+    /// the rest of the deque then drains to the CPU engine. Both run tasks
+    /// with per-task panic isolation, so a single bad task is skipped,
+    /// never fatal.
     pub fn run(
         &self,
         tasks: &[ExtTask],
@@ -177,37 +174,24 @@ impl OverlapDriver {
 
             if gpu_turn {
                 let t = Instant::now();
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    engine.extend_tasks_outcomes(&share)
-                }));
+                let (outcomes, stats) = engine.extend_tasks_outcomes(&share);
                 out.gpu_wall_s += t.elapsed().as_secs_f64();
-                match run {
-                    Ok((outcomes, stats)) => {
-                        for (&i, outcome) in batch.idx.iter().zip(outcomes) {
-                            results[i] = Some(outcome);
-                        }
-                        let sched = &mut out.schedule;
-                        sched.gpu_model_s += stats.wall_s();
-                        sched.gpu_batches += 1;
-                        sched.gpu_est_words += batch.est_words;
-                        if !batch.heavy {
-                            sched.gpu_absorbed_light += 1;
-                        }
-                        // Reset budget exhausted: route the rest of the
-                        // deque to the CPU instead of the per-task fallback.
-                        gpu_dead = stats.recovery.device_lost;
-                        out.gpu_stats.get_or_insert_with(GpuRunStats::default).absorb(&stats);
-                        out.gpu_tasks += batch.idx.len();
-                        continue;
-                    }
-                    // Engine bug (device faults are absorbed by the ladder):
-                    // the popped batch re-runs on the CPU below, and the
-                    // deque drains CPU-side from here on.
-                    Err(_panic) => {
-                        gpu_dead = true;
-                        out.gpu_branch_fell_back = true;
-                    }
+                for (&i, outcome) in batch.idx.iter().zip(outcomes) {
+                    results[i] = Some(outcome);
                 }
+                let sched = &mut out.schedule;
+                sched.gpu_model_s += stats.wall_s();
+                sched.gpu_batches += 1;
+                sched.gpu_est_words += batch.est_words;
+                if !batch.heavy {
+                    sched.gpu_absorbed_light += 1;
+                }
+                // The device failed this batch: route the rest of the deque
+                // to the CPU engine.
+                gpu_dead = stats.device_failed;
+                out.gpu_stats.get_or_insert_with(GpuRunStats::default).absorb(&stats);
+                out.gpu_tasks += batch.idx.len();
+                continue;
             }
 
             // The CPU engine: its modeled clock advances by the batch's
@@ -319,7 +303,7 @@ mod tests {
         assert_eq!(outcome.results, pure);
         assert_eq!(outcome.zero_tasks, 8);
         assert_eq!(outcome.failed_tasks, 0);
-        assert!(!outcome.gpu_branch_fell_back);
+        assert!(!outcome.gpu_stats.expect("gpu ran").device_failed);
         assert_eq!(outcome.cpu_tasks + outcome.gpu_tasks + outcome.zero_tasks, tasks.len());
     }
 
@@ -372,8 +356,9 @@ mod tests {
     }
 
     /// A k above the device layout's limit makes the kernel panic inside
-    /// its launch. The popped batch and the rest of the deque then run on
-    /// the CPU engine, which accepts that k.
+    /// its launch. The GPU engine runs the popped batch on its CPU
+    /// fallback, and the rest of the deque drains to the CPU engine, which
+    /// accepts that k.
     #[test]
     fn gpu_panic_falls_back_to_cpu() {
         let tasks = tasks_with_mixed_bins();
@@ -383,12 +368,14 @@ mod tests {
             ..LocalAssemblyParams::for_tests()
         };
         let outcome = OverlapDriver::default().run(&tasks, &params).expect("driver runs");
-        assert!(outcome.gpu_branch_fell_back);
         assert_eq!(outcome.results, extend_all_cpu(&tasks, &params));
         assert!(outcome.results.iter().any(|r| !r.appended.is_empty()), "the k=21 walks extend");
         assert_eq!(outcome.failed_tasks, 0);
-        assert_eq!(outcome.gpu_tasks, 0, "the GPU completed no batch");
-        assert!(outcome.gpu_stats.is_none());
+        let gpu = outcome.gpu_stats.as_ref().expect("the GPU engine took the first batch");
+        assert!(gpu.device_failed);
+        assert_eq!(gpu.launches, 0, "no launch completed");
+        assert_eq!(gpu.cpu_fallback_tasks, outcome.gpu_tasks, "its one batch ran on the CPU");
+        assert_eq!(outcome.schedule.gpu_batches, 1, "the GPU takes no batch after failing");
         assert_eq!(outcome.cpu_tasks + outcome.gpu_tasks + outcome.zero_tasks, tasks.len());
         let s = &outcome.schedule;
         assert_eq!(s.batches(), s.cpu_batches + s.gpu_batches);
@@ -411,40 +398,6 @@ mod tests {
                 .run(&tasks, &params)
                 .expect_err("bad cpu rate must be rejected");
             assert!(matches!(err, DriverError::BadConfig { .. }), "rate {rate}");
-        }
-    }
-
-    #[test]
-    fn injected_faults_degrade_gracefully() {
-        use gpusim::{Fault, FaultPlan};
-        let tasks = tasks_with_mixed_bins();
-        let params = LocalAssemblyParams::for_tests();
-        let pure = extend_all_cpu(&tasks, &params);
-        // A denied allocation AND a hung kernel in the same run: the
-        // ladder shrinks / resets / falls back, and the final extensions
-        // must be byte-identical to the fault-free run — under both the
-        // default schedule and the paper split.
-        let plan = FaultPlan {
-            faults: vec![
-                Fault::SlabOom { at_alloc: 0 },
-                Fault::KernelHang { at_launch: 1, after_cycles: 5_000 },
-            ],
-        };
-        for driver in [
-            OverlapDriver {
-                device: DeviceConfig::v100().with_fault_plan(plan.clone()),
-                ..Default::default()
-            },
-            OverlapDriver {
-                device: DeviceConfig::v100().with_fault_plan(plan.clone()),
-                ..paper_split()
-            },
-        ] {
-            let outcome = driver.run(&tasks, &params).expect("driver runs");
-            assert_eq!(outcome.results, pure, "recovery must not change results");
-            assert_eq!(outcome.failed_tasks, 0);
-            let stats = outcome.gpu_stats.expect("gpu ran");
-            assert!(stats.recovery.any_recovery(), "ladder must have been exercised");
         }
     }
 

@@ -5,74 +5,32 @@
 //! touching the device. Remaining tasks are packed into batches sized
 //! against a device-memory budget (the "Estimate table sizes → Create
 //! batches" boxes of Figure 4) and launched one batch per kernel.
+//!
+//! A batch that fails on the device — it does not fit in device memory, an
+//! output record is corrupt, or the kernel panics — marks the device
+//! failed: that batch and every later one run on the CPU engine
+//! ([`extend_all_cpu_isolated`]), which computes the same extensions.
 
 use crate::binning::bin_tasks;
-use crate::cpu::extend_end_cpu;
+use crate::cpu::extend_all_cpu_isolated;
 use crate::gpu::kernel::{extension_kernel_v2, KernelVersion};
 use crate::gpu::kernel_v1::extension_kernel_v1;
 use crate::gpu::layout;
 use crate::gpu::pack::{estimate_task_words, pack_batch};
 use crate::params::{LocalAssemblyParams, WalkState};
-use crate::task::{panic_reason, ExtResult, ExtTask, TaskOutcome};
+use crate::task::{ExtResult, ExtTask, TaskOutcome};
 use bioseq::DnaSeq;
-use gpusim::{
-    Counters, Device, DeviceConfig, DeviceOom, LaunchError, RooflineReport, SanitizerSummary,
-};
+use gpusim::{Counters, Device, DeviceConfig, RooflineReport, SanitizerSummary};
 use std::borrow::Borrow;
-
-/// Device attempts per batch of work; each failed attempt halves the batch
-/// (or retries a singleton) until the budget runs out.
-const MAX_BATCH_ATTEMPTS: u32 = 3;
-/// Device resets tolerated before the device is declared lost for the rest
-/// of the run.
-const MAX_DEVICE_RESETS: u64 = 3;
-/// Simulated wait before the first device reset; doubles per reset.
-const BACKOFF_BASE_S: f64 = 1e-3;
-
-/// What the recovery ladder had to do during a run. All-zero on a healthy
-/// device.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RecoveryStats {
-    /// Singleton batches retried on the device after a failure.
-    pub launch_retries: u64,
-    /// Batches halved after a failure.
-    pub batch_splits: u64,
-    /// Device resets performed (each follows a fatal launch error).
-    pub device_resets: u64,
-    /// Simulated backoff seconds spent waiting before resets.
-    pub backoff_s: f64,
-    /// Tasks completed by the CPU fallback after the device gave up.
-    pub cpu_fallback_tasks: usize,
-    /// Tasks that failed everywhere and were skipped.
-    pub failed_tasks: usize,
-    /// The device exhausted its reset budget and was abandoned.
-    pub device_lost: bool,
-}
-
-impl RecoveryStats {
-    /// True if any rung of the ladder was exercised.
-    pub fn any_recovery(&self) -> bool {
-        *self != RecoveryStats::default()
-    }
-
-    /// Fold another run's recovery bookkeeping into this one.
-    pub fn absorb(&mut self, other: &RecoveryStats) {
-        self.launch_retries += other.launch_retries;
-        self.batch_splits += other.batch_splits;
-        self.device_resets += other.device_resets;
-        self.backoff_s += other.backoff_s;
-        self.cpu_fallback_tasks += other.cpu_fallback_tasks;
-        self.failed_tasks += other.failed_tasks;
-        self.device_lost |= other.device_lost;
-    }
-}
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Execution statistics for a GPU local-assembly run.
 #[derive(Debug, Clone, Default)]
 pub struct GpuRunStats {
     /// Kernel launches completed successfully, one per batch.
     pub launches: u64,
-    /// Tasks executed on the device (bins 2+3).
+    /// Tasks executed on the device (bins 2+3, minus those the CPU fallback
+    /// ran).
     pub device_tasks: usize,
     /// Tasks answered host-side (bin 1).
     pub zero_tasks: usize,
@@ -88,8 +46,15 @@ pub struct GpuRunStats {
     pub overlap_saved_s: f64,
     /// Peak device words used by any batch.
     pub peak_mem_words: u64,
-    /// Recovery-ladder bookkeeping.
-    pub recovery: RecoveryStats,
+    /// Tasks the CPU engine ran in the device's place: every task of the
+    /// failed batch and of the batches after it, plus any single task too
+    /// large for the device. A task whose CPU run panics is counted here and
+    /// is also a [`TaskOutcome::Failed`].
+    pub cpu_fallback_tasks: usize,
+    /// A batch failed on the device (out of memory, corrupt output or a
+    /// panicking kernel); it and every later batch of the run went to the
+    /// CPU fallback.
+    pub device_failed: bool,
     /// `gpucheck` findings drained from the device (empty and disabled
     /// unless the device was configured with a sanitizer).
     pub sanitizer: SanitizerSummary,
@@ -118,28 +83,9 @@ impl GpuRunStats {
         self.pack_s += other.pack_s;
         self.overlap_saved_s += other.overlap_saved_s;
         self.peak_mem_words = self.peak_mem_words.max(other.peak_mem_words);
-        self.recovery.absorb(&other.recovery);
+        self.cpu_fallback_tasks += other.cpu_fallback_tasks;
+        self.device_failed |= other.device_failed;
         self.sanitizer.absorb(&other.sanitizer);
-    }
-}
-
-/// Why one device attempt at a batch failed (internal to the ladder).
-enum BatchError {
-    /// Packing ran out of device memory (real or injected).
-    Oom(DeviceOom),
-    /// The kernel launch failed; the device context is poisoned.
-    Launch(LaunchError),
-    /// Output records failed validation (device-memory corruption).
-    Corrupt(&'static str),
-}
-
-impl std::fmt::Display for BatchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BatchError::Oom(e) => write!(f, "{e}"),
-            BatchError::Launch(e) => write!(f, "{e}"),
-            BatchError::Corrupt(what) => write!(f, "corrupt output: {what}"),
-        }
     }
 }
 
@@ -155,9 +101,6 @@ pub struct GpuLocalAssembler {
     version: KernelVersion,
     /// Fraction of device memory a batch may use.
     mem_budget_frac: f64,
-    /// Set when the device exhausted its reset budget; all remaining work
-    /// skips the device rungs of the ladder.
-    device_dead: bool,
     /// Kernel seconds of the most recent launch still "in flight" for the
     /// double-buffer model: the next batch's pack can hide under it.
     pending_exec_s: f64,
@@ -175,7 +118,6 @@ impl GpuLocalAssembler {
             params,
             version,
             mem_budget_frac: 0.8,
-            device_dead: false,
             pending_exec_s: 0.0,
         }
     }
@@ -203,11 +145,12 @@ impl GpuLocalAssembler {
         (outcomes.into_iter().map(TaskOutcome::into_result).collect(), stats)
     }
 
-    /// Extend every task, reporting per-task outcomes. Device failures walk
-    /// the recovery ladder; a task is [`TaskOutcome::Failed`] only once
-    /// every rung is exhausted. Takes owned or borrowed tasks, so
-    /// schedulers can hand out shares by index without deep-cloning task
-    /// data (reads included) per engine.
+    /// Extend every task, reporting per-task outcomes. After a device
+    /// failure the rest of the run goes to the CPU fallback, panic-isolated
+    /// per task: a task is [`TaskOutcome::Failed`] only when its CPU run
+    /// panics too. Takes owned or borrowed tasks, so schedulers can hand
+    /// out shares by index without deep-cloning task data (reads included)
+    /// per engine.
     pub fn extend_tasks_outcomes<T: Borrow<ExtTask>>(
         &mut self,
         tasks: &[T],
@@ -226,16 +169,16 @@ impl GpuLocalAssembler {
         let budget = (self.device.config().capacity_words() as f64 * self.mem_budget_frac) as u64;
 
         // Greedy batching under the memory budget. A single task too large
-        // for the whole device skips the device entirely (degrade, don't
+        // for the whole device goes to the CPU fallback (degrade, don't
         // abort).
         let mut batches: Vec<Vec<usize>> = Vec::new();
-        let mut oversized: Vec<usize> = Vec::new();
+        let mut on_cpu: Vec<usize> = Vec::new();
         let mut cur: Vec<usize> = Vec::new();
         let mut cur_words: u64 = 0;
         for &i in &order {
             let w = estimate_task_words(tasks[i], &self.params);
             if w > budget {
-                oversized.push(i);
+                on_cpu.push(i);
                 continue;
             }
             if cur_words + w > budget && !cur.is_empty() {
@@ -249,14 +192,27 @@ impl GpuLocalAssembler {
             batches.push(cur);
         }
 
-        stats.device_tasks = order.len() - oversized.len();
-        for batch in &batches {
-            self.run_batch_recovering(&tasks, batch, &mut results, &mut stats, MAX_BATCH_ATTEMPTS);
+        for batch in batches {
+            if !stats.device_failed {
+                let batch_tasks: Vec<&ExtTask> = batch.iter().map(|&i| tasks[i]).collect();
+                let run =
+                    catch_unwind(AssertUnwindSafe(|| self.try_batch(&batch_tasks, &mut stats)));
+                if let Ok(Some(outs)) = run {
+                    stats.device_tasks += batch.len();
+                    for (&i, out) in batch.iter().zip(outs) {
+                        results[i] = Some(TaskOutcome::Done(out));
+                    }
+                    continue;
+                }
+                stats.device_failed = true;
+            }
+            on_cpu.extend(batch);
         }
-        for &i in &oversized {
-            let outcome = self.off_device(tasks[i], "task exceeds device memory", &mut stats);
+        let share: Vec<&ExtTask> = on_cpu.iter().map(|&i| tasks[i]).collect();
+        for (&i, outcome) in on_cpu.iter().zip(extend_all_cpu_isolated(&share, &self.params)) {
             results[i] = Some(outcome);
         }
+        stats.cpu_fallback_tasks = on_cpu.len();
 
         let outcomes = results
             .into_iter()
@@ -271,120 +227,16 @@ impl GpuLocalAssembler {
         (outcomes, stats)
     }
 
-    /// Run one batch through the ladder: try the device; on failure recover
-    /// the device (reset + backoff), then halve the batch (or retry a
-    /// singleton) while attempts remain; past that, hand the tasks to
-    /// [`GpuLocalAssembler::off_device`].
-    fn run_batch_recovering(
-        &mut self,
-        tasks: &[&ExtTask],
-        idx: &[usize],
-        results: &mut [Option<TaskOutcome>],
-        stats: &mut GpuRunStats,
-        attempts_left: u32,
-    ) {
-        if idx.is_empty() {
-            return;
-        }
-        if self.device_dead {
-            for &i in idx {
-                results[i] = Some(self.off_device(tasks[i], "device lost", stats));
-            }
-            return;
-        }
-        let batch_tasks: Vec<&ExtTask> = idx.iter().map(|&i| tasks[i]).collect();
-        match self.try_batch(&batch_tasks, stats) {
-            Ok(outs) => {
-                for (&i, out) in idx.iter().zip(outs) {
-                    results[i] = Some(TaskOutcome::Done(out));
-                }
-            }
-            Err(_err) => {
-                self.recover_device(stats);
-                if attempts_left > 1 && !self.device_dead {
-                    if idx.len() > 1 {
-                        // Shrink: half the batch means half the slab on the
-                        // next pack.
-                        stats.recovery.batch_splits += 1;
-                        let mid = idx.len() / 2;
-                        self.run_batch_recovering(
-                            tasks,
-                            &idx[..mid],
-                            results,
-                            stats,
-                            attempts_left - 1,
-                        );
-                        self.run_batch_recovering(
-                            tasks,
-                            &idx[mid..],
-                            results,
-                            stats,
-                            attempts_left - 1,
-                        );
-                    } else {
-                        stats.recovery.launch_retries += 1;
-                        self.run_batch_recovering(tasks, idx, results, stats, attempts_left - 1);
-                    }
-                } else {
-                    for &i in idx {
-                        results[i] =
-                            Some(self.off_device(tasks[i], "device attempts exhausted", stats));
-                    }
-                }
-            }
-        }
-    }
-
-    /// If the last failure poisoned the device, reset it after a simulated
-    /// exponential backoff; declare the device lost past the reset budget.
-    fn recover_device(&mut self, stats: &mut GpuRunStats) {
-        if !self.device.is_poisoned() {
-            return; // e.g. an OOM: the device is still usable as-is
-        }
-        if self.device.resets() >= MAX_DEVICE_RESETS {
-            self.device_dead = true;
-            stats.recovery.device_lost = true;
-            return;
-        }
-        let backoff = BACKOFF_BASE_S * f64::powi(2.0, self.device.resets() as i32);
-        stats.recovery.backoff_s += backoff;
-        self.device.reset_device();
-        // A reset drains the device queue: nothing is in flight for the
-        // next pack to hide under.
-        self.pending_exec_s = 0.0;
-        stats.recovery.device_resets += 1;
-    }
-
-    /// Last rungs of the ladder for one task: the CPU reference engine,
-    /// panic-isolated — a panicking task is skipped, never aborts the bin.
-    fn off_device(&self, task: &ExtTask, why: &str, stats: &mut GpuRunStats) -> TaskOutcome {
-        let params = &self.params;
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            extend_end_cpu(task, params)
-        })) {
-            Ok(r) => {
-                stats.recovery.cpu_fallback_tasks += 1;
-                TaskOutcome::Done(r)
-            }
-            Err(payload) => {
-                stats.recovery.failed_tasks += 1;
-                TaskOutcome::Failed {
-                    contig: task.contig,
-                    reason: format!("{why}; CPU fallback panicked: {}", panic_reason(payload)),
-                }
-            }
-        }
-    }
-
-    /// One device attempt: pack, launch, and unpack one batch.
+    /// One device attempt: pack, launch, and unpack one batch. `None` when
+    /// the batch does not fit in device memory or an output record is
+    /// corrupt; a panicking kernel unwinds out of here.
     fn try_batch(
         &mut self,
         batch_tasks: &[&ExtTask],
         stats: &mut GpuRunStats,
-    ) -> Result<Vec<ExtResult>, BatchError> {
+    ) -> Option<Vec<ExtResult>> {
         self.device.reset_mem();
-        let batch =
-            pack_batch(&mut self.device, batch_tasks, &self.params).map_err(BatchError::Oom)?;
+        let batch = pack_batch(&mut self.device, batch_tasks, &self.params).ok()?;
         stats.peak_mem_words = stats.peak_mem_words.max(self.device.mem_used_words());
         let params = self.params.clone();
         let launch = match self.version {
@@ -398,8 +250,7 @@ impl GpuLocalAssembler {
                     extension_kernel_v1(ctx, &batch, &params, batch.n_exts);
                 })
             }
-        }
-        .map_err(BatchError::Launch)?;
+        };
         stats.launches += 1;
         stats.counters.merge(&launch.counters);
         let exec_s = launch.timing.total_seconds();
@@ -421,11 +272,10 @@ impl GpuLocalAssembler {
             let rec = self.device.d2h(batch.out, e * batch.out_stride, batch.out_stride);
             let n_app = rec[0] as usize;
             if 2 + n_app.div_ceil(32) > rec.len() {
-                return Err(BatchError::Corrupt("appended length exceeds record"));
+                return None;
             }
             let (state, iterations) = layout::decode_out_header(rec[1]);
-            let final_state =
-                WalkState::from_u64(state).ok_or(BatchError::Corrupt("invalid walk state"))?;
+            let final_state = WalkState::from_u64(state)?;
             let mut appended = DnaSeq::with_capacity(n_app);
             for i in 0..n_app {
                 let word = rec[2 + i / 32];
@@ -433,7 +283,7 @@ impl GpuLocalAssembler {
             }
             out.push(ExtResult { appended, final_state, iterations });
         }
-        Ok(out)
+        Some(out)
     }
 }
 
@@ -560,71 +410,33 @@ mod tests {
         assert_eq!(cpu, gpu, "batch splitting must not change results");
     }
 
-    fn faulty_engine(plan: gpusim::FaultPlan) -> GpuLocalAssembler {
-        GpuLocalAssembler::new(
-            DeviceConfig::v100().with_fault_plan(plan),
-            LocalAssemblyParams::for_tests(),
-            KernelVersion::V2,
-        )
-    }
-
+    /// A k above the device layout's limit makes the kernel panic inside
+    /// its launch. The engine marks the device failed and every batch runs
+    /// on the CPU engine, which accepts that k, so the extensions still
+    /// match the CPU reference.
     #[test]
-    fn injected_slab_oom_recovers_identically() {
-        use gpusim::{Fault, FaultPlan};
+    fn kernel_panic_falls_back_to_cpu() {
         let tasks = make_test_tasks(8);
-        let params = LocalAssemblyParams::for_tests();
-        let cpu = extend_all_cpu(&tasks, &params);
-        // The very first allocation is denied: the ladder must shrink the
-        // batch (or retry) and still produce identical extensions.
-        let mut eng = faulty_engine(FaultPlan::single(Fault::SlabOom { at_alloc: 0 }));
-        let (gpu, stats) = eng.extend_tasks(&tasks);
-        assert_eq!(cpu, gpu, "recovery must not change results");
-        assert!(
-            stats.recovery.batch_splits >= 1 || stats.recovery.launch_retries >= 1,
-            "ladder must have shrunk or retried: {:?}",
-            stats.recovery
-        );
-        assert_eq!(stats.recovery.failed_tasks, 0);
-    }
-
-    #[test]
-    fn injected_hang_resets_and_recovers() {
-        use gpusim::{Fault, FaultPlan};
-        let tasks = make_test_tasks(8);
-        let params = LocalAssemblyParams::for_tests();
-        let cpu = extend_all_cpu(&tasks, &params);
-        // First kernel hangs; the poisoned context must be reset (with
-        // backoff) and the run completed with identical output.
-        let mut eng = faulty_engine(FaultPlan::single(Fault::KernelHang {
-            at_launch: 0,
-            after_cycles: 10_000,
-        }));
-        let (gpu, stats) = eng.extend_tasks(&tasks);
-        assert_eq!(cpu, gpu);
-        assert!(stats.recovery.device_resets >= 1, "hang must force a reset");
-        assert!(stats.recovery.backoff_s > 0.0, "reset must charge backoff");
-        assert!(!stats.recovery.device_lost);
-    }
-
-    #[test]
-    fn hang_storm_falls_back_to_cpu() {
-        use gpusim::{Fault, FaultPlan};
-        let tasks = make_test_tasks(8);
-        let params = LocalAssemblyParams::for_tests();
-        let cpu = extend_all_cpu(&tasks, &params);
-        // Every launch hangs: the reset allowance runs out, the device is
-        // declared lost, and all remaining work lands on the CPU engine —
-        // still byte-identical.
-        let plan = FaultPlan {
-            faults: (0..64)
-                .map(|i| Fault::KernelHang { at_launch: i, after_cycles: 100 })
-                .collect(),
+        let params = LocalAssemblyParams {
+            k_list: vec![21, layout::MAX_DEVICE_K + 5],
+            start_k_idx: 1,
+            ..LocalAssemblyParams::for_tests()
         };
-        let (gpu, stats) = faulty_engine(plan).extend_tasks(&tasks);
-        assert_eq!(cpu, gpu, "CPU fallback must match the fault-free run");
-        assert!(stats.recovery.device_lost, "reset budget must be exhausted");
-        assert!(stats.recovery.cpu_fallback_tasks > 0);
-        assert_eq!(stats.recovery.failed_tasks, 0);
+        let cpu = extend_all_cpu(&tasks, &params);
+        let mut eng = GpuLocalAssembler::new(DeviceConfig::v100(), params, KernelVersion::V2);
+        // Tiny batches: the batches after the failing one must skip the
+        // device too.
+        eng.mem_budget_frac = 0.0001;
+        let (outcomes, stats) = eng.extend_tasks_outcomes(&tasks);
+        assert!(outcomes.iter().all(|o| !o.is_failed()), "the CPU fallback completes every task");
+        let gpu: Vec<ExtResult> = outcomes.into_iter().map(TaskOutcome::into_result).collect();
+        assert_eq!(cpu, gpu);
+        assert!(gpu.iter().any(|r| !r.appended.is_empty()), "the k=21 walks extend");
+        assert!(stats.device_failed);
+        assert_eq!(stats.launches, 0, "no launch completed");
+        assert_eq!(eng.device().launches(), 1, "the first failure ends the device's run");
+        assert_eq!(stats.device_tasks, 0);
+        assert_eq!(stats.cpu_fallback_tasks, tasks.len() - stats.zero_tasks);
     }
 
     #[test]

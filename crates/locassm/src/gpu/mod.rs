@@ -9,7 +9,8 @@
 //!   build, Figure 5) and `v1` (single-thread build, kept for the roofline
 //!   study of §4.2);
 //! * [`engine`] — batching, launching, and result unpacking, with the
-//!   paper's binning-driven scheduling;
+//!   paper's binning-driven scheduling and the CPU fallback for a batch
+//!   the device fails;
 //! * [`multi`] — [`stripe_lpt`], the rate-aware LPT split of a task list
 //!   into one static shard per device.
 
@@ -20,6 +21,6 @@ pub mod layout;
 pub mod multi;
 pub mod pack;
 
-pub use engine::{GpuLocalAssembler, GpuRunStats, RecoveryStats, DEFAULT_PACK_WORDS_PER_S};
+pub use engine::{GpuLocalAssembler, GpuRunStats, DEFAULT_PACK_WORDS_PER_S};
 pub use kernel::KernelVersion;
 pub use multi::stripe_lpt;

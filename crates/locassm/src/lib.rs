@@ -29,11 +29,12 @@
 //! integration tests enforce this — so the pipeline can switch between them
 //! freely, exactly as MetaHipMer2 does with `--ranks-per-gpu`.
 //!
-//! Device faults (injected via [`gpusim::FaultPlan`] or genuine OOM) are
-//! absorbed by a recovery ladder — retry → shrink batch → reset device with
-//! backoff → per-task CPU fallback → skip — with fixed budgets (3 batch
-//! attempts, 3 device resets) and reported in [`gpu::RecoveryStats`]; see
-//! `DESIGN.md` §"Fault model & recovery ladder".
+//! A batch the device fails (out of memory, corrupt output, or a kernel
+//! panic such as a k above [`gpu::layout::MAX_DEVICE_K`]) marks the device
+//! failed; that batch and the rest of the run go to the CPU engine with
+//! per-task panic isolation, counted in [`gpu::GpuRunStats`]'s
+//! `cpu_fallback_tasks` and `device_failed`. A task is skipped only when its
+//! CPU run panics too. See `DESIGN.md` §"Device failure & CPU fallback".
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]

@@ -51,9 +51,9 @@ impl ExtResult {
     }
 }
 
-/// Per-task outcome after the recovery ladder (retry → shrink → reset →
-/// fallback). A failed task is *skipped* — its contig keeps its current
-/// sequence — never aborted with it the whole bin.
+/// Per-task outcome, on the device or the CPU fallback. A failed task is
+/// *skipped* — its contig keeps its current sequence — never aborted with
+/// it the whole bin.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TaskOutcome {
     /// The task completed (on the device or via CPU fallback).

@@ -7,9 +7,10 @@
 //! exists.
 //!
 //! A [`PipelineError`] means the run could not produce a result at all.
-//! Recoverable device faults never surface here: they are absorbed by the
-//! local-assembly recovery ladder (retry → shrink → reset → CPU fallback →
-//! skip) and reported as counters in
+//! Device failures never surface here: a batch the device fails (out of
+//! memory, corrupt output, or a panicking kernel) and every later batch run
+//! on the local-assembly CPU fallback, a task whose CPU run panics is
+//! skipped, and both are reported in
 //! [`PipelineStats`](crate::pipeline::PipelineStats).
 
 use crate::pipeline::Phase;

@@ -142,23 +142,12 @@ mod tests {
 
     #[test]
     fn skipped_tasks_are_counted_and_reported() {
-        use gpusim::{Fault, FaultPlan};
         let (_, pairs) = dataset(42, 0.0);
-        // Every launch hangs, so the device is lost and every task falls to
-        // the CPU rung; an out-of-range start k makes that rung panic too,
-        // so every task with reads ends on the skip rung.
-        let plan = FaultPlan {
-            faults: (0..64)
-                .map(|i| Fault::KernelHang { at_launch: i, after_cycles: 100 })
-                .collect(),
-        };
-        let mut gpu_cfg = PipelineConfig {
-            engine: EngineChoice::Gpu {
-                device: DeviceConfig::v100().with_fault_plan(plan),
-                version: KernelVersion::V2,
-            },
-            ..PipelineConfig::default()
-        };
+        // An out-of-range start k makes the kernel panic, so the device
+        // fails and every task goes to the CPU fallback; the same k makes
+        // that panic too, so every task with reads is skipped.
+        let mut gpu_cfg =
+            PipelineConfig { engine: gpu_engine_choice(), ..PipelineConfig::default() };
         gpu_cfg.locassm.start_k_idx = gpu_cfg.locassm.k_list.len();
         let cpu_cfg = PipelineConfig { engine: EngineChoice::Cpu, ..gpu_cfg.clone() };
         let gpu = run_iterative(&pairs, &gpu_cfg, &[21, 31]);
@@ -173,13 +162,14 @@ mod tests {
         let report = crate::report::render_run(&gpu);
         let line = format!("  {:<24} {}\n", "tasks skipped", gpu.stats.la_failed_tasks);
         assert!(report.contains(&line), "{report}");
-        // The recovery counters of every round are summed, not dropped.
-        let recovery = &gpu.stats.gpu.as_ref().expect("the GPU engine reports recovery").recovery;
-        assert!(recovery.device_lost);
-        assert!(recovery.device_resets >= 2, "one reset budget per round: {recovery:?}");
-        assert!(report.contains("device lost"), "{report}");
-        assert!(report.contains("device resets"), "{report}");
-        assert!(cpu.stats.gpu.is_none(), "the CPU engine has no ladder");
+        // The fallback counters of every round are summed, not dropped.
+        let fallback = gpu.stats.gpu.as_ref().expect("the GPU engine reports its fallback");
+        assert!(fallback.device_failed);
+        assert_eq!(fallback.cpu_fallback_tasks, gpu.stats.la_failed_tasks);
+        assert!(report.contains("device failed"), "{report}");
+        let line = format!("  {:<24} {}\n", "CPU-fallback tasks", fallback.cpu_fallback_tasks);
+        assert!(report.contains(&line), "{report}");
+        assert!(cpu.stats.gpu.is_none(), "the CPU engine has no device to fall back from");
     }
 
     #[test]
@@ -191,8 +181,8 @@ mod tests {
             let out = run_iterative(&pairs, &cfg, &[21, 31]);
             assert_eq!(out.contigs, cpu.contigs, "{:?}", cfg.engine);
             assert_eq!(out.stats.la_failed_tasks, 0);
-            let recovery = &out.stats.gpu.as_ref().expect("a GPU engine ran every round").recovery;
-            assert!(!recovery.any_recovery(), "healthy device: {recovery:?}");
+            let gpu = out.stats.gpu.as_ref().expect("a GPU engine ran every round");
+            assert!(!gpu.device_failed && gpu.cpu_fallback_tasks == 0, "healthy device: {gpu:?}");
         }
     }
 

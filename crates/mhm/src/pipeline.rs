@@ -165,10 +165,11 @@ pub struct PipelineResult {
 }
 
 impl PipelineResult {
-    /// Whether local assembly had to exercise any rung of the recovery
-    /// ladder (retry, batch shrink, device reset, CPU fallback, or skip).
+    /// Whether local assembly degraded: the GPU engine's CPU fallback ran
+    /// tasks in the device's place (the device failed a batch, or a task
+    /// was too large for it), or tasks were skipped.
     pub fn degraded(&self) -> bool {
-        self.stats.gpu.as_ref().is_some_and(|g| g.recovery.any_recovery())
+        self.stats.gpu.as_ref().is_some_and(|g| g.cpu_fallback_tasks > 0)
             || self.stats.la_failed_tasks > 0
     }
 }
@@ -187,10 +188,10 @@ pub struct PipelineStats {
     /// Summed: GPU engine run stats (GPU and overlap engines). Its
     /// `seconds` are modeled (simulated) device seconds, for overlap the
     /// GPU side only, not the schedule makespan, and never added to the
-    /// measured phase table; its `recovery` counters are all-zero for a
-    /// fault-free run.
+    /// measured phase table. Its `device_failed` and `cpu_fallback_tasks`
+    /// are unset on a run the device completed.
     pub gpu: Option<GpuRunStats>,
-    /// Summed: tasks skipped after every recovery rung failed (their contigs
+    /// Summed: tasks skipped because their CPU run panicked (their contigs
     /// keep their unextended sequence).
     pub la_failed_tasks: usize,
     /// Run: bytes of the in-memory scaffold FASTA (single-k runs only).
@@ -214,7 +215,7 @@ pub struct RoundStats {
     /// Local-assembly walk telemetry: tasks, bases appended, walk states,
     /// iterations and extension lengths.
     pub ext_summary: ExtSummary,
-    /// Local-assembly tasks skipped after every recovery rung failed (their
+    /// Local-assembly tasks skipped because their CPU run panicked (their
     /// contigs keep this round's sequence).
     pub failed_tasks: usize,
     /// Overlap-scheduler report (overlap engine only): shares, steal
@@ -227,11 +228,11 @@ pub struct RoundStats {
 pub struct LocalAssemblyRun {
     /// Results, index-aligned with the input tasks.
     pub results: Vec<ExtResult>,
-    /// Tasks skipped after every recovery rung failed (their contigs keep
+    /// Tasks skipped because their CPU run panicked (their contigs keep
     /// their current sequence).
     pub failed_tasks: usize,
-    /// Simulated device stats, recovery counters included (GPU and overlap
-    /// engines only).
+    /// Simulated device stats, CPU-fallback counters included (GPU and
+    /// overlap engines only).
     pub gpu: Option<GpuRunStats>,
     /// What the overlap scheduler did (overlap engine only).
     pub schedule: Option<ScheduleReport>,
@@ -240,9 +241,10 @@ pub struct LocalAssemblyRun {
 /// Extend every task on the configured engine: the one engine dispatch
 /// behind [`run_rounds`].
 ///
-/// Every engine isolates tasks: a task that fails every rung of the
-/// recovery ladder is skipped and counted, never fatal. An `Err` means the
-/// overlap driver was misconfigured or broke an internal invariant.
+/// Every engine isolates tasks: a task whose CPU run panics (on the CPU
+/// engine or the GPU engine's fallback) is skipped and counted, never
+/// fatal. An `Err` means the overlap driver was misconfigured or broke an
+/// internal invariant.
 pub fn run_local_assembly(
     tasks: &[ExtTask],
     params: &LocalAssemblyParams,
@@ -282,10 +284,10 @@ pub fn run_local_assembly(
 
 /// Run the full pipeline at `cfg.k`: [`run_rounds`] over one round.
 ///
-/// Recoverable device faults (injected or genuine OOM/launch failures) are
-/// absorbed by the local-assembly recovery ladder and reported as counters
-/// in `PipelineStats::gpu`'s `recovery`; an `Err` means the run could not
-/// produce a result at all.
+/// A batch the device fails (out of memory, corrupt output, or a panicking
+/// kernel) runs on the CPU fallback and is reported in `PipelineStats::gpu`
+/// (`device_failed`, `cpu_fallback_tasks`); an `Err` means the run could
+/// not produce a result at all.
 pub fn run_pipeline(
     pairs: &[PairedRead],
     cfg: &PipelineConfig,

@@ -24,32 +24,20 @@ pub fn render_breakdown(title: &str, timings: &PhaseTimings) -> String {
     out
 }
 
-/// Render the degraded-run section: which rungs of the local-assembly
-/// recovery ladder fired, and how many tasks were ultimately skipped.
-/// Empty when the run was fault-free.
+/// Render the degraded-run section: whether the device failed, how many
+/// tasks the CPU fallback ran in its place, and how many tasks were
+/// skipped. Empty when local assembly ran as planned.
 pub fn render_recovery(stats: &PipelineStats) -> String {
     let mut out = String::new();
     let mut line = |label: &str, value: String| {
         out.push_str(&format!("  {label:<24} {value}\n"));
     };
-    if let Some(rec) = stats.gpu.as_ref().map(|g| &g.recovery) {
-        if rec.launch_retries > 0 {
-            line("launch retries", rec.launch_retries.to_string());
+    if let Some(gpu) = &stats.gpu {
+        if gpu.device_failed {
+            line("device failed", "yes (later batches ran on the CPU)".to_string());
         }
-        if rec.batch_splits > 0 {
-            line("batch splits", rec.batch_splits.to_string());
-        }
-        if rec.device_resets > 0 {
-            line(
-                "device resets",
-                format!("{} ({:.3} s backoff)", rec.device_resets, rec.backoff_s),
-            );
-        }
-        if rec.cpu_fallback_tasks > 0 {
-            line("CPU-fallback tasks", rec.cpu_fallback_tasks.to_string());
-        }
-        if rec.device_lost {
-            line("device lost", "yes (abandoned after reset budget)".to_string());
+        if gpu.cpu_fallback_tasks > 0 {
+            line("CPU-fallback tasks", gpu.cpu_fallback_tasks.to_string());
         }
     }
     if stats.la_failed_tasks > 0 {
@@ -58,12 +46,12 @@ pub fn render_recovery(stats: &PipelineStats) -> String {
     if out.is_empty() {
         return out;
     }
-    format!("DEGRADED RUN — local-assembly recovery ladder fired:\n{out}")
+    format!("DEGRADED RUN — local assembly fell back to the CPU or skipped tasks:\n{out}")
 }
 
 /// Render a run's report, single k or iterative: one line per round when
 /// there are several, the measured phase table, the modeled GPU seconds,
-/// then the recovery (when degraded), overlap-scheduler and sanitizer
+/// then the degraded-run (when degraded), overlap-scheduler and sanitizer
 /// sections.
 pub fn render_run(result: &PipelineResult) -> String {
     let mut out = String::new();
@@ -306,25 +294,17 @@ mod tests {
 
     #[test]
     fn recovery_section_lists_fired_rungs() {
-        use locassm::gpu::RecoveryStats;
-        let recovery = RecoveryStats {
-            batch_splits: 2,
-            device_resets: 1,
-            backoff_s: 0.001,
-            cpu_fallback_tasks: 3,
-            ..Default::default()
-        };
-        let stats = PipelineStats {
-            gpu: Some(GpuRunStats { recovery, ..Default::default() }),
-            la_failed_tasks: 1,
-            ..Default::default()
-        };
+        let gpu = GpuRunStats { device_failed: true, cpu_fallback_tasks: 3, ..Default::default() };
+        let stats = PipelineStats { gpu: Some(gpu), la_failed_tasks: 1, ..Default::default() };
         let s = render_recovery(&stats);
         assert!(s.contains("DEGRADED RUN"), "{s}");
-        assert!(s.contains("batch splits"), "{s}");
-        assert!(s.contains("device resets"), "{s}");
+        assert!(s.contains("device failed"), "{s}");
         assert!(s.contains("CPU-fallback tasks"), "{s}");
         assert!(s.contains("tasks skipped"), "{s}");
-        assert!(!s.contains("launch retries"), "unfired rungs stay silent: {s}");
+        // One task too large for the device falls back without the device
+        // failing: that line stays silent.
+        let gpu = GpuRunStats { cpu_fallback_tasks: 1, ..Default::default() };
+        let s = render_recovery(&PipelineStats { gpu: Some(gpu), ..Default::default() });
+        assert!(s.contains("CPU-fallback tasks") && !s.contains("device failed"), "{s}");
     }
 }

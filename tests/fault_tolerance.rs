@@ -1,8 +1,9 @@
-//! Fault-injection integration tests: an injected device fault must never
-//! change assembly output, only how it was computed. The recovery ladder
-//! (retry → shrink batch → reset device → CPU fallback → skip) is exercised
-//! end to end, and the resulting extensions are compared byte-for-byte
-//! against a fault-free run.
+//! Device-failure integration tests: a batch the device cannot run must
+//! never change assembly output, only how it was computed. The real
+//! failures are a kernel that panics (a k above the device layout's
+//! `MAX_DEVICE_K`) and a task too large for device memory; the GPU engine
+//! hands that work to the CPU engine, and the resulting extensions and
+//! contigs are compared byte-for-byte against the CPU engine's.
 
 use align::{collect_candidates, CandidateParams, SeedIndex};
 use bioseq::{DnaSeq, Read};
@@ -10,11 +11,13 @@ use datagen::{
     arcticsynth_like, generate_community, simulate_reads, CommunityConfig, ReadSimConfig,
 };
 use dbg::{count_kmers, generate_contigs, DbgGraph};
-use gpusim::{DeviceConfig, Fault, FaultPlan};
+use gpusim::DeviceConfig;
+use locassm::gpu::layout::MAX_DEVICE_K;
 use locassm::gpu::{GpuLocalAssembler, KernelVersion};
 use locassm::{extend_all_cpu, make_tasks, ExtTask, LocalAssemblyParams};
+use mhm::iterative::{gpu_engine_choice, overlap_engine_choice};
+use mhm::report::render_run;
 use mhm::{merge_reads, run_pipeline, EngineChoice, MergeParams, PipelineConfig};
-use proptest::prelude::*;
 
 /// Local-assembly tasks from the small arcticsynth-like preset.
 fn dump_tasks() -> Vec<ExtTask> {
@@ -31,52 +34,66 @@ fn dump_tasks() -> Vec<ExtTask> {
     make_tasks(&contigs, &cand_pairs, &LocalAssemblyParams::for_tests())
 }
 
-fn run_with_plan(
+/// The test parameters with a k the device layout cannot hold: the kernel
+/// panics on its first walk, the CPU engine accepts it.
+fn over_device_k() -> LocalAssemblyParams {
+    LocalAssemblyParams {
+        k_list: vec![21, MAX_DEVICE_K + 5],
+        start_k_idx: 1,
+        ..LocalAssemblyParams::for_tests()
+    }
+}
+
+fn run_engine(
     tasks: &[ExtTask],
-    plan: FaultPlan,
+    device: DeviceConfig,
+    params: &LocalAssemblyParams,
+    version: KernelVersion,
 ) -> (Vec<locassm::ExtResult>, locassm::gpu::GpuRunStats) {
-    let mut engine = GpuLocalAssembler::new(
-        DeviceConfig::v100().with_fault_plan(plan),
-        LocalAssemblyParams::for_tests(),
-        KernelVersion::V2,
-    );
-    engine.extend_tasks(tasks)
+    GpuLocalAssembler::new(device, params.clone(), version).extend_tasks(tasks)
 }
 
 #[test]
-fn injected_oom_yields_byte_identical_extensions() {
+fn tasks_too_large_for_the_device_run_on_cpu() {
     let tasks = dump_tasks();
     assert!(!tasks.is_empty(), "preset must produce extension tasks");
+    let params = LocalAssemblyParams::for_tests();
+    let cpu = extend_all_cpu(&tasks, &params);
 
-    let (clean, clean_stats) = run_with_plan(&tasks, FaultPlan::none());
-    assert!(!clean_stats.recovery.any_recovery(), "clean run must not recover");
+    let (healthy, stats) = run_engine(&tasks, DeviceConfig::v100(), &params, KernelVersion::V2);
+    assert!(!stats.device_failed && stats.cpu_fallback_tasks == 0, "{stats:?}");
+    assert_eq!(cpu, healthy);
 
-    let (faulty, stats) = run_with_plan(&tasks, FaultPlan::single(Fault::SlabOom { at_alloc: 0 }));
-    assert!(
-        stats.recovery.batch_splits >= 1 || stats.recovery.launch_retries >= 1,
-        "OOM must trip the ladder: {:?}",
-        stats.recovery
-    );
-    assert_eq!(stats.recovery.failed_tasks, 0, "nothing may be skipped");
-    assert_eq!(clean, faulty, "recovered extensions must be byte-identical");
-
-    // CPU fallback is the ladder's last functional rung; its output is the
-    // reference both engines must match.
-    let cpu = extend_all_cpu(&tasks, &LocalAssemblyParams::for_tests());
-    assert_eq!(cpu, faulty);
+    // 64 words of device memory hold no task: each goes to the CPU on its
+    // own, and the device never fails because it never runs.
+    let small = DeviceConfig { global_mem_bytes: 64 * 8, ..DeviceConfig::v100() };
+    let (fallback, stats) = run_engine(&tasks, small, &params, KernelVersion::V2);
+    assert_eq!(cpu, fallback, "CPU fallback must reproduce device output");
+    assert!(!stats.device_failed);
+    assert_eq!(stats.launches, 0);
+    assert_eq!(stats.device_tasks, 0);
+    assert_eq!(stats.cpu_fallback_tasks, tasks.len() - stats.zero_tasks);
 }
 
 #[test]
-fn hang_storm_degrades_to_cpu_with_identical_output() {
+fn kernel_panic_degrades_to_cpu_with_identical_output() {
     let tasks = dump_tasks();
-    let storm = FaultPlan {
-        faults: (0..64).map(|i| Fault::KernelHang { at_launch: i, after_cycles: 1_000 }).collect(),
-    };
-    let (clean, _) = run_with_plan(&tasks, FaultPlan::none());
-    let (faulty, stats) = run_with_plan(&tasks, storm);
-    assert!(stats.recovery.device_lost, "storm must exhaust resets");
-    assert!(stats.recovery.cpu_fallback_tasks > 0);
-    assert_eq!(clean, faulty, "CPU fallback must reproduce device output");
+    let params = over_device_k();
+    let cpu = extend_all_cpu(&tasks, &params);
+    for version in [KernelVersion::V1, KernelVersion::V2] {
+        let (a, sa) = run_engine(&tasks, DeviceConfig::v100(), &params, version);
+        assert!(sa.device_failed, "{version:?}");
+        assert_eq!(sa.cpu_fallback_tasks, tasks.len() - sa.zero_tasks, "{version:?}");
+        assert_eq!(cpu, a, "{version:?}: CPU fallback must reproduce the CPU engine");
+        // The failure and the fallback replay identically.
+        let (b, sb) = run_engine(&tasks, DeviceConfig::v100(), &params, version);
+        assert_eq!(a, b, "{version:?}: outputs diverged");
+        assert_eq!(
+            (sa.device_failed, sa.cpu_fallback_tasks, sa.launches),
+            (sb.device_failed, sb.cpu_fallback_tasks, sb.launches),
+            "{version:?}: fallback diverged"
+        );
+    }
 }
 
 #[test]
@@ -92,68 +109,21 @@ fn pipeline_with_faulty_device_matches_cpu_contigs() {
         &c,
         &ReadSimConfig { n_pairs: 3_000, read_len: 100, seed: 901, ..Default::default() },
     );
-    let cpu = run_pipeline(&pairs, &PipelineConfig::default()).expect("pipeline runs");
-    let faulty_dev = DeviceConfig::v100().with_fault_plan(FaultPlan {
-        faults: vec![
-            Fault::SlabOom { at_alloc: 0 },
-            Fault::KernelHang { at_launch: 1, after_cycles: 5_000 },
-        ],
-    });
-    let gpu = run_pipeline(
-        &pairs,
-        &PipelineConfig {
-            engine: EngineChoice::Gpu { device: faulty_dev, version: KernelVersion::V2 },
-            ..PipelineConfig::default()
-        },
-    )
-    .expect("faulty pipeline must still complete");
-    assert_eq!(cpu.contigs, gpu.contigs, "faults must not change contigs");
-    assert!(gpu.degraded(), "recovery must be visible in the result");
-    let recovery = &gpu.stats.gpu.as_ref().expect("gpu run records recovery").recovery;
-    assert!(recovery.any_recovery());
-}
-
-#[test]
-fn seeded_plan_replays_identically_through_the_engine() {
-    // Same seed ⇒ same plan ⇒ same recovery path ⇒ same stats and output.
-    let tasks = dump_tasks();
-    for seed in [3u64, 17, 4242] {
-        let plan = FaultPlan::from_seed(seed, 3, 16);
-        let (a, sa) = run_with_plan(&tasks, plan.clone());
-        let (b, sb) = run_with_plan(&tasks, plan);
-        assert_eq!(a, b, "seed {seed}: outputs diverged");
-        assert_eq!(sa.recovery, sb.recovery, "seed {seed}: recovery diverged");
-    }
-}
-
-proptest! {
-    #[test]
-    fn fault_plan_from_seed_is_pure(
-        seed in any::<u64>(),
-        n in 0usize..8,
-        horizon in 1u64..1_000,
-    ) {
-        let a = FaultPlan::from_seed(seed, n, horizon);
-        let b = FaultPlan::from_seed(seed, n, horizon);
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(a.faults.len(), n);
-        for f in &a.faults {
-            match *f {
-                Fault::SlabOom { at_alloc } => prop_assert!(at_alloc < horizon),
-                Fault::KernelHang { at_launch, after_cycles } => {
-                    prop_assert!(at_launch < horizon);
-                    prop_assert!(after_cycles >= 1);
-                }
-                Fault::BitFlip { at_launch, .. } => prop_assert!(at_launch < horizon),
-            }
-        }
-    }
-
-    #[test]
-    fn fault_plan_seeds_decorrelate(seed in any::<u64>()) {
-        // Adjacent seeds must not alias to the same plan (SplitMix64 mixing).
-        let a = FaultPlan::from_seed(seed, 6, 1 << 20);
-        let b = FaultPlan::from_seed(seed.wrapping_add(1), 6, 1 << 20);
-        prop_assert_ne!(a, b);
+    let mut cpu_cfg = PipelineConfig::default();
+    cpu_cfg.locassm.k_list = vec![21, MAX_DEVICE_K + 5];
+    let cpu = run_pipeline(&pairs, &cpu_cfg).expect("pipeline runs");
+    for engine in [gpu_engine_choice(), overlap_engine_choice()] {
+        let cfg = PipelineConfig { engine, ..cpu_cfg.clone() };
+        let run = run_pipeline(&pairs, &cfg).expect("a failing device must not fail the run");
+        let name = match cfg.engine {
+            EngineChoice::Gpu { .. } => "gpu",
+            _ => "overlap",
+        };
+        assert_eq!(cpu.contigs, run.contigs, "{name}: the fallback must not change contigs");
+        assert!(run.degraded(), "{name}: the failure must be visible in the result");
+        assert!(run.stats.gpu.as_ref().expect("a GPU engine ran").device_failed, "{name}");
+        let report = render_run(&run);
+        assert!(report.contains("DEGRADED RUN"), "{name}: {report}");
+        assert!(report.contains("device failed"), "{name}: {report}");
     }
 }

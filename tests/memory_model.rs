@@ -26,7 +26,7 @@ proptest! {
             ctx.st_global(&a, &[7; WARP]);
             ctx.atomic_add(&ctx.lanes_from(|l| a[l].map(|x| (x, 1))));
             ctx.atomic_cas(&ctx.lanes_from(|l| a[l].map(|x| (x, 0, 1))));
-        }).expect("healthy device");
+        });
         let mut sectors: Vec<u64> = addrs.iter().map(|a| a / 4).collect();
         sectors.sort_unstable();
         sectors.dedup();
@@ -44,7 +44,7 @@ proptest! {
         let one = dev.launch(1, 0, |ctx| {
             ctx.ld_global_lane(lane, addrs[0]);
             ctx.st_global_lane(lane, addrs[0], 7);
-        }).expect("healthy device").counters;
+        }).counters;
         prop_assert_eq!(one.ldst_global_inst, 2);
         prop_assert_eq!(one.active_lane_slots, 2);
         prop_assert_eq!((one.global_ld_transactions, one.global_st_transactions), (1, 1));
@@ -60,7 +60,7 @@ proptest! {
         dev.launch(1, 0, move |ctx| {
             let ops = ctx.lanes_from(|l| Some((buf.addr + 3, vals2[l])));
             ctx.atomic_add(&ops);
-        }).expect("healthy device");
+        });
         prop_assert_eq!(dev.d2h_word(buf, 3), vals.iter().sum::<u64>());
     }
 
@@ -77,7 +77,7 @@ proptest! {
             let old = ctx.atomic_cas(&ops);
             let addrs = ctx.lanes_from(|l| Some(seen.at(l as u64)));
             ctx.st_global(&addrs, &old);
-        }).expect("healthy device");
+        });
         let old = dev.d2h(seen, 0, WARP as u64);
         let winners: Vec<usize> = (0..WARP).filter(|&l| old[l] == 0).collect();
         prop_assert_eq!(winners.len(), 1);
@@ -93,15 +93,13 @@ fn timing_monotone_in_work() {
     for scale in [1usize, 4, 16, 64] {
         let mut dev = Device::new(cfg.clone());
         dev.alloc(1 << 20).unwrap();
-        let stats = dev
-            .launch(64, 0, |ctx| {
-                let mut rng = StdRng::seed_from_u64(ctx.warp_id as u64);
-                for _ in 0..scale * 10 {
-                    let a = ctx.lanes_from(|_| Some(rng.gen_range(0..(1 << 20))));
-                    ctx.ld_global(&a);
-                }
-            })
-            .expect("healthy device");
+        let stats = dev.launch(64, 0, |ctx| {
+            let mut rng = StdRng::seed_from_u64(ctx.warp_id as u64);
+            for _ in 0..scale * 10 {
+                let a = ctx.lanes_from(|_| Some(rng.gen_range(0..(1 << 20))));
+                ctx.ld_global(&a);
+            }
+        });
         let t = stats.timing.kernel_seconds;
         assert!(t >= prev, "time decreased with more work");
         prev = t;
@@ -118,14 +116,12 @@ fn scattered_slower_than_coalesced() {
         dev.alloc(1 << 22).unwrap();
         // Enough warps that resident parallelism hides latency and the
         // launch is bandwidth-bound (the regime where coalescing matters).
-        let stats = dev
-            .launch(5120, 0, |ctx| {
-                for i in 0..50u64 {
-                    let a = ctx.lanes_from(|l| Some((i * 32 + l as u64) * stride % (1 << 22)));
-                    ctx.ld_global(&a);
-                }
-            })
-            .expect("healthy device");
+        let stats = dev.launch(5120, 0, |ctx| {
+            for i in 0..50u64 {
+                let a = ctx.lanes_from(|l| Some((i * 32 + l as u64) * stride % (1 << 22)));
+                ctx.ld_global(&a);
+            }
+        });
         stats.timing.kernel_seconds
     };
     let coalesced = run(1);
@@ -145,8 +141,7 @@ fn local_memory_isolated_per_lane() {
         for (l, &v) in out.iter().enumerate() {
             assert_eq!(v, l as u64 * 11, "lane {l} saw another lane's local");
         }
-    })
-    .expect("healthy device");
+    });
 }
 
 #[test]
@@ -194,8 +189,7 @@ mod sanitized {
         // classic off-by-one the paper debugged with compute-sanitizer.
         dev.launch(1, 0, |ctx| {
             ctx.st_global_lane(0, buf.addr + 100, 0xdead);
-        })
-        .expect("sanitized launch still succeeds");
+        });
         let s = summary(&mut dev);
         assert_eq!(s.count(SanitizerKind::OutOfBounds), 1, "{}", s.render());
         assert!(!s.is_clean());
@@ -215,8 +209,7 @@ mod sanitized {
         dev.launch(1, 0, |ctx| {
             let v = ctx.ld_global_lane(3, stale.at(12));
             assert_eq!(v, 0, "invalid load reads as zero");
-        })
-        .expect("sanitized launch still succeeds");
+        });
         let s = summary(&mut dev);
         assert_eq!(s.count(SanitizerKind::UseAfterReset), 1, "{}", s.render());
         assert_eq!(s.count(SanitizerKind::OutOfBounds), 0);
@@ -232,8 +225,7 @@ mod sanitized {
             ctx.st_global_lane(0, buf.at(4), 1);
             ctx.ld_global_lane(0, buf.at(4));
             ctx.ld_global_lane(0, buf.at(5));
-        })
-        .expect("sanitized launch still succeeds");
+        });
         let s = summary(&mut dev);
         assert_eq!(s.count(SanitizerKind::UninitRead), 1, "{}", s.render());
         assert_eq!(s.reports[0].addr, Some(buf.at(5)));
@@ -251,8 +243,7 @@ mod sanitized {
             let addrs = ctx.lanes_from(|l| slots.get(l).map(|&s| table.at(s)));
             let vals = ctx.lanes_from(|l| l as u64 + 1);
             ctx.st_global(&addrs, &vals);
-        })
-        .expect("sanitized launch still succeeds");
+        });
         let s = summary(&mut dev);
         assert_eq!(s.count(SanitizerKind::LaneRace), 1, "{}", s.render());
         assert_eq!(s.reports[0].lanes, vec![0, 2], "both racing lanes must be named");
@@ -270,8 +261,7 @@ mod sanitized {
                     ctx.syncwarp();
                 }
                 ctx.ld_global_lane(5, buf.at(0));
-            })
-            .expect("sanitized launch still succeeds");
+            });
             summary(&mut dev)
         };
         let racy = run(false);
@@ -287,8 +277,7 @@ mod sanitized {
         dev.launch(1, 0, |ctx| {
             let ops = ctx.lanes_from(|_| Some((buf.at(3), 1u64)));
             ctx.atomic_add(&ops);
-        })
-        .expect("sanitized launch still succeeds");
+        });
         assert_eq!(dev.d2h_word(buf, 3), WARP as u64);
         let s = summary(&mut dev);
         assert!(s.is_clean(), "{}", s.render());
@@ -300,8 +289,7 @@ mod sanitized {
         dev.alloc(16).unwrap();
         dev.launch(1, 0, |ctx| {
             ctx.push_mask(0b1); // never popped
-        })
-        .expect("sanitized launch still succeeds");
+        });
         let s = summary(&mut dev);
         assert_eq!(s.count(SanitizerKind::MaskStackImbalance), 1, "{}", s.render());
     }
@@ -317,8 +305,7 @@ mod sanitized {
             // register is undefined for this shuffle.
             ctx.shfl(&vals, 0);
             ctx.pop_mask();
-        })
-        .expect("sanitized launch still succeeds");
+        });
         let s = summary(&mut dev);
         assert_eq!(s.count(SanitizerKind::ShuffleInactiveSrc), 1, "{}", s.render());
     }
@@ -329,8 +316,7 @@ mod sanitized {
         let buf = dev.alloc(16).unwrap();
         dev.launch(2, 0, |ctx| {
             ctx.st_global_lane(0, buf.at(7), ctx.warp_id as u64);
-        })
-        .expect("sanitized launch still succeeds");
+        });
         let s = summary(&mut dev);
         assert_eq!(s.count(SanitizerKind::WarpRace), 1, "{}", s.render());
         assert_eq!(s.count(SanitizerKind::LaneRace), 0, "same lane id, different warps");
@@ -351,8 +337,7 @@ mod sanitized {
             let offs = ctx.lanes_from(|_| Some(0u64));
             ctx.st_local(&offs, &vals);
             ctx.ld_local(&offs);
-        })
-        .expect("sanitized launch still succeeds");
+        });
         let s = summary(&mut dev);
         assert!(s.is_clean(), "{}", s.render());
     }

@@ -2,15 +2,17 @@
 //!
 //! The scheduler is a performance feature with a correctness contract: no
 //! matter how tasks are split between the CPU and GPU engines — by the
-//! paper's fixed split, by work stealing, or mid-flight after an injected
-//! fault — the extension results must be byte-identical to the pure-CPU
-//! reference, in task order. These tests drive that contract across
-//! randomized task mixes and fault plans, and pin the load-balance claims:
+//! paper's fixed split, by work stealing, or mid-flight after the device
+//! fails a batch — the extension results must be byte-identical to the
+//! pure-CPU reference, in task order. These tests drive that contract
+//! across randomized task mixes, with a healthy device and with a kernel
+//! that panics, and pin the load-balance claims:
 //! LPT striping must balance a skew that defeats round-robin, and work
 //! stealing must beat the paper's split on a skewed workload.
 
 use bioseq::{DnaSeq, Read};
-use gpusim::{DeviceConfig, Fault, FaultPlan};
+use gpusim::DeviceConfig;
+use locassm::gpu::layout::MAX_DEVICE_K;
 use locassm::gpu::pack::{estimate_task_cost, estimate_task_words};
 use locassm::gpu::{stripe_lpt, GpuLocalAssembler, KernelVersion};
 use locassm::{
@@ -54,23 +56,18 @@ fn paper_split(cpu_words_per_s: f64) -> StealConfig {
     StealConfig { batch_words: u64::MAX, cpu_words_per_s }
 }
 
-fn fault_plan(kind: usize) -> FaultPlan {
-    match kind {
-        0 => FaultPlan::default(),
-        1 => FaultPlan {
-            faults: vec![
-                Fault::SlabOom { at_alloc: 0 },
-                Fault::KernelHang { at_launch: 1, after_cycles: 5_000 },
-            ],
-        },
-        // A hang storm that exhausts the reset budget: the device is lost
-        // mid-schedule and the CPU must absorb the remaining batches.
-        _ => FaultPlan {
-            faults: (0..64)
-                .map(|i| Fault::KernelHang { at_launch: i, after_cycles: 100 })
-                .collect(),
-        },
+/// The test parameters, or with `device_fails` a schedule that starts at
+/// a k above the device layout's limit: the kernel panics on the GPU's
+/// first batch, which the GPU engine hands to its CPU fallback, and the
+/// CPU engine drains the rest of the deque. On the CPU that k dead-ends
+/// (reads are shorter) and the walk down-shifts to 21. The CPU reference
+/// runs the same parameters.
+fn walk_params(device_fails: bool) -> LocalAssemblyParams {
+    let params = LocalAssemblyParams::for_tests();
+    if !device_fails {
+        return params;
     }
+    LocalAssemblyParams { k_list: vec![15, 21, MAX_DEVICE_K + 5], start_k_idx: 2, ..params }
 }
 
 proptest! {
@@ -78,23 +75,23 @@ proptest! {
 
     /// Work stealing must reproduce the pure-CPU reference byte-for-byte
     /// across arbitrary bin mixes, steal granularities, CPU rates 100×
-    /// apart, and fault plans — including plans that kill the device
-    /// partway through the deque. Whatever the mix, the CPU clock is the
-    /// CPU share's words at the configured rate, exactly.
+    /// apart, and a device that fails its first batch, after which the CPU
+    /// drains the deque. Whatever the mix, the CPU clock is the CPU share's
+    /// words at the configured rate, exactly.
     #[test]
     fn work_steal_is_byte_identical_across_mixes_and_faults(
         counts in proptest::collection::vec(0usize..=24, 1..=28),
         seed in 0u64..1_000,
-        fault_kind in 0usize..3,
+        device_fails in any::<bool>(),
         batch_words in (0usize..3).prop_map(|i| [2u64 * 1024, 16 * 1024, 64 * 1024][i]),
         rate in (0usize..3).prop_map(|i| [5.0e4f64, 5.0e6, 5.0e8][i]),
     ) {
         let tasks = tasks_from_counts(&counts, seed);
-        let params = LocalAssemblyParams::for_tests();
+        let params = walk_params(device_fails);
         let reference = extend_all_cpu(&tasks, &params);
 
         let driver = OverlapDriver {
-            device: DeviceConfig::tiny().with_fault_plan(fault_plan(fault_kind)),
+            device: DeviceConfig::tiny(),
             version: KernelVersion::V2,
             schedule: SchedulePolicy::WorkSteal(StealConfig { batch_words, cpu_words_per_s: rate }),
         };
@@ -108,24 +105,28 @@ proptest! {
             out.cpu_tasks + out.gpu_tasks,
             tasks.len() - binned.zero.len()
         );
+        // The GPU takes the first batch, so a failing device is seen
+        // whenever there is a batch at all.
+        let failed = out.gpu_stats.as_ref().is_some_and(|g| g.device_failed);
+        prop_assert_eq!(failed, device_fails && binned.zero.len() < tasks.len());
     }
 
-    /// The paper's fixed split must also hold the identity contract under
-    /// faults, whatever the CPU is priced at — the recovery ladder and the
-    /// panic fallback both end at the same CPU reference code.
+    /// The paper's fixed split must also hold the identity contract when
+    /// the device fails, whatever the CPU is priced at — the GPU engine's
+    /// fallback and the CPU engine run the same CPU reference code.
     #[test]
     fn static_split_is_byte_identical_across_fractions_and_faults(
         counts in proptest::collection::vec(0usize..=24, 1..=20),
         seed in 0u64..1_000,
-        fault_kind in 0usize..3,
+        device_fails in any::<bool>(),
         cpu_words_per_s in (0usize..3).prop_map(|i| [1.0e3f64, 1.0e6, 1.0e9][i]),
     ) {
         let tasks = tasks_from_counts(&counts, seed);
-        let params = LocalAssemblyParams::for_tests();
+        let params = walk_params(device_fails);
         let reference = extend_all_cpu(&tasks, &params);
 
         let driver = OverlapDriver {
-            device: DeviceConfig::tiny().with_fault_plan(fault_plan(fault_kind)),
+            device: DeviceConfig::tiny(),
             version: KernelVersion::V2,
             schedule: SchedulePolicy::WorkSteal(paper_split(cpu_words_per_s)),
         };
