@@ -85,7 +85,16 @@ fn kernel_panic_degrades_to_cpu_with_identical_output() {
         assert!(sa.device_failed, "{version:?}");
         assert_eq!(sa.cpu_fallback_tasks, tasks.len() - sa.zero_tasks, "{version:?}");
         assert_eq!(cpu, a, "{version:?}: CPU fallback must reproduce the CPU engine");
-        // The failure and the fallback replay identically.
+    }
+}
+
+#[test]
+fn device_failure_replays_identically_through_the_engine() {
+    let tasks = dump_tasks();
+    let params = over_device_k();
+    for version in [KernelVersion::V1, KernelVersion::V2] {
+        let (a, sa) = run_engine(&tasks, DeviceConfig::v100(), &params, version);
+        assert!(sa.device_failed, "{version:?}: the kernel must fail for the replay to test it");
         let (b, sb) = run_engine(&tasks, DeviceConfig::v100(), &params, version);
         assert_eq!(a, b, "{version:?}: outputs diverged");
         assert_eq!(
