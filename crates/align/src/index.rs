@@ -28,7 +28,6 @@ pub struct SeedIndex {
     seed_k: usize,
     ranges: KmerTable<(u32, u32)>,
     hits: Vec<SeedHit>,
-    contig_lens: Vec<u32>,
 }
 
 impl SeedIndex {
@@ -86,8 +85,7 @@ impl SeedIndex {
         for (id, n) in ranges.values_mut() {
             *id = next[*id as usize] - *n;
         }
-        let contig_lens = contigs.iter().map(|c| c.len() as u32).collect();
-        SeedIndex { seed_k, ranges, hits, contig_lens }
+        SeedIndex { seed_k, ranges, hits }
     }
 
     /// Seed length.
@@ -103,16 +101,6 @@ impl SeedIndex {
     /// True if no seeds were indexed.
     pub fn is_empty(&self) -> bool {
         self.ranges.is_empty()
-    }
-
-    /// Length of contig `i`.
-    pub fn contig_len(&self, i: u32) -> u32 {
-        self.contig_lens[i as usize]
-    }
-
-    /// Number of contigs covered by the index.
-    pub fn num_contigs(&self) -> usize {
-        self.contig_lens.len()
     }
 
     /// Occurrences of a canonical k-mer.
@@ -160,7 +148,6 @@ mod tests {
                 .collect();
             let all = oracle(&contigs, k);
             let idx = SeedIndex::build(&contigs, k, max_occ);
-            prop_assert_eq!(idx.num_contigs(), contigs.len());
             prop_assert_eq!(idx.len(), all.values().filter(|v| v.len() <= max_occ).count());
             for (km, hits) in &all {
                 let want: &[SeedHit] = if hits.len() <= max_occ { hits } else { &[] };
@@ -217,6 +204,5 @@ mod tests {
     fn short_contigs_skipped() {
         let idx = SeedIndex::build(&[seq("ACG")], 8, 100);
         assert!(idx.is_empty());
-        assert_eq!(idx.num_contigs(), 1);
     }
 }

@@ -17,7 +17,7 @@ use datagen::arcticsynth_like;
 use gpusim::DeviceConfig;
 use locassm::gpu::KernelVersion;
 use mhm::report::render_breakdown;
-use mhm::scaling::{PaperAnchors, PhaseScaling, ScalingModel};
+use mhm::scaling::{PaperAnchors, ScalingModel};
 use mhm::{run_pipeline, EngineChoice, Phase, PipelineConfig};
 
 fn main() {
@@ -59,7 +59,6 @@ fn main() {
         *f = if *p == Phase::LocalAssembly { la } else { *f * rest };
     }
     // FileIo fixed share is negligible at 2 nodes; keep classes as-is.
-    let _ = PhaseScaling::Fixed;
     let model = ScalingModel::from_anchors(anchors);
     let c2 = model.pipeline_at(2.0, false).expect("anchored node count");
     let g2 = model.pipeline_at(2.0, true).expect("anchored node count");

@@ -230,7 +230,8 @@ fn record_to_read(
     Ok(Some(Read::new(id, DnaSeq::from_codes(codes), quals)))
 }
 
-/// Write reads in FASTQ format.
+/// Write reads in FASTQ format, then flush `w`, so a buffered writer's
+/// last write error is returned rather than lost in its `Drop`.
 pub fn write_fastq<W: Write>(mut w: W, reads: &[Read]) -> io::Result<()> {
     for r in reads {
         writeln!(w, "@{}", r.id)?;
@@ -241,7 +242,7 @@ pub fn write_fastq<W: Write>(mut w: W, reads: &[Read]) -> io::Result<()> {
         w.write_all(&q)?;
         writeln!(w)?;
     }
-    Ok(())
+    w.flush()
 }
 
 /// Interleave two mate files that were parsed separately into pairs.
@@ -258,7 +259,8 @@ pub fn pair_up(r1: Vec<Read>, r2: Vec<Read>) -> Result<Vec<PairedRead>, ParseErr
     Ok(r1.into_iter().zip(r2).map(|(a, b)| PairedRead::new(a, b)).collect())
 }
 
-/// Write sequences in FASTA format with `width`-column wrapping.
+/// Write sequences in FASTA format with `width`-column wrapping, then flush
+/// `w` (as [`write_fastq`] does).
 pub fn write_fasta<W: Write>(
     mut w: W,
     records: impl IntoIterator<Item = (String, DnaSeq)>,
@@ -273,7 +275,7 @@ pub fn write_fasta<W: Write>(
             writeln!(w)?;
         }
     }
-    Ok(())
+    w.flush()
 }
 
 /// Parse a FASTA stream into `(id, sequence)` pairs. Ambiguous bases follow
@@ -448,6 +450,18 @@ mod tests {
         let (parsed, dropped) = parse_fasta(Cursor::new(buf), NPolicy::Drop).unwrap();
         assert_eq!(dropped, 0);
         assert_eq!(parsed, seqs);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn writers_report_the_final_flush_error() {
+        // `/dev/full` takes no bytes. A short record fits the buffer, so
+        // only the flush can see the error.
+        let full = || io::BufWriter::new(std::fs::File::create("/dev/full").unwrap());
+        let seq = DnaSeq::from_str_strict("ACGT").unwrap();
+        assert!(write_fasta(full(), [("c".to_string(), seq.clone())], 80).is_err());
+        let read = Read::with_uniform_qual("r", seq, 30);
+        assert!(write_fastq(full(), &[read]).is_err());
     }
 
     #[test]

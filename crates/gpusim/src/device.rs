@@ -50,10 +50,8 @@ impl Device {
     /// on even when the config leaves it off.
     pub fn new(config: DeviceConfig) -> Device {
         let cap = config.capacity_words();
-        let sanitizer = (config.sanitize || sanitize_env_forced()).then(|| {
-            crate::mem::enable_strict_bounds();
-            Box::new(Sanitizer::new())
-        });
+        let sanitizer =
+            (config.sanitize || sanitize_env_forced()).then(|| Box::new(Sanitizer::new()));
         Device {
             config,
             mem: GlobalMem::new(cap),
@@ -80,23 +78,12 @@ impl Device {
         &self.config
     }
 
-    /// Allocate `words` 64-bit words of zeroed global memory.
+    /// Allocate `words` 64-bit words of zeroed global memory (`cudaMalloc`
+    /// followed by the `cudaMemset` the paper's host code does).
     pub fn alloc(&mut self, words: u64) -> Result<Buf, DeviceOom> {
-        self.alloc_inner(words, true)
-    }
-
-    /// Allocate `words` words *without* the zero-fill guarantee — the
-    /// `cudaMalloc` analogue of [`Device::alloc`]'s `cudaMemset` semantics.
-    /// Physically the simulator still zeroes the words, but under memcheck a
-    /// load from them before any store is an uninitialized read.
-    pub fn alloc_uninit(&mut self, words: u64) -> Result<Buf, DeviceOom> {
-        self.alloc_inner(words, false)
-    }
-
-    fn alloc_inner(&mut self, words: u64, initialized: bool) -> Result<Buf, DeviceOom> {
         let buf = self.mem.alloc(words)?;
         if let Some(s) = self.sanitizer.as_mut() {
-            s.on_alloc(buf.addr, buf.len, initialized);
+            s.on_alloc(buf.addr, buf.len);
         }
         Ok(buf)
     }
@@ -117,9 +104,6 @@ impl Device {
     /// Host → device copy.
     pub fn h2d(&mut self, buf: Buf, offset: u64, data: &[u64]) {
         self.mem.write_slice(buf, offset, data);
-        if let Some(s) = self.sanitizer.as_mut() {
-            s.on_host_write(buf.addr + offset, data.len() as u64);
-        }
     }
 
     /// Device → host copy.
@@ -337,6 +321,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "Buf index 32 out of 32")]
+    fn kernel_indexing_past_a_buf_panics_out_of_the_launch() {
+        // Warps 1-3 index past `buf`; without the bounds check their loads
+        // would read the neighbouring allocation.
+        let mut dev = Device::new(DeviceConfig::tiny());
+        let buf = dev.alloc(WARP as u64).unwrap();
+        dev.alloc(WARP as u64).unwrap();
+        dev.launch(4, 0, |ctx| {
+            let addrs = ctx.lanes_from(|l| Some(buf.at((ctx.warp_id + l) as u64)));
+            ctx.ld_global(&addrs);
+        });
+    }
+
+    #[test]
     fn oom_propagates() {
         let mut dev = Device::new(DeviceConfig::tiny());
         let cap = dev.config().capacity_words();
@@ -378,34 +376,6 @@ mod tests {
             let sum = dev.take_sanitizer_summary().expect("sanitizer on");
             assert_eq!(sum.count(SanitizerKind::UseAfterReset), 1);
             assert_eq!(sum.count(SanitizerKind::OutOfBounds), 0);
-        }
-
-        #[test]
-        fn uninit_read_only_for_alloc_uninit() {
-            let mut dev = sanitized_device();
-            let zeroed = dev.alloc(8).unwrap();
-            let raw = dev.alloc_uninit(8).unwrap();
-            dev.launch(1, 0, |ctx| {
-                ctx.ld_global_lane(0, zeroed.at(3)); // cudaMemset semantics: defined
-                ctx.ld_global_lane(0, raw.at(3)); // cudaMalloc semantics: uninit
-                ctx.st_global_lane(0, raw.at(4), 9); // store defines...
-                ctx.ld_global_lane(0, raw.at(4)); // ...so this is clean
-            });
-            let sum = dev.take_sanitizer_summary().expect("sanitizer on");
-            assert_eq!(sum.count(SanitizerKind::UninitRead), 1);
-        }
-
-        #[test]
-        fn h2d_defines_uninit_words() {
-            let mut dev = sanitized_device();
-            let raw = dev.alloc_uninit(8).unwrap();
-            dev.h2d(raw, 2, &[1, 2]);
-            dev.launch(1, 0, |ctx| {
-                ctx.ld_global_lane(0, raw.at(2));
-                ctx.ld_global_lane(0, raw.at(3));
-            });
-            let sum = dev.take_sanitizer_summary().expect("sanitizer on");
-            assert!(sum.is_clean(), "{}", sum.render());
         }
 
         #[test]

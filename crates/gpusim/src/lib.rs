@@ -28,21 +28,25 @@
 //! × 1.53 GHz ⇒ the paper's 489.6 warp-GIPS peak), from which
 //! [`roofline::RooflineReport`] computes warp GIPS and instruction intensity.
 //!
-//! A kernel that panics (for example on a k its data layout cannot hold)
-//! unwinds out of [`Device::launch`] to the caller, like any Rust function;
-//! allocation beyond capacity is a [`DeviceOom`]. Those are the device's
-//! only failures.
+//! Device memory has one allocation kind, zero-filled like the paper's
+//! `cudaMemset` slabs, and one bounds rule: [`Buf::at`] panics past the end
+//! of its allocation in every build. A kernel that panics (on such an
+//! index, or on a k its data layout cannot hold) unwinds out of
+//! [`Device::launch`] to the caller, like any Rust function; allocation
+//! beyond capacity is a [`DeviceOom`]. Those are the device's only
+//! failures.
 //!
 //! A `compute-sanitizer`-style checking layer — **`gpucheck`**
 //! ([`sanitizer`], [`shadow`]) — is one switch: on per device via
 //! [`DeviceConfig::with_sanitizer`], or process-wide with
-//! `GPUSIM_SANITIZE=1` ([`sanitize_env_forced`]). It runs three analyses
-//! over the executing kernels: *memcheck* (out-of-bounds, use-after-reset
-//! through stale [`Buf`]s, uninitialized reads), *racecheck* (same-word lane
-//! and warp hazards where at least one access is a plain store), and
-//! *synccheck* (mask-stack balance, shuffles from inactive lanes, empty-mask
-//! collectives). Findings surface as structured [`SanitizerReport`] records,
-//! at most [`sanitizer::MAX_REPORTS`] materialized per summary. Every global-memory
+//! `GPUSIM_SANITIZE=1` ([`sanitize_env_forced`]). It changes nothing on
+//! any other device. It runs three analyses over the executing kernels:
+//! *memcheck* (raw addresses out of bounds, use-after-reset through stale
+//! [`Buf`]s), *racecheck* (same-word lane and warp hazards where at least
+//! one access is a plain store), and *synccheck* (mask-stack balance,
+//! shuffles from inactive lanes, empty-mask collectives). Findings surface
+//! as structured [`SanitizerReport`] records, at most
+//! [`sanitizer::MAX_REPORTS`] materialized per summary. Every global-memory
 //! warp instruction goes through one metered path in [`WarpCtx`]; when the
 //! sanitizer is off (the default) that path pays one `Option` test per lane
 //! access.

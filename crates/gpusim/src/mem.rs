@@ -12,24 +12,7 @@
 //! before the host reads the results. On x86-64 relaxed loads and stores
 //! compile to plain moves.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Once any sanitizer-enabled device exists in the process, `Buf::at` bounds
-/// failures become hard errors even in release builds (normally they are
-/// `debug_assert` only, silently indexing a neighboring allocation). Sticky
-/// and process-global because `Buf` is a plain `Copy` handle with nowhere to
-/// carry per-device state; tests run in parallel, so it only ever turns on.
-static STRICT_BOUNDS: AtomicBool = AtomicBool::new(false);
-
-/// Turn on release-mode `Buf::at` bounds panics for the rest of the process.
-pub fn enable_strict_bounds() {
-    STRICT_BOUNDS.store(true, Ordering::Relaxed);
-}
-
-/// Is strict bounds checking on?
-pub fn strict_bounds_enabled() -> bool {
-    STRICT_BOUNDS.load(Ordering::Relaxed)
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Handle to a device allocation: a word-addressed range of global memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,15 +24,11 @@ pub struct Buf {
 }
 
 impl Buf {
-    /// Word address of element `i`; panics past the end in debug builds,
-    /// and in release builds too once [`enable_strict_bounds`] has run
-    /// (any sanitizer-enabled device does that).
+    /// Word address of element `i`; panics past the end in every build, so
+    /// a kernel never reaches into a neighbouring allocation.
     #[inline]
     pub fn at(&self, i: u64) -> u64 {
-        debug_assert!(i < self.len, "Buf index {i} out of {len}", len = self.len);
-        if i >= self.len && strict_bounds_enabled() {
-            panic!("Buf index {i} out of {len}", len = self.len);
-        }
+        assert!(i < self.len, "Buf index {i} out of {len}", len = self.len);
         self.addr + i
     }
 
@@ -276,12 +255,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "Buf index")]
-    fn strict_bounds_panics_in_release_too() {
-        // Sticky process-global flag: fine to set from a test, it only
-        // ever turns on and other tests don't index out of bounds.
-        enable_strict_bounds();
-        let b = Buf { addr: 0, len: 4 };
+    #[should_panic(expected = "Buf index 4 out of 4")]
+    fn at_past_the_end_panics() {
+        // Checked in every build, with no sanitizer anywhere; the word
+        // past the end exists (the next allocation's first).
+        let mut m = GlobalMem::new(100);
+        let b = m.alloc(4).unwrap();
+        m.alloc(4).unwrap();
         b.at(4);
     }
 }

@@ -2,12 +2,11 @@
 //!
 //! Three analyses, mirroring CUDA's `compute-sanitizer` tools:
 //!
-//! * **memcheck** — shadow memory ([`crate::shadow`]) tracks per-word
-//!   allocation provenance and init state; flags out-of-bounds accesses,
-//!   use-after-`reset` through stale [`Buf`](crate::mem::Buf) handles, and
-//!   uninitialized reads. Invalid accesses are reported *and dropped*
-//!   (loads return 0, stores are discarded) so a run survives to collect
-//!   every finding.
+//! * **memcheck** — shadow memory ([`crate::shadow`]) tracks which
+//!   allocation each word belongs to; flags out-of-bounds accesses and
+//!   use-after-`reset` through stale [`Buf`](crate::mem::Buf) handles.
+//!   Invalid accesses are reported *and dropped* (loads return 0, stores
+//!   are discarded) so a run survives to collect every finding.
 //! * **racecheck** — within a warp's unsynced region, two active lanes
 //!   touching the same word where at least one is a non-atomic write is a
 //!   hazard (CAS/atomics serialize in lane order and are exempt); the same
@@ -37,8 +36,6 @@ pub enum SanitizerKind {
     OutOfBounds,
     /// Access through a `Buf` invalidated by an arena/device reset.
     UseAfterReset,
-    /// Load from an uninitialized (`alloc_uninit`) word.
-    UninitRead,
     /// Two lanes of one warp touched the same word in an unsynced region,
     /// at least one with a plain (non-atomic) store.
     LaneRace,
@@ -54,10 +51,9 @@ pub enum SanitizerKind {
 
 impl SanitizerKind {
     /// Every kind, in report order.
-    pub const ALL: [SanitizerKind; 8] = [
+    pub const ALL: [SanitizerKind; 7] = [
         SanitizerKind::OutOfBounds,
         SanitizerKind::UseAfterReset,
-        SanitizerKind::UninitRead,
         SanitizerKind::LaneRace,
         SanitizerKind::WarpRace,
         SanitizerKind::ShuffleInactiveSrc,
@@ -70,7 +66,6 @@ impl SanitizerKind {
         match self {
             SanitizerKind::OutOfBounds => "out-of-bounds access",
             SanitizerKind::UseAfterReset => "use after reset",
-            SanitizerKind::UninitRead => "uninitialized read",
             SanitizerKind::LaneRace => "lane race",
             SanitizerKind::WarpRace => "warp race",
             SanitizerKind::ShuffleInactiveSrc => "shuffle from inactive lane",
@@ -98,7 +93,7 @@ pub struct SanitizerReport {
     pub lanes: Vec<usize>,
     /// Device word address, when the finding concerns one.
     pub addr: Option<u64>,
-    /// 1-based allocation id from the shadow allocation table.
+    /// 1-based allocation id, numbered in allocation order on the device.
     pub alloc: Option<u32>,
     /// Kernel site annotation in force when the finding fired.
     pub site: &'static str,
@@ -303,23 +298,14 @@ impl Sanitizer {
 
     // ---- host-side hooks ---------------------------------------------------
 
-    pub(crate) fn on_alloc(&mut self, addr: u64, len: u64, initialized: bool) {
-        self.shadow.on_alloc(addr, len, initialized);
+    pub(crate) fn on_alloc(&mut self, addr: u64, len: u64) {
+        self.shadow.on_alloc(addr, len);
     }
 
     pub(crate) fn on_reset(&mut self) {
         self.shadow.on_reset();
         self.region.clear();
         self.launch_map.clear();
-    }
-
-    pub(crate) fn on_host_write(&mut self, addr: u64, len: u64) {
-        self.shadow.on_host_write(addr, len);
-    }
-
-    /// The allocation record behind an id in a report.
-    pub fn alloc_record(&self, id: u32) -> Option<&crate::shadow::AllocRecord> {
-        self.shadow.alloc_record(id)
     }
 
     // ---- launch / warp lifecycle -------------------------------------------
@@ -366,8 +352,7 @@ impl Sanitizer {
         addr: u64,
         kind: AccessKind,
     ) -> bool {
-        let is_load = kind == AccessKind::Read;
-        match self.shadow.classify(addr, is_load) {
+        match self.shadow.classify(addr) {
             Some(MemIssue::OutOfBounds) => {
                 self.report(
                     SanitizerKind::OutOfBounds,
@@ -390,22 +375,7 @@ impl Sanitizer {
                 );
                 return false;
             }
-            Some(MemIssue::UninitRead { alloc }) => {
-                self.report(
-                    SanitizerKind::UninitRead,
-                    warp,
-                    vec![lane],
-                    Some(addr),
-                    Some(alloc),
-                    "load from a word never written since alloc_uninit".to_string(),
-                );
-                // The read itself is well-defined in the simulator
-                // (words are physically zeroed): report, don't drop.
-            }
             None => {}
-        }
-        if kind != AccessKind::Read {
-            self.shadow.mark_written(addr);
         }
         self.check_lane_race(warp, lane, addr, kind);
         self.check_warp_race(warp, lane, addr, kind);
@@ -564,7 +534,7 @@ mod tests {
     #[test]
     fn oob_is_reported_and_dropped() {
         let mut s = sane();
-        s.on_alloc(0, 8, true);
+        s.on_alloc(0, 8);
         assert!(!s.global_access(0, 3, 8, AccessKind::Write));
         assert_eq!(s.summary().count(SanitizerKind::OutOfBounds), 1);
         let r = &s.summary().reports[0];
@@ -575,7 +545,7 @@ mod tests {
     #[test]
     fn same_lane_reuse_is_not_a_race() {
         let mut s = sane();
-        s.on_alloc(0, 8, true);
+        s.on_alloc(0, 8);
         assert!(s.global_access(0, 0, 3, AccessKind::Write));
         assert!(s.global_access(0, 0, 3, AccessKind::Read));
         assert!(s.global_access(0, 0, 3, AccessKind::Write));
@@ -585,7 +555,7 @@ mod tests {
     #[test]
     fn cross_lane_write_write_is_a_race() {
         let mut s = sane();
-        s.on_alloc(0, 8, true);
+        s.on_alloc(0, 8);
         s.global_access(0, 1, 3, AccessKind::Write);
         s.global_access(0, 5, 3, AccessKind::Write);
         assert_eq!(s.summary().count(SanitizerKind::LaneRace), 1);
@@ -595,7 +565,7 @@ mod tests {
     #[test]
     fn atomics_do_not_race_each_other() {
         let mut s = sane();
-        s.on_alloc(0, 8, true);
+        s.on_alloc(0, 8);
         for lane in 0..8 {
             s.global_access(0, lane, 3, AccessKind::Atomic);
             s.global_access(0, lane, 3, AccessKind::Read);
@@ -606,7 +576,7 @@ mod tests {
     #[test]
     fn syncwarp_clears_the_region() {
         let mut s = sane();
-        s.on_alloc(0, 8, true);
+        s.on_alloc(0, 8);
         s.global_access(0, 1, 3, AccessKind::Write);
         s.sync_point(0, u32::MAX);
         s.global_access(0, 5, 3, AccessKind::Read);
@@ -616,7 +586,7 @@ mod tests {
     #[test]
     fn cross_warp_write_then_read_is_a_warp_race() {
         let mut s = sane();
-        s.on_alloc(0, 8, true);
+        s.on_alloc(0, 8);
         s.begin_warp();
         s.global_access(0, 0, 3, AccessKind::Write);
         s.begin_warp();
@@ -632,7 +602,7 @@ mod tests {
     fn report_cap_counts_but_drops() {
         let races = MAX_REPORTS as u64 + 2;
         let mut s = sane();
-        s.on_alloc(0, races, true);
+        s.on_alloc(0, races);
         for addr in 0..races {
             // Lanes 0 and 1 store to the same word: one race per word.
             s.global_access(0, 0, addr, AccessKind::Write);
@@ -652,7 +622,7 @@ mod tests {
     #[test]
     fn summary_absorb_folds_counts() {
         let mut a = sane();
-        a.on_alloc(0, 1, true);
+        a.on_alloc(0, 1);
         a.global_access(0, 0, 5, AccessKind::Read); // OOB
         let mut total = SanitizerSummary::default();
         total.absorb(&a.take_summary());

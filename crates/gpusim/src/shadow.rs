@@ -1,73 +1,42 @@
 //! Shadow memory for the `gpucheck` memcheck analysis.
 //!
-//! Every device word below the bump allocator's high-water mark carries a
-//! shadow record: which allocation it belongs to and whether it has ever
-//! been written this epoch. The bump allocator leaves no gaps, so the
-//! classification rules are exact:
+//! Every device word below the bump allocator's all-time high-water mark
+//! carries the id of the allocation that last covered it. Allocations are
+//! zero-filled (the `cudaMemset` the paper's host code does), so every
+//! live word is defined and memcheck checks only where an access lands.
+//! The bump allocator leaves no gaps and restarts at address 0 after a
+//! reset, so the live words are exactly those below the current epoch's
+//! high-water mark, and the classification rules are exact:
 //!
-//! * an address at or past the high-water mark has never been allocated —
-//!   **out of bounds**;
-//! * a word whose allocation epoch predates the last reset
-//!   is reachable only through a stale [`Buf`](crate::mem::Buf) handle —
-//!   **use after reset**;
-//! * a word allocated without the `cudaMemset` guarantee
-//!   ([`crate::device::Device::alloc_uninit`]) and never stored to —
-//!   **uninitialized read**.
+//! * an address at or past the all-time high-water mark has never been
+//!   allocated — **out of bounds**;
+//! * an address between the two high-water marks belongs to an allocation
+//!   freed by the last reset and is reachable only through a stale
+//!   [`Buf`](crate::mem::Buf) handle — **use after reset**.
 //!
 //! The shadow grows lazily with allocations, never to device capacity, so a
 //! 16 GB simulated device costs only as much shadow as the run actually
 //! allocates.
 
-/// Lifecycle state of one shadow word.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WordState {
-    /// Allocated this epoch, never written (only possible via
-    /// `alloc_uninit`; plain `alloc` models `cudaMemset`-zeroed memory).
-    Uninit,
-    /// Allocated this epoch and defined (zero-filled alloc, host copy, or
-    /// device store).
-    Init,
-    /// Belonged to an allocation freed by an arena reset.
-    Freed,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct ShadowWord {
-    /// 1-based allocation id (0 = never allocated, unused in practice).
-    alloc: u32,
-    state: WordState,
-}
-
-/// Provenance record for one allocation.
-#[derive(Debug, Clone)]
-pub struct AllocRecord {
-    /// First word address.
-    pub addr: u64,
-    /// Length in words.
-    pub len: u64,
-    /// Arena epoch (reset count at allocation time).
-    pub epoch: u32,
-    /// False once the arena has been reset.
-    pub live: bool,
-}
-
 /// What the memcheck classification found for one access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum MemIssue {
-    /// Address at or beyond the allocator's high-water mark.
+    /// Address at or beyond the allocator's all-time high-water mark.
     OutOfBounds,
     /// Address inside an allocation invalidated by an arena reset.
     UseAfterReset { alloc: u32 },
-    /// Load from a live word that was never written.
-    UninitRead { alloc: u32 },
 }
 
-/// Per-word shadow state plus the allocation table.
+/// Per-word allocation ids plus the live high-water mark.
 #[derive(Debug, Default)]
 pub struct ShadowMemory {
-    words: Vec<ShadowWord>,
-    allocs: Vec<AllocRecord>,
-    epoch: u32,
+    /// 1-based id of the allocation that last covered each word.
+    alloc_of: Vec<u32>,
+    /// End of the live words: every word below it was allocated since the
+    /// last reset.
+    live_end: u64,
+    /// Allocations made so far; the last one's id.
+    allocs: u32,
 }
 
 impl ShadowMemory {
@@ -76,77 +45,32 @@ impl ShadowMemory {
         ShadowMemory::default()
     }
 
-    /// Record an allocation; returns its 1-based id. `initialized` is true
-    /// for the zero-filling [`alloc`](crate::device::Device::alloc) path.
-    pub(crate) fn on_alloc(&mut self, addr: u64, len: u64, initialized: bool) -> u32 {
-        self.allocs.push(AllocRecord { addr, len, epoch: self.epoch, live: true });
-        let id = self.allocs.len() as u32;
-        let state = if initialized { WordState::Init } else { WordState::Uninit };
+    /// Record an allocation; returns its 1-based id.
+    pub(crate) fn on_alloc(&mut self, addr: u64, len: u64) -> u32 {
+        self.allocs += 1;
         let end = usize::try_from(addr + len).expect("shadow address fits usize");
-        if self.words.len() < end {
-            self.words.resize(end, ShadowWord { alloc: 0, state: WordState::Freed });
+        if self.alloc_of.len() < end {
+            self.alloc_of.resize(end, 0);
         }
         let start = usize::try_from(addr).expect("shadow address fits usize");
-        for w in &mut self.words[start..end] {
-            *w = ShadowWord { alloc: id, state };
-        }
-        id
+        self.alloc_of[start..end].fill(self.allocs);
+        self.live_end = self.live_end.max(addr + len);
+        self.allocs
     }
 
-    /// Arena reset: every live word becomes [`WordState::Freed`], every
-    /// live allocation dead. Old shadow is kept so stale-`Buf` accesses can
-    /// still name the allocation they point into.
+    /// Arena reset: every word becomes freed. The ids stay, so stale-`Buf`
+    /// accesses can still name the allocation they point into.
     pub(crate) fn on_reset(&mut self) {
-        self.epoch += 1;
-        for a in &mut self.allocs {
-            a.live = false;
-        }
-        for w in &mut self.words {
-            w.state = WordState::Freed;
-        }
+        self.live_end = 0;
     }
 
-    /// Host-side copy into `[addr, addr+len)`: marks the words defined.
-    pub(crate) fn on_host_write(&mut self, addr: u64, len: u64) {
-        let start = usize::try_from(addr).expect("shadow address fits usize");
-        let end =
-            (start + usize::try_from(len).expect("shadow length fits usize")).min(self.words.len());
-        for w in self.words.iter_mut().take(end).skip(start) {
-            if w.state == WordState::Uninit {
-                w.state = WordState::Init;
-            }
+    /// Classify a device access.
+    pub(crate) fn classify(&self, addr: u64) -> Option<MemIssue> {
+        match usize::try_from(addr).ok().and_then(|i| self.alloc_of.get(i)) {
+            None => Some(MemIssue::OutOfBounds),
+            Some(&alloc) if addr >= self.live_end => Some(MemIssue::UseAfterReset { alloc }),
+            Some(_) => None,
         }
-    }
-
-    /// A device store landed on `addr`: the word is now defined.
-    pub(crate) fn mark_written(&mut self, addr: u64) {
-        if let Some(w) = self.words.get_mut(usize::try_from(addr).unwrap_or(usize::MAX)) {
-            if w.state == WordState::Uninit {
-                w.state = WordState::Init;
-            }
-        }
-    }
-
-    /// Classify a device access. `is_load` distinguishes uninitialized
-    /// reads (stores to uninitialized words are the *defining* access).
-    pub(crate) fn classify(&self, addr: u64, is_load: bool) -> Option<MemIssue> {
-        let Ok(i) = usize::try_from(addr) else {
-            return Some(MemIssue::OutOfBounds);
-        };
-        let Some(w) = self.words.get(i) else {
-            return Some(MemIssue::OutOfBounds);
-        };
-        match w.state {
-            WordState::Freed => Some(MemIssue::UseAfterReset { alloc: w.alloc }),
-            WordState::Uninit if is_load => Some(MemIssue::UninitRead { alloc: w.alloc }),
-            _ => None,
-        }
-    }
-
-    /// The allocation record behind a 1-based id from a memory issue
-    /// ([`crate::sanitizer::SanitizerReport`]).
-    pub fn alloc_record(&self, id: u32) -> Option<&AllocRecord> {
-        (id >= 1).then(|| self.allocs.get(id as usize - 1)).flatten()
     }
 }
 
@@ -157,47 +81,25 @@ mod tests {
     #[test]
     fn alloc_classifies_in_and_out_of_bounds() {
         let mut s = ShadowMemory::new();
-        s.on_alloc(0, 16, true);
-        assert_eq!(s.classify(0, true), None);
-        assert_eq!(s.classify(15, false), None);
-        assert_eq!(s.classify(16, true), Some(MemIssue::OutOfBounds));
-    }
-
-    #[test]
-    fn uninit_read_until_written() {
-        let mut s = ShadowMemory::new();
-        let id = s.on_alloc(0, 4, false);
-        assert_eq!(s.classify(2, true), Some(MemIssue::UninitRead { alloc: id }));
-        // A store is the defining access, not an error.
-        assert_eq!(s.classify(2, false), None);
-        s.mark_written(2);
-        assert_eq!(s.classify(2, true), None);
-        // Other words stay undefined.
-        assert_eq!(s.classify(3, true), Some(MemIssue::UninitRead { alloc: id }));
+        s.on_alloc(0, 16);
+        assert_eq!(s.classify(0), None);
+        assert_eq!(s.classify(15), None);
+        assert_eq!(s.classify(16), Some(MemIssue::OutOfBounds));
+        assert_eq!(s.classify(u64::MAX), Some(MemIssue::OutOfBounds));
     }
 
     #[test]
     fn reset_frees_and_keeps_provenance() {
         let mut s = ShadowMemory::new();
-        let id = s.on_alloc(0, 8, true);
+        let id = s.on_alloc(0, 8);
         s.on_reset();
-        assert_eq!(s.classify(3, true), Some(MemIssue::UseAfterReset { alloc: id }));
-        let rec = s.alloc_record(id).expect("provenance survives reset");
-        assert!(!rec.live);
-        // Re-allocating the words makes them valid again (arena reuse).
-        let id2 = s.on_alloc(0, 8, true);
-        assert_eq!(s.classify(3, true), None);
-        assert!(s.alloc_record(id2).expect("new record").live);
-    }
-
-    #[test]
-    fn host_write_defines_words() {
-        let mut s = ShadowMemory::new();
-        s.on_alloc(0, 8, false);
-        s.on_host_write(2, 3);
-        assert!(s.classify(1, true).is_some());
-        assert_eq!(s.classify(2, true), None);
-        assert_eq!(s.classify(4, true), None);
-        assert!(s.classify(5, true).is_some());
+        assert_eq!(s.classify(3), Some(MemIssue::UseAfterReset { alloc: id }));
+        // Re-allocating the words makes them valid again (arena reuse);
+        // the freed words past the new allocation keep their old id.
+        let id2 = s.on_alloc(0, 4);
+        assert_eq!(id2, id + 1);
+        assert_eq!(s.classify(3), None);
+        assert_eq!(s.classify(4), Some(MemIssue::UseAfterReset { alloc: id }));
+        assert_eq!(s.classify(8), Some(MemIssue::OutOfBounds));
     }
 }

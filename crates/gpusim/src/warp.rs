@@ -678,7 +678,7 @@ mod tests {
             mem.alloc(4096).unwrap();
             let mut counters = Counters::new();
             let mut s = Sanitizer::new();
-            s.on_alloc(0, 4096, true);
+            s.on_alloc(0, 4096);
             {
                 let mut ctx = WarpCtx::new(0, &mem, &mut counters, 64, 32, Some(&mut s));
                 f(&mut ctx);

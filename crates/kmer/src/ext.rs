@@ -65,12 +65,6 @@ impl ExtCounts {
         self.hi[base as usize]
     }
 
-    /// Low-quality votes for `base`.
-    #[inline]
-    pub fn lo_count(&self, base: Base) -> u16 {
-        self.lo[base as usize]
-    }
-
     /// Total votes across bases and tiers.
     pub fn total(&self) -> u32 {
         (0..4).map(|i| u32::from(self.hi[i]) + u32::from(self.lo[i])).sum()

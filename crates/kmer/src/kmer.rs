@@ -82,12 +82,6 @@ impl Kmer {
         Base::from_code(self.code(i))
     }
 
-    /// The last base (the one a right-extension appends after).
-    #[inline]
-    pub fn last_base(&self) -> Base {
-        self.base(self.k() - 1)
-    }
-
     /// The k-mer obtained by dropping the first base and appending `b` —
     /// one step of a rightward mer-walk.
     pub fn shift_right(&self, b: Base) -> Kmer {

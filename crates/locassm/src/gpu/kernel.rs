@@ -358,12 +358,6 @@ fn probe_and_vote_v2(
             .filter(|&l| pending & (1 << l) != 0 && key_is_current(keys[l], iter_tag))
             .collect();
         if !cmp_lanes.is_empty() {
-            if keys.iter().enumerate().any(|(l, &kk)| cmp_lanes.contains(&l) && kk == descs[l]) {
-                // Identical descriptor means this very instance already
-                // inserted (possible only on re-entry, which the unique
-                // (read, pos) keys rule out); treat as a match for safety.
-            }
-            let mut stored_meta: Lanes<u64> = [0; WARP];
             let addrs = ctx.lanes_from(|l| {
                 cmp_lanes.contains(&l).then(|| {
                     let (rs, _, _, _) = decode_key(keys[l]);
@@ -371,9 +365,6 @@ fn probe_and_vote_v2(
                 })
             });
             let bases_starts = ctx.ld_global(&addrs);
-            for &l in &cmp_lanes {
-                stored_meta[l] = bases_starts[l];
-            }
             let kmw = k.div_ceil(32);
             let max_span = kmw + 1;
             let mut stored_words: Vec<Lanes<u64>> = Vec::with_capacity(max_span);
@@ -385,7 +376,7 @@ fn probe_and_vote_v2(
                     let (_, pos, _, _) = decode_key(keys[l]);
                     let p = pos as usize;
                     let span = (p + k - 1) / 32 - p / 32 + 1;
-                    (w < span).then(|| batch.reads_bases.at(stored_meta[l] + (p / 32 + w) as u64))
+                    (w < span).then(|| batch.reads_bases.at(bases_starts[l] + (p / 32 + w) as u64))
                 });
                 stored_words.push(ctx.ld_global(&addrs));
             }

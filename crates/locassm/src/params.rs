@@ -126,11 +126,6 @@ impl KShift {
         self.idx
     }
 
-    /// True once the controller has terminated.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
     /// Feed the walk outcome; returns `true` if another iteration (at the
     /// new [`k_idx`](Self::k_idx)) should run.
     pub fn on_walk(&mut self, state: WalkState) -> bool {

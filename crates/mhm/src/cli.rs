@@ -18,7 +18,7 @@ use gpusim::DeviceConfig;
 use locassm::gpu::KernelVersion;
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 
 /// Parsed command line.
@@ -187,7 +187,6 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
     let (r1, r1_stats) = read_fastq_file(Path::new(r1_path))?;
     let (r2, r2_stats) = read_fastq_file(Path::new(r2_path))?;
     let ingest_malformed = r1_stats.skipped_malformed + r2_stats.skipped_malformed;
-    let ingest_ambiguous = r1_stats.dropped_ambiguous + r2_stats.dropped_ambiguous;
     let pairs = fastq::pair_up(r1, r2).map_err(|e| e.to_string())?;
 
     let mut cfg = PipelineConfig { k: cli.get_num("k", 31)?, ..Default::default() };
@@ -238,9 +237,7 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
     } else {
         run_pipeline(&pairs, &cfg)
     };
-    let mut result = result.map_err(|e| e.to_string())?;
-    result.stats.merge.malformed_skipped = ingest_malformed;
-    result.stats.merge.ambiguous_dropped = ingest_ambiguous;
+    let result = result.map_err(|e| e.to_string())?;
     if ingest_malformed > 0 {
         report.push_str(&format!("ingest: skipped {ingest_malformed} malformed FASTQ records\n"));
     }
@@ -288,9 +285,7 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
 
 fn write_fastq_file(path: &Path, reads: &[bioseq::Read]) -> Result<(), String> {
     let f = File::create(path).map_err(|e| e.to_string())?;
-    let mut w = BufWriter::new(f);
-    fastq::write_fastq(&mut w, reads).map_err(|e| e.to_string())?;
-    w.flush().map_err(|e| e.to_string())
+    fastq::write_fastq(BufWriter::new(f), reads).map_err(|e| e.to_string())
 }
 
 fn read_fastq_file(path: &Path) -> Result<(Vec<bioseq::Read>, fastq::FastqParseStats), String> {

@@ -30,11 +30,6 @@ pub struct MergeStats {
     pub pairs_in: usize,
     pub merged: usize,
     pub unmerged: usize,
-    /// Malformed FASTQ records skipped during lenient ingest, upstream of
-    /// pairing (set by I/O front ends; 0 for in-memory pipelines).
-    pub malformed_skipped: usize,
-    /// Records dropped at ingest for ambiguous bases (`NPolicy::Drop`).
-    pub ambiguous_dropped: usize,
 }
 
 /// Try to merge one pair; `None` if no acceptable overlap exists.

@@ -217,21 +217,6 @@ mod sanitized {
     }
 
     #[test]
-    fn uninit_read_flagged_until_first_store() {
-        let mut dev = device();
-        let buf = dev.alloc_uninit(32).unwrap();
-        dev.launch(1, 0, |ctx| {
-            // Store defines word 4; word 5 is read while still undefined.
-            ctx.st_global_lane(0, buf.at(4), 1);
-            ctx.ld_global_lane(0, buf.at(4));
-            ctx.ld_global_lane(0, buf.at(5));
-        });
-        let s = summary(&mut dev);
-        assert_eq!(s.count(SanitizerKind::UninitRead), 1, "{}", s.render());
-        assert_eq!(s.reports[0].addr, Some(buf.at(5)));
-    }
-
-    #[test]
     fn scattered_insert_lane_race_names_both_lanes() {
         let mut dev = device();
         let table = dev.alloc(64).unwrap();
