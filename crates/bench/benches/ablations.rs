@@ -3,18 +3,19 @@
 //! point, and the vote-viability threshold. Each prints the quality-side
 //! effect (bases appended) next to the timing.
 
-use bench::{local_assembly_dump, DumpConfig};
+use bench::local_assembly_dump;
 use criterion::{criterion_group, criterion_main, Criterion};
 use datagen::arcticsynth_like;
 use gpusim::DeviceConfig;
 use locassm::gpu::{GpuLocalAssembler, KernelVersion};
 use locassm::{bin_tasks, extend_all_cpu, ExtTask, LocalAssemblyParams};
+use mhm::PipelineConfig;
 use std::hint::black_box;
 use std::time::Duration;
 
 fn bench_ablations(c: &mut Criterion) {
-    let dump = local_assembly_dump(&arcticsynth_like(0.02), &DumpConfig::default());
-    let params = LocalAssemblyParams::for_tests();
+    let dump = local_assembly_dump(&arcticsynth_like(0.02), &PipelineConfig::default());
+    let params = LocalAssemblyParams::default();
 
     // --- per-bin cost structure ---
     let bins = bin_tasks(&dump.tasks);

@@ -7,13 +7,14 @@
 //! launch over a packed batch at 1 and 2 host threads; divide by the
 //! printed warp-instruction count for nanoseconds per instruction.
 
-use bench::{local_assembly_dump, DumpConfig};
+use bench::local_assembly_dump;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use datagen::arcticsynth_like;
 use gpusim::{Device, DeviceConfig, Lanes, WarpCtx, WARP};
 use locassm::gpu::kernel::extension_kernel_v2;
 use locassm::gpu::pack::{pack_batch, GpuBatch};
 use locassm::ExtTask;
+use mhm::PipelineConfig;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -55,7 +56,7 @@ fn bench_warp_ops(c: &mut Criterion) {
 }
 
 fn bench_v2_launch(c: &mut Criterion) {
-    let cfg = DumpConfig::default();
+    let cfg = PipelineConfig::default();
     let dump = local_assembly_dump(&arcticsynth_like(0.015), &cfg);
     let params = cfg.locassm;
     let tasks: Vec<&ExtTask> = dump.tasks.iter().filter(|t| !t.reads.is_empty()).collect();

@@ -1,18 +1,19 @@
 //! Criterion bench: v1 vs v2 extension kernels (the Figures 8–10 contrast),
 //! plus the simulated-device metrics printed after the timing runs.
 
-use bench::{local_assembly_dump, DumpConfig};
+use bench::local_assembly_dump;
 use criterion::{criterion_group, criterion_main, Criterion};
 use datagen::arcticsynth_like;
 use gpusim::DeviceConfig;
 use locassm::gpu::{GpuLocalAssembler, KernelVersion};
 use locassm::LocalAssemblyParams;
+use mhm::PipelineConfig;
 use std::hint::black_box;
 use std::time::Duration;
 
 fn bench_kernels(c: &mut Criterion) {
-    let dump = local_assembly_dump(&arcticsynth_like(0.015), &DumpConfig::default());
-    let params = LocalAssemblyParams::for_tests();
+    let dump = local_assembly_dump(&arcticsynth_like(0.015), &PipelineConfig::default());
+    let params = LocalAssemblyParams::default();
 
     let mut group = c.benchmark_group("extension_kernel");
     group.sample_size(10).measurement_time(Duration::from_secs(3));

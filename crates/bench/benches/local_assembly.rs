@@ -2,18 +2,19 @@
 //! time and GPU engine simulation throughput on the arcticsynth-like dump.
 //! (Backs Figures 12/13's module-level comparison.)
 
-use bench::{local_assembly_dump, DumpConfig};
+use bench::local_assembly_dump;
 use criterion::{criterion_group, criterion_main, Criterion};
 use datagen::arcticsynth_like;
 use gpusim::DeviceConfig;
 use locassm::gpu::{GpuLocalAssembler, KernelVersion};
 use locassm::{extend_all_cpu, LocalAssemblyParams};
+use mhm::PipelineConfig;
 use std::hint::black_box;
 use std::time::Duration;
 
 fn bench_local_assembly(c: &mut Criterion) {
-    let dump = local_assembly_dump(&arcticsynth_like(0.02), &DumpConfig::default());
-    let params = LocalAssemblyParams::for_tests();
+    let dump = local_assembly_dump(&arcticsynth_like(0.02), &PipelineConfig::default());
+    let params = LocalAssemblyParams::default();
 
     let mut group = c.benchmark_group("local_assembly");
     group.sample_size(10).measurement_time(Duration::from_secs(3));

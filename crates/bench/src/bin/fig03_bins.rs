@@ -8,10 +8,11 @@
 //! binning the resulting extension tasks.
 
 use align::{AlignParams, CandidateParams};
-use bench::{local_assembly_dump, DumpConfig};
+use bench::local_assembly_dump;
 use datagen::arcticsynth_like;
 use locassm::bin_tasks;
 use mhm::report::render_table;
+use mhm::PipelineConfig;
 
 fn main() {
     let preset = arcticsynth_like(1.0);
@@ -29,7 +30,7 @@ fn main() {
     for k in [21, 31, 41, 51, 61] {
         let dump = local_assembly_dump(
             &preset,
-            &DumpConfig { k, candidates: candidates.clone(), ..Default::default() },
+            &PipelineConfig { k, candidates: candidates.clone(), ..Default::default() },
         );
         let stats = bin_tasks(&dump.tasks);
         let (b1, b2, b3) = stats.percentages();

@@ -3,20 +3,21 @@
 //! printed side by side with v1 so the figure's key claim — the L1 dot
 //! moves up and to the right — is directly visible.
 
-use bench::{local_assembly_dump, DumpConfig};
+use bench::local_assembly_dump;
 use datagen::arcticsynth_like;
 use gpusim::DeviceConfig;
 use locassm::gpu::{GpuLocalAssembler, KernelVersion};
 use locassm::LocalAssemblyParams;
+use mhm::PipelineConfig;
 
 fn main() {
-    let dump = local_assembly_dump(&arcticsynth_like(0.05), &DumpConfig::default());
+    let dump = local_assembly_dump(&arcticsynth_like(0.05), &PipelineConfig::default());
     let cfg = DeviceConfig::v100();
 
     let mut reports = Vec::new();
     for (name, version) in [("v1", KernelVersion::V1), ("v2", KernelVersion::V2)] {
         let mut engine =
-            GpuLocalAssembler::new(cfg.clone(), LocalAssemblyParams::for_tests(), version);
+            GpuLocalAssembler::new(cfg.clone(), LocalAssemblyParams::default(), version);
         let (_, stats) = engine.extend_tasks(&dump.tasks);
         reports.push((name, stats.roofline(name, &cfg)));
     }

@@ -5,22 +5,23 @@
 //! because 32 lanes share coalesced word loads instead of each k-mer being
 //! re-loaded by one thread.
 
-use bench::{local_assembly_dump, DumpConfig};
+use bench::local_assembly_dump;
 use datagen::arcticsynth_like;
 use gpusim::{Counters, DeviceConfig};
 use locassm::gpu::{GpuLocalAssembler, KernelVersion};
 use locassm::LocalAssemblyParams;
 use mhm::report::render_table;
+use mhm::PipelineConfig;
 
 fn counters_for(version: KernelVersion, dump: &bench::Dump) -> Counters {
     let mut engine =
-        GpuLocalAssembler::new(DeviceConfig::v100(), LocalAssemblyParams::for_tests(), version);
+        GpuLocalAssembler::new(DeviceConfig::v100(), LocalAssemblyParams::default(), version);
     let (_, stats) = engine.extend_tasks(&dump.tasks);
     stats.counters
 }
 
 fn main() {
-    let dump = local_assembly_dump(&arcticsynth_like(0.05), &DumpConfig::default());
+    let dump = local_assembly_dump(&arcticsynth_like(0.05), &PipelineConfig::default());
     let v1 = counters_for(KernelVersion::V1, &dump);
     let v2 = counters_for(KernelVersion::V2, &dump);
 

@@ -1,8 +1,7 @@
 //! Figure 11-style overlap study: the paper's fixed split (bin 3 on the
 //! GPU, bin 2 on the CPU) vs the work-stealing scheduler on a size-skewed
-//! seeded workload, plus the multi-GPU striping comparison (round-robin vs
-//! `stripe_lpt`, homogeneous and mixed-fleet) and byte-identity checks
-//! across scheduler × device configurations (healthy, failing kernel).
+//! seeded workload, plus byte-identity checks across scheduler × device
+//! configurations (healthy, failing kernel).
 //!
 //! Emits `results/BENCH_overlap.json` (hand-rolled JSON; the workspace has
 //! no serde_json). Every field is modeled and deterministic, so CI runs the
@@ -15,10 +14,10 @@ use bioseq::{DnaSeq, Read};
 use gpusim::DeviceConfig;
 use locassm::gpu::layout::MAX_DEVICE_K;
 use locassm::gpu::pack::estimate_task_words;
-use locassm::gpu::{stripe_lpt, GpuLocalAssembler, KernelVersion};
+use locassm::gpu::{GpuLocalAssembler, KernelVersion};
 use locassm::{
-    extend_all_cpu, ContigEnd, ExtResult, ExtTask, LocalAssemblyParams, OverlapDriver,
-    SchedulePolicy, StealConfig,
+    extend_all_cpu, ContigEnd, ExtTask, LocalAssemblyParams, OverlapDriver, SchedulePolicy,
+    StealConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,10 +27,10 @@ fn random_seq(len: usize, rng: &mut StdRng) -> DnaSeq {
     (0..len).map(|_| bioseq::Base::from_code(rng.gen_range(0..4))).collect()
 }
 
-/// Size-skewed workload: a minority of heavy bin-3 tasks carry most of the
-/// estimated words, and they sit at stride `n_devices` so round-robin
-/// striping piles them all onto device 0. Light bin-2 tasks are emitted in
-/// ascending size order, the worst case for a prefix split.
+/// Size-skewed workload: a minority of heavy bin-3 tasks, one every
+/// `heavy_stride` tasks, carry most of the estimated words. Light bin-2
+/// tasks are emitted in ascending size order, the worst case for a prefix
+/// split.
 fn skewed_tasks(n: usize, heavy_stride: usize, seed: u64) -> Vec<ExtTask> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
@@ -58,9 +57,8 @@ fn skewed_tasks(n: usize, heavy_stride: usize, seed: u64) -> Vec<ExtTask> {
 fn main() {
     let tiny = std::env::args().any(|a| a == "--tiny");
     let n_tasks = if tiny { 64 } else { 192 };
-    const N_DEVICES: usize = 4;
-    let tasks = skewed_tasks(n_tasks, N_DEVICES, 4242);
-    let params = LocalAssemblyParams::for_tests();
+    let tasks = skewed_tasks(n_tasks, 4, 4242);
+    let params = LocalAssemblyParams::default();
     let total_words: u64 = tasks.iter().map(|t| estimate_task_words(t, &params)).sum();
     println!("=== Figure 11: CPU/GPU overlap scheduling on a skewed workload ===");
     println!(
@@ -136,66 +134,6 @@ fn main() {
         "work-steal must beat the paper split: {ws_makespan:.9} vs {paper_makespan:.9} s"
     );
 
-    // --- multi-GPU striping: round-robin vs LPT on the same skew. Each
-    // shard runs on its own engine; balance is sum of device seconds over
-    // (makespan x devices). A sequential loop is exact: simulated seconds
-    // do not depend on host threads.
-    let balance_of = |fleet: &[DeviceConfig], shards: &[Vec<usize>]| {
-        let mut results = vec![ExtResult::empty(); tasks.len()];
-        let seconds: Vec<f64> = fleet
-            .iter()
-            .zip(shards)
-            .map(|(config, idx)| {
-                let shard: Vec<&ExtTask> = idx.iter().map(|&i| &tasks[i]).collect();
-                let (outcomes, stats) =
-                    GpuLocalAssembler::new(config.clone(), params.clone(), KernelVersion::V2)
-                        .extend_tasks_outcomes(&shard);
-                for (&i, outcome) in idx.iter().zip(outcomes) {
-                    results[i] = outcome.into_result();
-                }
-                stats.seconds
-            })
-            .collect();
-        assert_eq!(results, reference, "striped runs must be byte-identical");
-        let makespan = seconds.iter().copied().fold(0.0, f64::max);
-        seconds.iter().sum::<f64>() / (makespan * seconds.len() as f64)
-    };
-    let fleet = vec![device.clone(); N_DEVICES];
-    let round_robin: Vec<Vec<usize>> =
-        (0..N_DEVICES).map(|d| (d..n_tasks).step_by(N_DEVICES).collect()).collect();
-    let balance_rr = balance_of(&fleet, &round_robin);
-    let balance_lpt = balance_of(&fleet, &stripe_lpt(&tasks, &params, &[1.0; N_DEVICES]));
-    println!("\nmulti-GPU balance ({N_DEVICES} devices): round-robin {balance_rr:.3}, LPT {balance_lpt:.3}");
-    assert!(balance_rr < 0.6, "skew must defeat round-robin striping, got {balance_rr:.3}");
-    assert!(balance_lpt >= 0.9, "LPT striping must balance the skew, got {balance_lpt:.3}");
-
-    // --- mixed fleet: device 3 runs at half clock and half memory
-    // bandwidth (~0.5x throughput). Rate-blind LPT deals it a full-speed
-    // share and it becomes the makespan; rate-aware LPT weighs its load by
-    // the configured 0.5 rate and wins the balance back.
-    let slow_device = DeviceConfig {
-        clock_ghz: device.clock_ghz * 0.5,
-        dram_gbps: device.dram_gbps * 0.5,
-        ..device.clone()
-    };
-    let mut mixed_fleet = vec![device.clone(); N_DEVICES - 1];
-    mixed_fleet.push(slow_device);
-    let mut aware_rates = vec![1.0; N_DEVICES - 1];
-    aware_rates.push(0.5);
-    let balance_mixed_blind =
-        balance_of(&mixed_fleet, &stripe_lpt(&tasks, &params, &[1.0; N_DEVICES]));
-    let balance_mixed_aware = balance_of(&mixed_fleet, &stripe_lpt(&tasks, &params, &aware_rates));
-    println!(
-        "mixed fleet (device {} at 0.5x): rate-blind LPT {balance_mixed_blind:.3}, \
-         rate-aware LPT {balance_mixed_aware:.3}",
-        N_DEVICES - 1
-    );
-    assert!(
-        balance_mixed_aware > balance_mixed_blind + 0.05,
-        "rate-aware LPT must beat rate-blind LPT on a mixed fleet: \
-         {balance_mixed_aware:.3} vs {balance_mixed_blind:.3}"
-    );
-
     // --- byte-identity across scheduler × device configurations. The
     // failing kernel starts at a k above the device layout's limit: the
     // GPU's first batch panics and runs on the CPU fallback, and the rest
@@ -259,10 +197,6 @@ fn main() {
         "  \"overlap_saved_s\": {:.9},",
         ws.gpu_stats.as_ref().map_or(0.0, |g| g.overlap_saved_s)
     );
-    let _ = writeln!(json, "  \"balance_round_robin\": {balance_rr:.4},");
-    let _ = writeln!(json, "  \"balance_lpt\": {balance_lpt:.4},");
-    let _ = writeln!(json, "  \"balance_mixed_rate_blind\": {balance_mixed_blind:.4},");
-    let _ = writeln!(json, "  \"balance_mixed_rate_aware\": {balance_mixed_aware:.4},");
     let _ = writeln!(json, "  \"byte_identical_configs\": {identical_configs}");
     json.push_str("}\n");
     let out_path = std::path::Path::new("results").join("BENCH_overlap.json");

@@ -5,10 +5,11 @@
 //! about 15× less. We tabulate the ratio across k and then measure the
 //! real effect on total device memory for a packed batch.
 
-use bench::{local_assembly_dump, DumpConfig};
+use bench::local_assembly_dump;
 use datagen::arcticsynth_like;
 use locassm::gpu::layout::{key_materialized_bytes, KEY_POINTER_BYTES};
 use mhm::report::render_table;
+use mhm::PipelineConfig;
 
 fn main() {
     println!("=== K-mer key memory: pointer vs materialized (paper §3.2) ===\n");
@@ -29,7 +30,7 @@ fn main() {
 
     // Whole-batch effect: compare slab key storage against what
     // materialized keys would need at the walk's largest k.
-    let dump = local_assembly_dump(&arcticsynth_like(0.02), &DumpConfig::default());
+    let dump = local_assembly_dump(&arcticsynth_like(0.02), &PipelineConfig::default());
     let k_max = 41usize; // largest k in the test schedule
     let mut pointer_bytes = 0u64;
     let mut materialized_bytes = 0u64;

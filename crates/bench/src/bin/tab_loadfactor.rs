@@ -6,11 +6,12 @@
 //! v2 kernel on a real dump and measure achieved fill (occupied slots /
 //! allocated slots) per extension.
 
-use bench::{local_assembly_dump, DumpConfig};
+use bench::local_assembly_dump;
 use datagen::arcticsynth_like;
 use kmer::Kmer;
 use locassm::gpu::layout::{ht_slots_for, load_factor};
 use mhm::report::render_table;
+use mhm::PipelineConfig;
 use std::collections::HashSet;
 
 fn main() {
@@ -24,7 +25,7 @@ fn main() {
     println!("worst case (l=300, k=21): {:.3}  (paper: ~0.93)\n", load_factor(300, 21));
 
     // Empirical fill on a real dump.
-    let dump = local_assembly_dump(&arcticsynth_like(0.03), &DumpConfig::default());
+    let dump = local_assembly_dump(&arcticsynth_like(0.03), &PipelineConfig::default());
     let k = 21usize;
     // The bound depends on the longest read in the set; overlap-merged
     // pairs reach ~2x the raw 150 bp (the paper's l = 300 worst case).

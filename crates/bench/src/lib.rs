@@ -6,12 +6,12 @@
 //! contig generation → alignment) on a preset and returns the extension
 //! tasks, exactly what the GPU kernels consume.
 
-use align::{collect_candidates, CandidateParams, SeedIndex};
+use align::{collect_candidates, SeedIndex};
 use bioseq::{DnaSeq, Read};
 use datagen::Preset;
 use dbg::{count_kmers, generate_contigs, DbgGraph};
-use locassm::{make_tasks, ExtTask, LocalAssemblyParams};
-use mhm::{merge_reads, MergeParams};
+use locassm::{make_tasks, ExtTask};
+use mhm::{merge_reads, PipelineConfig};
 
 /// The upstream dump feeding local assembly.
 pub struct Dump {
@@ -23,41 +23,19 @@ pub struct Dump {
     pub reads: Vec<Read>,
 }
 
-/// Parameters for dump generation.
-pub struct DumpConfig {
-    /// Contig-generation k.
-    pub k: usize,
-    /// Minimum contig length kept.
-    pub min_contig_len: usize,
-    /// Local-assembly parameter set used for task normalization.
-    pub locassm: LocalAssemblyParams,
-    /// Candidate-read selection criteria.
-    pub candidates: CandidateParams,
-}
-
-impl Default for DumpConfig {
-    fn default() -> Self {
-        DumpConfig {
-            k: 31,
-            min_contig_len: 100,
-            locassm: LocalAssemblyParams::for_tests(),
-            candidates: CandidateParams::default(),
-        }
-    }
-}
-
-/// Run the upstream pipeline on a preset and dump local-assembly inputs.
-pub fn local_assembly_dump(preset: &Preset, cfg: &DumpConfig) -> Dump {
+/// Run the upstream pipeline on a preset and dump local-assembly inputs,
+/// with the thresholds a single-k [`mhm::run_pipeline`] at `cfg` uses.
+pub fn local_assembly_dump(preset: &Preset, cfg: &PipelineConfig) -> Dump {
     let (_, pairs) = preset.generate();
-    let (reads, _) = merge_reads(&pairs, &MergeParams::default());
-    let counts = count_kmers(&reads, cfg.k, 2);
+    let (reads, _) = merge_reads(&pairs, &cfg.merge);
+    let counts = count_kmers(&reads, cfg.k, cfg.min_kmer_count);
     let graph = DbgGraph::new(cfg.k, counts);
-    let contigs: Vec<DnaSeq> = generate_contigs(&graph, 2)
+    let contigs: Vec<DnaSeq> = generate_contigs(&graph, cfg.min_votes)
         .into_iter()
         .filter(|c| c.len() >= cfg.min_contig_len)
         .map(|c| c.seq)
         .collect();
-    let idx = SeedIndex::build(&contigs, 17, 200);
+    let idx = SeedIndex::build(&contigs, cfg.scaffold.seed_k, cfg.scaffold.max_occ);
     let cands = collect_candidates(&contigs, &reads, &idx, &cfg.candidates);
     let cand_pairs: Vec<(Vec<Read>, Vec<Read>)> =
         cands.into_iter().map(|c| (c.right, c.left)).collect();
@@ -72,7 +50,7 @@ mod tests {
 
     #[test]
     fn dump_produces_tasks_with_reads() {
-        let dump = local_assembly_dump(&arcticsynth_like(0.01), &DumpConfig::default());
+        let dump = local_assembly_dump(&arcticsynth_like(0.01), &PipelineConfig::default());
         assert!(!dump.contigs.is_empty());
         assert_eq!(dump.tasks.len(), dump.contigs.len() * 2);
         assert!(

@@ -1,7 +1,7 @@
 //! Canonical k-mer counting with per-side extension votes.
 
 use bioseq::{Base, Read};
-use kmer::{CanonicalKmerIter, KmerTable, Spectrum};
+use kmer::{CanonicalKmerIter, KmerTable};
 
 /// Occurrence count and extension votes for one canonical k-mer.
 ///
@@ -116,25 +116,6 @@ pub fn count_kmers(reads: &[Read], k: usize, min_count: u32) -> KmerCountMap {
         table.retain(|v| v.count >= min_count);
     }
     table
-}
-
-/// Count k-mers and also return the multiplicity spectrum (computed before
-/// the `min_count` filter, so the error spike is visible). The spectrum's
-/// valley is the data-driven singleton/error cutoff (see
-/// [`kmer::Spectrum::error_cutoff`]).
-pub fn count_kmers_with_spectrum(
-    reads: &[Read],
-    k: usize,
-    min_count: u32,
-    max_multiplicity: usize,
-) -> (KmerCountMap, Spectrum) {
-    let mut map = count_kmers(reads, k, 1);
-    let mut spectrum = Spectrum::new(max_multiplicity);
-    for v in map.values() {
-        spectrum.record(v.count);
-    }
-    map.retain(|v| v.count >= min_count);
-    (map, spectrum)
 }
 
 #[cfg(test)]
@@ -258,17 +239,6 @@ mod tests {
     fn short_reads_ignored() {
         let map = count_kmers(&[read("ACG")], 5, 1);
         assert!(map.is_empty());
-    }
-
-    #[test]
-    fn spectrum_sees_prefiltered_counts() {
-        let reads = vec![read("ACGGTTCAAGTACCG"), read("ACGGTTCAAGTACCG"), read("TTGGCCAATCGATTA")];
-        let (map, spectrum) = count_kmers_with_spectrum(&reads, 11, 2, 16);
-        // Duplicated read's k-mers have multiplicity 2; the unique read's
-        // k-mers are singletons — filtered from the map but in the spectrum.
-        assert!(spectrum.at(1) > 0, "singletons must appear in the spectrum");
-        assert!(map.values().all(|v| v.count >= 2));
-        assert_eq!(spectrum.distinct() as usize, map.len() + spectrum.at(1) as usize);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The simulated device: allocation, kernel launch, accumulated statistics.
+//! The simulated device: allocation, kernel launch, per-launch statistics.
 
 use crate::config::DeviceConfig;
 use crate::counters::Counters;
@@ -31,14 +31,11 @@ pub struct LaunchStats {
     pub timing: TimingEstimate,
 }
 
-/// A simulated GPU: global memory plus accumulated execution counters.
+/// A simulated GPU: global memory plus a launch counter. Each launch
+/// returns its own [`LaunchStats`]; callers sum them.
 pub struct Device {
     config: DeviceConfig,
     mem: GlobalMem,
-    /// Counters accumulated across all launches since construction/reset.
-    total: Counters,
-    /// Seconds of simulated kernel time accumulated across launches.
-    total_time_s: f64,
     launches: u64,
     /// `gpucheck` dynamic checker (config- or env-enabled).
     sanitizer: Option<Box<Sanitizer>>,
@@ -52,14 +49,7 @@ impl Device {
         let cap = config.capacity_words();
         let sanitizer =
             (config.sanitize || sanitize_env_forced()).then(|| Box::new(Sanitizer::new()));
-        Device {
-            config,
-            mem: GlobalMem::new(cap),
-            total: Counters::new(),
-            total_time_s: 0.0,
-            launches: 0,
-            sanitizer,
-        }
+        Device { config, mem: GlobalMem::new(cap), launches: 0, sanitizer }
     }
 
     /// Is the `gpucheck` sanitizer active on this device?
@@ -133,7 +123,7 @@ impl Device {
     /// Returns per-launch counters and a timing estimate. A panicking
     /// kernel unwinds to the caller (from a pool thread, rayon re-raises it
     /// on the calling thread); the launch still counts toward
-    /// [`Device::launches`], but its counters and time are not added.
+    /// [`Device::launches`].
     pub fn launch(
         &mut self,
         warps: usize,
@@ -177,31 +167,12 @@ impl Device {
             }
         };
         let timing = timing::estimate(&self.config, &counters, warps);
-        self.total.merge(&counters);
-        self.total_time_s += timing.total_seconds();
         LaunchStats { warps, counters, timing }
-    }
-
-    /// Counters accumulated across all launches.
-    pub fn total_counters(&self) -> &Counters {
-        &self.total
-    }
-
-    /// Simulated seconds across all launches (including launch overheads).
-    pub fn total_time_s(&self) -> f64 {
-        self.total_time_s
     }
 
     /// Number of launches performed.
     pub fn launches(&self) -> u64 {
         self.launches
-    }
-
-    /// Zero the accumulated counters and time (memory is untouched).
-    pub fn reset_counters(&mut self) {
-        self.total = Counters::new();
-        self.total_time_s = 0.0;
-        self.launches = 0;
     }
 }
 
@@ -312,12 +283,13 @@ mod tests {
     #[test]
     fn counters_accumulate_across_launches() {
         let mut dev = Device::new(DeviceConfig::tiny());
-        dev.launch(1, 0, |ctx| ctx.int_ops(5));
-        dev.launch(1, 0, |ctx| ctx.int_ops(7));
-        assert_eq!(dev.total_counters().int_inst, 12);
+        let first = dev.launch(1, 0, |ctx| ctx.int_ops(5));
+        let second = dev.launch(1, 0, |ctx| ctx.int_ops(7));
+        let mut sum = first.counters;
+        sum.merge(&second.counters);
+        assert_eq!((first.counters.int_inst, second.counters.int_inst), (5, 7));
+        assert_eq!(sum.int_inst, 12, "each launch meters only its own warps");
         assert_eq!(dev.launches(), 2);
-        dev.reset_counters();
-        assert_eq!(dev.total_counters().int_inst, 0);
     }
 
     #[test]

@@ -18,9 +18,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Buf {
     /// First word address.
-    pub addr: u64,
+    pub(crate) addr: u64,
     /// Length in 64-bit words.
-    pub len: u64,
+    pub(crate) len: u64,
 }
 
 impl Buf {
@@ -45,9 +45,11 @@ impl Buf {
     }
 }
 
-/// Flat global memory with a bump allocator.
+/// Flat global memory with a bump allocator. Private to the simulator:
+/// kernels reach it only through [`crate::WarpCtx`], which meters every
+/// access and runs the sanitizer's checks.
 #[derive(Debug)]
-pub struct GlobalMem {
+pub(crate) struct GlobalMem {
     words: Vec<AtomicU64>,
     next: u64,
     capacity_words: u64,

@@ -16,10 +16,8 @@
 pub mod ext;
 pub mod hash;
 pub mod kmer;
-pub mod spectrum;
 pub mod table;
 
 pub use ext::{ExtCounts, ExtVerdict, QUAL_TIER_CUTOFF};
 pub use kmer::{CanonicalKmerIter, Kmer, KmerIter, MAX_K};
-pub use spectrum::Spectrum;
 pub use table::{KmerTable, SlotBits};

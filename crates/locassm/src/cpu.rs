@@ -265,7 +265,7 @@ mod tests {
             tail: random_seq(100, 3),
             reads: vec![],
         };
-        let r = extend_end_cpu(&task, &LocalAssemblyParams::for_tests());
+        let r = extend_end_cpu(&task, &LocalAssemblyParams::default());
         assert!(r.appended.is_empty());
         assert_eq!(r.iterations, 0);
     }
@@ -277,7 +277,7 @@ mod tests {
         let reads = tiling_reads(&genome, 100, 60, 3);
         let task =
             ExtTask { contig: 0, end: crate::task::ContigEnd::Right, tail: contig.clone(), reads };
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let r = extend_end_cpu(&task, &params);
         assert!(r.appended.len() >= 50, "appended {}", r.appended.len());
         assert_eq!(r.appended, genome.subseq(150, r.appended.len()));
@@ -289,9 +289,11 @@ mod tests {
         let genome = random_seq(2000, 13);
         let contig = genome.subseq(0, 100);
         let reads = tiling_reads(&genome, 50, 80, 2);
-        let mut params = LocalAssemblyParams::for_tests();
-        params.max_total_extension = 40;
-        params.max_walk_len = 100;
+        let params = LocalAssemblyParams {
+            max_total_extension: 40,
+            max_walk_len: 100,
+            ..LocalAssemblyParams::default()
+        };
         let task = ExtTask { contig: 0, end: crate::task::ContigEnd::Right, tail: contig, reads };
         let r = extend_end_cpu(&task, &params);
         assert!(r.appended.len() <= 40, "cap violated: {}", r.appended.len());
@@ -310,7 +312,7 @@ mod tests {
                 reads: tiling_reads(&genome, start + 60, 80, 4),
             });
         }
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let par = extend_all_cpu(&tasks, &params);
         let ser: Vec<ExtResult> = tasks.iter().map(|t| extend_end_cpu(t, &params)).collect();
         assert_eq!(par, ser);

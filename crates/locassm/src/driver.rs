@@ -297,7 +297,7 @@ mod tests {
     #[test]
     fn work_steal_matches_pure_cpu() {
         let tasks = tasks_with_mixed_bins();
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let pure = extend_all_cpu(&tasks, &params);
         let outcome = OverlapDriver::default().run(&tasks, &params).expect("driver runs");
         assert_eq!(outcome.results, pure);
@@ -310,7 +310,7 @@ mod tests {
     #[test]
     fn static_matches_pure_cpu() {
         let tasks = tasks_with_mixed_bins();
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let outcome = paper_split().run(&tasks, &params).expect("driver runs");
         assert_eq!(outcome.results, extend_all_cpu(&tasks, &params));
         assert_eq!(outcome.schedule.batches(), 2, "one heavy and one light batch");
@@ -323,7 +323,7 @@ mod tests {
     #[test]
     fn split_fraction_extremes() {
         let tasks = tasks_with_mixed_bins();
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let pure = extend_all_cpu(&tasks, &params);
         let finest = OverlapDriver {
             schedule: SchedulePolicy::WorkSteal(StealConfig {
@@ -347,7 +347,7 @@ mod tests {
     #[test]
     fn bin3_always_on_gpu_in_static_mode() {
         let tasks = tasks_with_mixed_bins();
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let outcome = paper_split().run(&tasks, &params).expect("driver runs");
         assert_eq!(outcome.schedule.cpu_stole_heavy, 0);
         let stats = outcome.gpu_stats.expect("gpu ran");
@@ -365,7 +365,7 @@ mod tests {
         let params = LocalAssemblyParams {
             k_list: vec![21, crate::gpu::layout::MAX_DEVICE_K + 5],
             start_k_idx: 1,
-            ..LocalAssemblyParams::for_tests()
+            ..LocalAssemblyParams::default()
         };
         let outcome = OverlapDriver::default().run(&tasks, &params).expect("driver runs");
         assert_eq!(outcome.results, extend_all_cpu(&tasks, &params));
@@ -384,7 +384,7 @@ mod tests {
     #[test]
     fn bad_config_is_rejected() {
         let tasks = tasks_with_mixed_bins();
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let ws = |cfg: StealConfig| OverlapDriver {
             schedule: SchedulePolicy::WorkSteal(cfg),
             ..Default::default()
@@ -404,7 +404,7 @@ mod tests {
     #[test]
     fn double_buffer_saves_wall_seconds() {
         let tasks = tasks_with_mixed_bins();
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         // Small granularity so each heavy task is its own batch, and a
         // near-zero CPU rate so the GPU drains several batches —
         // double-buffer savings only accrue from batch 2 on.
@@ -428,7 +428,7 @@ mod tests {
     #[test]
     fn default_schedule_is_deterministic() {
         let tasks = tasks_with_mixed_bins();
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let run = || OverlapDriver::default().run(&tasks, &params).expect("driver runs").schedule;
         let (a, b) = (run(), run());
         // Only the measured CPU seconds, and the model error derived from

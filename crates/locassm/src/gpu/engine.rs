@@ -122,12 +122,7 @@ impl GpuLocalAssembler {
         }
     }
 
-    /// The parameters in force.
-    pub fn params(&self) -> &LocalAssemblyParams {
-        &self.params
-    }
-
-    /// Access the underlying simulated device (counters, config).
+    /// Access the underlying simulated device (launch count, config).
     pub fn device(&self) -> &Device {
         &self.device
     }
@@ -337,13 +332,13 @@ mod tests {
     }
 
     fn engine(version: KernelVersion) -> GpuLocalAssembler {
-        GpuLocalAssembler::new(DeviceConfig::v100(), LocalAssemblyParams::for_tests(), version)
+        GpuLocalAssembler::new(DeviceConfig::v100(), LocalAssemblyParams::default(), version)
     }
 
     #[test]
     fn gpu_v2_matches_cpu() {
         let tasks = make_test_tasks(8);
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let cpu = extend_all_cpu(&tasks, &params);
         let (gpu, stats) = engine(KernelVersion::V2).extend_tasks(&tasks);
         assert_eq!(cpu.len(), gpu.len());
@@ -359,7 +354,7 @@ mod tests {
     #[test]
     fn gpu_v1_matches_cpu() {
         let tasks = make_test_tasks(5);
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let cpu = extend_all_cpu(&tasks, &params);
         let (gpu, _) = engine(KernelVersion::V1).extend_tasks(&tasks);
         assert_eq!(cpu, gpu);
@@ -405,7 +400,7 @@ mod tests {
         eng.mem_budget_frac = 0.0001; // ~214k words: one task fits, eight don't
         let (gpu, stats) = eng.extend_tasks(&tasks);
         assert!(stats.launches > 1, "expected multiple batches, got {}", stats.launches);
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let cpu = extend_all_cpu(&tasks, &params);
         assert_eq!(cpu, gpu, "batch splitting must not change results");
     }
@@ -420,7 +415,7 @@ mod tests {
         let params = LocalAssemblyParams {
             k_list: vec![21, layout::MAX_DEVICE_K + 5],
             start_k_idx: 1,
-            ..LocalAssemblyParams::for_tests()
+            ..LocalAssemblyParams::default()
         };
         let cpu = extend_all_cpu(&tasks, &params);
         let mut eng = GpuLocalAssembler::new(DeviceConfig::v100(), params, KernelVersion::V2);
@@ -442,12 +437,12 @@ mod tests {
     #[test]
     fn sanitized_runs_stay_clean_and_match_cpu() {
         let tasks = make_test_tasks(8);
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let cpu = extend_all_cpu(&tasks, &params);
         for version in [KernelVersion::V1, KernelVersion::V2] {
             let mut eng = GpuLocalAssembler::new(
                 DeviceConfig::v100().with_sanitizer(),
-                LocalAssemblyParams::for_tests(),
+                LocalAssemblyParams::default(),
                 version,
             );
             let (gpu, stats) = eng.extend_tasks(&tasks);
@@ -468,7 +463,7 @@ mod tests {
             let (_, plain) = engine(version).extend_tasks(&tasks);
             let mut eng = GpuLocalAssembler::new(
                 DeviceConfig::v100().with_sanitizer(),
-                LocalAssemblyParams::for_tests(),
+                LocalAssemblyParams::default(),
                 version,
             );
             let (_, checked) = eng.extend_tasks(&tasks);

@@ -28,6 +28,10 @@
 //! computation, 12 INT ops for a vote classification, and 1 control op per
 //! loop-carried branch.
 
+// Kernel data paths degrade, never panic: `expect` here, like `unwrap`
+// across the crate, is a clippy error outside tests.
+#![cfg_attr(not(test), deny(clippy::expect_used))]
+
 use crate::gpu::layout::{
     self, decode_key, encode_key, key_is_current, ENTRY_WORDS, EXT_META_WORDS, READ_META_WORDS,
     VIS_ENTRY_WORDS,

@@ -16,6 +16,10 @@
 //! and the v2 kernel; the engine's equivalence tests hold across all
 //! three.
 
+// Kernel data paths degrade, never panic: `expect` here, like `unwrap`
+// across the crate, is a clippy error outside tests.
+#![cfg_attr(not(test), deny(clippy::expect_used))]
+
 use crate::gpu::layout::{
     self, decode_key, encode_key, key_is_current, ENTRY_WORDS, EXT_META_WORDS, READ_META_WORDS,
     VIS_ENTRY_WORDS,

@@ -10,17 +10,13 @@
 //!   study of §4.2);
 //! * [`engine`] — batching, launching, and result unpacking, with the
 //!   paper's binning-driven scheduling and the CPU fallback for a batch
-//!   the device fails;
-//! * [`multi`] — [`stripe_lpt`], the rate-aware LPT split of a task list
-//!   into one static shard per device.
+//!   the device fails.
 
 pub mod engine;
 pub mod kernel;
 pub mod kernel_v1;
 pub mod layout;
-pub mod multi;
 pub mod pack;
 
 pub use engine::{GpuLocalAssembler, GpuRunStats, DEFAULT_PACK_WORDS_PER_S};
 pub use kernel::KernelVersion;
-pub use multi::stripe_lpt;

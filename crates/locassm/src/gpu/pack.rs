@@ -43,10 +43,9 @@ pub struct GpuBatch {
 }
 
 /// Device words one task will consume. This is the workspace's single task
-/// cost model, with three consumers that must stay consistent: the engine
-/// batches against the device memory budget with it, the work-stealing
-/// scheduler sizes its batches by it (`schedule::build_batches`), and
-/// multi-GPU striping balances device shards by it (`multi::stripe_lpt`).
+/// cost model, with two consumers that must stay consistent: the engine
+/// batches against the device memory budget with it, and the work-stealing
+/// scheduler sizes its batches by it (`schedule::build_batches`).
 pub fn estimate_task_words(task: &ExtTask, params: &LocalAssemblyParams) -> u64 {
     let read_words: u64 = task
         .reads
@@ -65,8 +64,8 @@ pub fn estimate_task_words(task: &ExtTask, params: &LocalAssemblyParams) -> u64 
 }
 
 /// [`estimate_task_words`] clamped to ≥ 1 — the *scheduling* cost of a
-/// task. Every scheduler (work-steal batches, the static bin-2 deal,
-/// multi-GPU LPT striping) must charge at least one word per task:
+/// task. Every scheduler (work-steal batches, the static bin-2 deal) must
+/// charge at least one word per task:
 /// a zero-cost task would advance no virtual clock and add no bin load,
 /// so one engine could drain arbitrarily many of them "for free" and the
 /// schedule's balance claims would be fiction.
@@ -197,7 +196,7 @@ mod tests {
     #[test]
     fn pack_layout_is_consistent() {
         let mut dev = Device::new(DeviceConfig::tiny());
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let t1 = mk_task("ACGTACGTACGTACGTACGT", &["ACGTACGTACGTACGTA", "TTTTGGGGCCCCAAAA"]);
         let t2 = mk_task("TTTTGGGGCCCCAAAATTTT", &["GGGGCCCCAAAATTTTCC"]);
         let batch = pack_batch(&mut dev, &[&t1, &t2], &params).expect("fits");
@@ -219,7 +218,7 @@ mod tests {
     #[test]
     fn packed_reads_round_trip() {
         let mut dev = Device::new(DeviceConfig::tiny());
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let t = mk_task("ACGTACGTACGTACGTACGT", &["ACGGTTCAAGTACCGGTTAA"]);
         let batch = pack_batch(&mut dev, &[&t], &params).expect("fits");
         let rm = dev.d2h(batch.read_meta, 0, READ_META_WORDS);
@@ -232,7 +231,7 @@ mod tests {
     #[test]
     fn qual_tier_bits_match() {
         let mut dev = Device::new(DeviceConfig::tiny());
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let t = mk_task("ACGTACGTACGTACGTACGT", &["ACGGTTCAAGTACCGG"]);
         let batch = pack_batch(&mut dev, &[&t], &params).expect("fits");
         let rm = dev.d2h(batch.read_meta, 0, READ_META_WORDS);
@@ -254,7 +253,7 @@ mod tests {
         fn seq(rng: &mut StdRng, len: usize) -> DnaSeq {
             (0..len).map(|_| bioseq::Base::from_code(rng.gen_range(0..4))).collect()
         }
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let mut rng = StdRng::seed_from_u64(7);
         for mix in 0..200 {
             let tasks: Vec<ExtTask> = (0..rng.gen_range(0..7))

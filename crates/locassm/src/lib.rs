@@ -37,6 +37,7 @@
 //! CPU run panics too. See `DESIGN.md` §"Device failure & CPU fallback".
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod binning;

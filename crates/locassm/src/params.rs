@@ -18,21 +18,10 @@ pub struct LocalAssemblyParams {
     pub min_viable: u16,
 }
 
+/// The one parameter set every run, figure and example uses: k 15..41,
+/// starting at 21, 64-base walks and at most 200 bases per contig end.
 impl Default for LocalAssemblyParams {
     fn default() -> Self {
-        LocalAssemblyParams {
-            k_list: vec![21, 33, 55, 77, 99],
-            start_k_idx: 1,
-            max_walk_len: 100,
-            max_total_extension: 300,
-            min_viable: 2,
-        }
-    }
-}
-
-impl LocalAssemblyParams {
-    /// A schedule suitable for short test reads.
-    pub fn for_tests() -> LocalAssemblyParams {
         LocalAssemblyParams {
             k_list: vec![15, 21, 31, 41],
             start_k_idx: 1,
@@ -41,7 +30,9 @@ impl LocalAssemblyParams {
             min_viable: 2,
         }
     }
+}
 
+impl LocalAssemblyParams {
     /// Largest k in the schedule.
     pub fn k_max(&self) -> usize {
         self.k_list.iter().copied().max().unwrap_or(0)

@@ -239,7 +239,7 @@ mod tests {
     #[test]
     fn batches_cover_all_nonzero_tasks_once() {
         let tasks: Vec<ExtTask> = (0..30).map(|i| task_with_reads(i, [0, 3, 25][i % 3])).collect();
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let bins = bin_tasks(&tasks);
         let batches = build_batches(&tasks, &bins, &params, 8 * 1024);
         let mut seen: Vec<usize> = batches.iter().flat_map(|b| b.idx.iter().copied()).collect();
@@ -258,7 +258,7 @@ mod tests {
         // Sizes span 1..=9 reads; dealing must spread them so batch totals
         // are comparable even though binning order is ascending-by-size.
         let tasks: Vec<ExtTask> = (0..40).map(|i| task_with_reads(i, 1 + i % 9)).collect();
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let bins = bin_tasks(&tasks);
         let batches = build_batches(&tasks, &bins, &params, 16 * 1024);
         let light: Vec<&TaskBatch> = batches.iter().filter(|b| !b.heavy).collect();

@@ -183,7 +183,7 @@ mod tests {
     fn tasks_normalize_left_end() {
         let contigs = vec![seq("AACCGGTTAC")];
         let cands = vec![(vec![read("GGTTACGT")], vec![read("TTAACCGG")])];
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let tasks = make_tasks(&contigs, &cands, &params);
         assert_eq!(tasks.len(), 2);
         assert_eq!(tasks[0].end, ContigEnd::Right);
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn tail_window_clips_long_contigs() {
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let window = params.k_max() + params.max_total_extension;
         let long: DnaSeq =
             (0..window + 500).map(|i| bioseq::Base::from_code((i % 4) as u8)).collect();
@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn apply_puts_extensions_on_correct_ends() {
         let contigs = vec![seq("CCCC")];
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let tasks = make_tasks(&contigs, &[(vec![], vec![])], &params);
         let results = vec![
             ExtResult { appended: seq("AA"), final_state: WalkState::DeadEnd, iterations: 1 },
@@ -222,7 +222,7 @@ mod tests {
     #[test]
     fn empty_results_leave_contigs_unchanged() {
         let contigs = vec![seq("ACGTACGT"), seq("TTTTCCCC")];
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let cands = vec![(vec![], vec![]), (vec![], vec![])];
         let tasks = make_tasks(&contigs, &cands, &params);
         let results: Vec<ExtResult> = tasks.iter().map(|_| ExtResult::empty()).collect();

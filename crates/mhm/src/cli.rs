@@ -7,6 +7,7 @@
 //! parsed [`CliArgs`] so the test suite can drive them against temporary
 //! directories.
 
+use crate::errors::ErrorKind;
 use crate::iterative::{default_schedule, try_run_iterative};
 use crate::pipeline::{run_pipeline, EngineChoice, PipelineConfig};
 use crate::report::render_run;
@@ -134,6 +135,9 @@ pub fn run_simulate(cli: &CliArgs) -> Result<String, String> {
     cli.reject_unknown(&["out", "preset", "scale"])?;
     let out = PathBuf::from(cli.require("out")?);
     let scale: f64 = cli.get_num("scale", 0.05)?;
+    if !scale.is_finite() || scale <= 0.0 {
+        return Err(format!("--scale must be a positive number, got {scale}"));
+    }
     let preset = match cli.get("preset").unwrap_or("arctic") {
         "arctic" => arcticsynth_like(scale),
         "wa" => wa_like(scale),
@@ -237,7 +241,12 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
     } else {
         run_pipeline(&pairs, &cfg)
     };
-    let result = result.map_err(|e| e.to_string())?;
+    // The k is the one number the CLI hands the library unchecked, so the
+    // library's invalid-input error is about `--k`.
+    let result = result.map_err(|e| match e.kind {
+        ErrorKind::InvalidInput(_) => format!("--k: {e}"),
+        _ => e.to_string(),
+    })?;
     if ingest_malformed > 0 {
         report.push_str(&format!("ingest: skipped {ingest_malformed} malformed FASTQ records\n"));
     }
@@ -584,6 +593,65 @@ mod tests {
         )))
         .expect("iterative assemble must survive corrupt records");
         assert!(report.contains("skipped 2 malformed FASTQ records"), "{report}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Out-of-range numbers come back as an `Err` naming their flag, and
+    /// input that holds no usable k-mer assembles to nothing, with both
+    /// FASTA files written, on every engine.
+    #[test]
+    fn bad_flags_error_and_degenerate_lanes_assemble_nothing() {
+        let dir = std::env::temp_dir().join(format!("mhm2rs_degenerate_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let fastq = |seqs: &[&str]| -> String {
+            seqs.iter()
+                .enumerate()
+                .map(|(i, s)| format!("@r{i}\n{s}\n+\n{}\n", "I".repeat(s.len())))
+                .collect()
+        };
+        let all_n = "N".repeat(60);
+        let lanes: [(&str, String, String); 3] = [
+            ("empty", String::new(), String::new()),
+            ("all_n", fastq(&[&all_n, &all_n]), fastq(&[&all_n, &all_n])),
+            (
+                "short",
+                fastq(&["ACGTTGCAAGCTTGGCATTG", "TTGACCGATCAGGTACCATG"]),
+                fastq(&["GGATCCAATTGGCTAGCTAA", "CATGCATGGTTAACCGGTTA"]),
+            ),
+        ];
+        for (name, r1, r2) in &lanes {
+            std::fs::write(dir.join(format!("{name}_1.fq")), r1).unwrap();
+            std::fs::write(dir.join(format!("{name}_2.fq")), r2).unwrap();
+        }
+        let d = dir.to_string_lossy().to_string();
+        let lane = |name: &str| format!("--r1 {d}/{name}_1.fq --r2 {d}/{name}_2.fq");
+
+        let bad: [(String, &str); 5] = [
+            (format!("assemble {} --out {d}/k0 --k 0", lane("short")), "--k"),
+            (format!("assemble {} --out {d}/k129 --k 129", lane("short")), "--k"),
+            (format!("simulate --out {d}/sim --scale 0"), "--scale"),
+            (format!("simulate --out {d}/sim --scale -1"), "--scale"),
+            (format!("simulate --out {d}/sim --scale nan"), "--scale"),
+        ];
+        for (args, flag) in &bad {
+            let err = run(&argv(args)).expect_err(args);
+            assert!(err.contains(flag), "{args}: {err}");
+        }
+
+        for (name, _, _) in &lanes {
+            for engine in ["", "--gpu", "--overlap", "--iterative", "--sanitize"] {
+                let out = format!("{d}/asm_{name}{}", engine.replace("--", "_"));
+                let args = format!("assemble {} --out {out} {engine}", lane(name));
+                let report = run(&argv(&args)).unwrap_or_else(|e| panic!("{args}: {e}"));
+                assert!(report.contains("contigs:"), "{args}: {report}");
+                for file in ["contigs.fasta", "scaffolds.fasta"] {
+                    let fasta = std::fs::read_to_string(Path::new(&out).join(file))
+                        .unwrap_or_else(|e| panic!("{args}: {file}: {e}"));
+                    assert!(fasta.is_empty(), "{args}: {file} holds records:\n{fasta}");
+                }
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

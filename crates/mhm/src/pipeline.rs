@@ -138,7 +138,7 @@ impl Default for PipelineConfig {
             min_contig_len: 100,
             merge: MergeParams::default(),
             candidates: CandidateParams::default(),
-            locassm: LocalAssemblyParams::for_tests(),
+            locassm: LocalAssemblyParams::default(),
             scaffold: ScaffoldParams::default(),
             engine: EngineChoice::Cpu,
             sw_rescore_frac: 0.25,
@@ -310,8 +310,9 @@ const CONTIG_PSEUDO_WEIGHT: usize = 2;
 /// resolves repeats the small rounds forked on (Figure 1, "Iterate for
 /// k = k₁, k₂, …").
 ///
-/// An empty `ks` is an [`ErrorKind::InvalidInput`](crate::ErrorKind)
-/// error; see [`run_pipeline`] for the rest.
+/// An empty `ks`, or a k outside `1..=`[`kmer::MAX_K`], is an
+/// [`ErrorKind::InvalidInput`](crate::ErrorKind) error, returned before any
+/// work; see [`run_pipeline`] for the rest.
 pub fn run_rounds(
     pairs: &[PairedRead],
     cfg: &PipelineConfig,
@@ -319,6 +320,10 @@ pub fn run_rounds(
 ) -> Result<PipelineResult, PipelineError> {
     if ks.is_empty() {
         return Err(PipelineError::invalid_input(Phase::KmerAnalysis, "empty k schedule"));
+    }
+    if let Some(k) = ks.iter().find(|k| !(1..=kmer::MAX_K).contains(*k)) {
+        let detail = format!("k={k} is outside 1..={}", kmer::MAX_K);
+        return Err(PipelineError::invalid_input(Phase::KmerAnalysis, detail));
     }
     let mut timings = PhaseTimings::new();
     let mut stats = PipelineStats { pairs_in: pairs.len(), ..Default::default() };

@@ -10,18 +10,19 @@
 //! verifies they agree base-for-base, and prints the roofline
 //! characterization of each kernel (the Figures 8/9 data).
 
-use bench::{local_assembly_dump, DumpConfig};
+use bench::local_assembly_dump;
 use datagen::arcticsynth_like;
 use gpusim::DeviceConfig;
 use locassm::gpu::{GpuLocalAssembler, KernelVersion};
 use locassm::{bin_tasks, extend_all_cpu, LocalAssemblyParams};
+use mhm::PipelineConfig;
 use std::time::Instant;
 
 fn main() {
     // Upstream pipeline → local-assembly input dump.
     let preset = arcticsynth_like(0.05);
     println!("generating dump from {} ...", preset.name);
-    let dump = local_assembly_dump(&preset, &DumpConfig::default());
+    let dump = local_assembly_dump(&preset, &PipelineConfig::default());
     let stats = bin_tasks(&dump.tasks);
     let (b1, b2, b3) = stats.percentages();
     println!(
@@ -30,7 +31,7 @@ fn main() {
         dump.tasks.len()
     );
 
-    let params = LocalAssemblyParams::for_tests();
+    let params = LocalAssemblyParams::default();
 
     // CPU reference (all cores, rayon).
     let t = Instant::now();

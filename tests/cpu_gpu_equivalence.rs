@@ -61,7 +61,7 @@ fn gpu_results(
 fn randomized_tasks_all_engines_agree() {
     let mut rng = StdRng::seed_from_u64(20260705);
     let tasks: Vec<ExtTask> = (0..40).map(|i| random_task(&mut rng, i)).collect();
-    let params = LocalAssemblyParams::for_tests();
+    let params = LocalAssemblyParams::default();
     let cpu = extend_all_cpu(&tasks, &params);
     let v2 = gpu_results(&tasks, &params, KernelVersion::V2);
     let v1 = gpu_results(&tasks, &params, KernelVersion::V1);
@@ -111,7 +111,7 @@ fn v1_lockstep_handles_mixed_lane_lifetimes() {
         }
         tasks.push(t);
     }
-    let params = LocalAssemblyParams::for_tests();
+    let params = LocalAssemblyParams::default();
     let cpu = extend_all_cpu(&tasks, &params);
     let v1 = gpu_results(&tasks, &params, KernelVersion::V1);
     assert_eq!(cpu, v1);
@@ -122,7 +122,7 @@ fn batch_split_invariance() {
     // Results must be identical whether tasks fit one batch or many.
     let mut rng = StdRng::seed_from_u64(99);
     let tasks: Vec<ExtTask> = (0..20).map(|i| random_task(&mut rng, i)).collect();
-    let params = LocalAssemblyParams::for_tests();
+    let params = LocalAssemblyParams::default();
     let one = gpu_results(&tasks, &params, KernelVersion::V2);
 
     let mut small_dev = GpuLocalAssembler::new(
@@ -151,7 +151,7 @@ fn reads_shorter_than_k_are_ignored_consistently() {
         reads.push(Read::with_uniform_qual(format!("r{i}"), genome.subseq(40 + i * 10, 70), 35));
     }
     let task = ExtTask { contig: 0, end: ContigEnd::Right, tail: genome.subseq(0, 100), reads };
-    let params = LocalAssemblyParams::for_tests();
+    let params = LocalAssemblyParams::default();
     let cpu = extend_all_cpu(std::slice::from_ref(&task), &params);
     let v2 = gpu_results(std::slice::from_ref(&task), &params, KernelVersion::V2);
     let v1 = gpu_results(std::slice::from_ref(&task), &params, KernelVersion::V1);
@@ -163,7 +163,7 @@ fn reads_shorter_than_k_are_ignored_consistently() {
 fn homopolymer_and_repeat_edge_cases() {
     // Degenerate sequences: homopolymers force immediate loops; perfect
     // repeats force loops after one period; all engines must agree.
-    let params = LocalAssemblyParams::for_tests();
+    let params = LocalAssemblyParams::default();
     let mut tasks = Vec::new();
     let homo: DnaSeq = (0..120).map(|_| bioseq::Base::A).collect();
     tasks.push(ExtTask {

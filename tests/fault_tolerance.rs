@@ -31,7 +31,7 @@ fn dump_tasks() -> Vec<ExtTask> {
     let cands = collect_candidates(&contigs, &reads, &idx, &CandidateParams::default());
     let cand_pairs: Vec<(Vec<Read>, Vec<Read>)> =
         cands.into_iter().map(|c| (c.right, c.left)).collect();
-    make_tasks(&contigs, &cand_pairs, &LocalAssemblyParams::for_tests())
+    make_tasks(&contigs, &cand_pairs, &LocalAssemblyParams::default())
 }
 
 /// The test parameters with a k the device layout cannot hold: the kernel
@@ -40,7 +40,7 @@ fn over_device_k() -> LocalAssemblyParams {
     LocalAssemblyParams {
         k_list: vec![21, MAX_DEVICE_K + 5],
         start_k_idx: 1,
-        ..LocalAssemblyParams::for_tests()
+        ..LocalAssemblyParams::default()
     }
 }
 
@@ -57,7 +57,7 @@ fn run_engine(
 fn tasks_too_large_for_the_device_run_on_cpu() {
     let tasks = dump_tasks();
     assert!(!tasks.is_empty(), "preset must produce extension tasks");
-    let params = LocalAssemblyParams::for_tests();
+    let params = LocalAssemblyParams::default();
     let cpu = extend_all_cpu(&tasks, &params);
 
     let (healthy, stats) = run_engine(&tasks, DeviceConfig::v100(), &params, KernelVersion::V2);

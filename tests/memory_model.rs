@@ -58,7 +58,7 @@ proptest! {
         let buf = dev.alloc(16).unwrap();
         let vals2 = vals.clone();
         dev.launch(1, 0, move |ctx| {
-            let ops = ctx.lanes_from(|l| Some((buf.addr + 3, vals2[l])));
+            let ops = ctx.lanes_from(|l| Some((buf.at(3), vals2[l])));
             ctx.atomic_add(&ops);
         });
         prop_assert_eq!(dev.d2h_word(buf, 3), vals.iter().sum::<u64>());
@@ -73,7 +73,7 @@ proptest! {
         // Each lane writes the value its CAS saw to its own word.
         let seen = dev.alloc(WARP as u64).unwrap();
         dev.launch(1, 0, |ctx| {
-            let ops = ctx.lanes_from(|l| Some((buf.addr, 0u64, news[l])));
+            let ops = ctx.lanes_from(|l| Some((buf.at(0), 0u64, news[l])));
             let old = ctx.atomic_cas(&ops);
             let addrs = ctx.lanes_from(|l| Some(seen.at(l as u64)));
             ctx.st_global(&addrs, &old);
@@ -188,7 +188,7 @@ mod sanitized {
         // Lane 0 stores one word past the allocator's high-water mark — the
         // classic off-by-one the paper debugged with compute-sanitizer.
         dev.launch(1, 0, |ctx| {
-            ctx.st_global_lane(0, buf.addr + 100, 0xdead);
+            ctx.st_global_lane(0, buf.at(0) + 100, 0xdead);
         });
         let s = summary(&mut dev);
         assert_eq!(s.count(SanitizerKind::OutOfBounds), 1, "{}", s.render());

@@ -26,12 +26,12 @@ fn dump_tasks(preset: &Preset, k: usize) -> Vec<ExtTask> {
     let cands = collect_candidates(&contigs, &reads, &idx, &CandidateParams::default());
     let cand_pairs: Vec<(Vec<Read>, Vec<Read>)> =
         cands.into_iter().map(|c| (c.right, c.left)).collect();
-    make_tasks(&contigs, &cand_pairs, &LocalAssemblyParams::for_tests())
+    make_tasks(&contigs, &cand_pairs, &LocalAssemblyParams::default())
 }
 
 fn run_kernel(tasks: &[ExtTask], version: KernelVersion) -> locassm::gpu::GpuRunStats {
     let mut engine =
-        GpuLocalAssembler::new(DeviceConfig::v100(), LocalAssemblyParams::for_tests(), version);
+        GpuLocalAssembler::new(DeviceConfig::v100(), LocalAssemblyParams::default(), version);
     engine.extend_tasks(tasks).1
 }
 

@@ -6,15 +6,14 @@
 //! fails a batch — the extension results must be byte-identical to the
 //! pure-CPU reference, in task order. These tests drive that contract
 //! across randomized task mixes, with a healthy device and with a kernel
-//! that panics, and pin the load-balance claims:
-//! LPT striping must balance a skew that defeats round-robin, and work
-//! stealing must beat the paper's split on a skewed workload.
+//! that panics, and pin the load-balance claim: work stealing must beat
+//! the paper's split on a skewed workload.
 
 use bioseq::{DnaSeq, Read};
 use gpusim::DeviceConfig;
 use locassm::gpu::layout::MAX_DEVICE_K;
 use locassm::gpu::pack::{estimate_task_cost, estimate_task_words};
-use locassm::gpu::{stripe_lpt, GpuLocalAssembler, KernelVersion};
+use locassm::gpu::{GpuLocalAssembler, KernelVersion};
 use locassm::{
     bin_tasks, build_batches, extend_all_cpu, ContigEnd, ExtTask, LocalAssemblyParams,
     OverlapDriver, SchedulePolicy, StealConfig,
@@ -63,7 +62,7 @@ fn paper_split(cpu_words_per_s: f64) -> StealConfig {
 /// (reads are shorter) and the walk down-shifts to 21. The CPU reference
 /// runs the same parameters.
 fn walk_params(device_fails: bool) -> LocalAssemblyParams {
-    let params = LocalAssemblyParams::for_tests();
+    let params = LocalAssemblyParams::default();
     if !device_fails {
         return params;
     }
@@ -135,75 +134,6 @@ proptest! {
     }
 }
 
-/// Estimated-word balance of a striping: total words over (heaviest shard
-/// x shards); 1.0 is perfectly even.
-fn word_balance(tasks: &[ExtTask], params: &LocalAssemblyParams, shards: &[Vec<usize>]) -> f64 {
-    let loads: Vec<u64> = shards
-        .iter()
-        .map(|idx| idx.iter().map(|&i| estimate_task_cost(&tasks[i], params)).sum())
-        .collect();
-    let max = loads.iter().copied().max().unwrap_or(0).max(1);
-    loads.iter().sum::<u64>() as f64 / (max as f64 * shards.len() as f64)
-}
-
-/// Multi-GPU LPT striping must balance a size skew that round-robin
-/// cannot: heavies sit at stride `n_devices`, so `i % n` piles them all on
-/// device 0 while LPT spreads them by estimated words.
-#[test]
-fn lpt_striping_balances_skew_that_defeats_round_robin() {
-    const N_DEVICES: usize = 4;
-    let counts: Vec<usize> =
-        (0..64).map(|i| if i % N_DEVICES == 0 { 18 + i % 5 } else { 1 + (i % 8) }).collect();
-    let tasks = tasks_from_counts(&counts, 99);
-    let params = LocalAssemblyParams::for_tests();
-
-    let round_robin: Vec<Vec<usize>> =
-        (0..N_DEVICES).map(|d| (d..tasks.len()).step_by(N_DEVICES).collect()).collect();
-    let rr = word_balance(&tasks, &params, &round_robin);
-    let lpt = word_balance(&tasks, &params, &stripe_lpt(&tasks, &params, &[1.0; N_DEVICES]));
-    assert!(rr < 0.6, "skew should defeat round-robin striping, got {rr:.3}");
-    assert!(lpt >= 0.9, "LPT striping should balance the skew, got {lpt:.3}");
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// `stripe_lpt` is a deterministic partition: every task index lands in
-    /// exactly one shard, shards are ascending, and a second call agrees.
-    #[test]
-    fn stripe_lpt_partitions_every_task_once(
-        counts in proptest::collection::vec(0usize..=24, 0..=40),
-        seed in 0u64..1_000,
-        rates in proptest::collection::vec(0.1f64..=10.0, 1..=8),
-    ) {
-        let tasks = tasks_from_counts(&counts, seed);
-        let params = LocalAssemblyParams::for_tests();
-        let shards = stripe_lpt(&tasks, &params, &rates);
-        prop_assert_eq!(shards.len(), rates.len());
-        let mut seen = vec![0usize; tasks.len()];
-        for shard in &shards {
-            prop_assert!(shard.windows(2).all(|w| w[0] < w[1]), "shard not ascending: {:?}", shard);
-            for &i in shard {
-                seen[i] += 1;
-            }
-        }
-        prop_assert!(seen.iter().all(|&n| n == 1), "each index exactly once: {:?}", seen);
-        prop_assert_eq!(&stripe_lpt(&tasks, &params, &rates), &shards);
-    }
-}
-
-#[test]
-#[should_panic(expected = "need at least one device")]
-fn stripe_lpt_rejects_an_empty_fleet() {
-    stripe_lpt(&tasks_from_counts(&[3], 1), &LocalAssemblyParams::for_tests(), &[]);
-}
-
-#[test]
-#[should_panic(expected = "device rates must be positive and finite")]
-fn stripe_lpt_rejects_a_non_positive_rate() {
-    stripe_lpt(&tasks_from_counts(&[3], 1), &LocalAssemblyParams::for_tests(), &[1.0, 0.0]);
-}
-
 /// The work-steal makespan model must beat the paper's fixed split on a
 /// skewed workload when the CPU peer is fast enough to help with bin 3 —
 /// the scheduler-level version of the Figure 11 harness claim.
@@ -213,7 +143,7 @@ fn work_steal_model_beats_paper_split_on_skew() {
     let counts: Vec<usize> =
         (0..64).map(|i| if i % STRIDE == 0 { 18 + i % 5 } else { 1 + (i % 8) }).collect();
     let tasks = tasks_from_counts(&counts, 4242);
-    let params = LocalAssemblyParams::for_tests();
+    let params = LocalAssemblyParams::default();
     let total: u64 = tasks.iter().map(|t| estimate_task_words(t, &params)).sum();
 
     // Probe the GPU once (single amortized run), then model the CPU peer
@@ -254,7 +184,7 @@ fn light_batch_deal_balances_max_and_min_words() {
     // every scheduled batch is a light one.
     let counts: Vec<usize> = (0..54).map(|i| 1 + i % 9).collect();
     let tasks = tasks_from_counts(&counts, 11);
-    let params = LocalAssemblyParams::for_tests();
+    let params = LocalAssemblyParams::default();
     let bins = bin_tasks(&tasks);
     let batches = build_batches(&tasks, &bins, &params, 16 * 1024);
     let light: Vec<u64> = batches.iter().filter(|b| !b.heavy).map(|b| b.est_words).collect();
@@ -267,10 +197,10 @@ fn light_batch_deal_balances_max_and_min_words() {
 }
 
 /// The per-task cost the schedulers charge is clamped to >= 1 word even for
-/// a degenerate empty task, so no batch (and no LPT bin) can be free.
+/// a degenerate empty task, so no batch can be free.
 #[test]
 fn task_cost_is_clamped_to_at_least_one_word() {
-    let params = LocalAssemblyParams::for_tests();
+    let params = LocalAssemblyParams::default();
     let empty =
         ExtTask { contig: 0, end: ContigEnd::Right, tail: DnaSeq::new(), reads: Vec::new() };
     assert!(estimate_task_cost(&empty, &params) >= 1);
@@ -290,7 +220,7 @@ proptest! {
     ) {
         let counts = vec![0usize; n];
         let tasks = tasks_from_counts(&counts, 5);
-        let params = LocalAssemblyParams::for_tests();
+        let params = LocalAssemblyParams::default();
         let reference = extend_all_cpu(&tasks, &params);
         let steal = if work_steal { StealConfig::default() } else { paper_split(5.0e7) };
         let out = OverlapDriver {
