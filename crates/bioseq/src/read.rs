@@ -71,6 +71,13 @@ pub struct PairedRead {
     pub insert_size: Option<u32>,
 }
 
+/// A read's bases, for code that only reads bases (k-mer counting).
+impl AsRef<DnaSeq> for Read {
+    fn as_ref(&self) -> &DnaSeq {
+        &self.seq
+    }
+}
+
 impl PairedRead {
     pub fn new(r1: Read, r2: Read) -> PairedRead {
         PairedRead { r1, r2, insert_size: None }

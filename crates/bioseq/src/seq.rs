@@ -145,6 +145,13 @@ impl DnaSeq {
     }
 }
 
+/// Lets code that only reads bases take sequences and reads alike.
+impl AsRef<DnaSeq> for DnaSeq {
+    fn as_ref(&self) -> &DnaSeq {
+        self
+    }
+}
+
 impl std::fmt::Display for DnaSeq {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         for b in self.iter() {

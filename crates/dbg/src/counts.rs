@@ -1,7 +1,9 @@
 //! Canonical k-mer counting with per-side extension votes.
 
-use bioseq::{Base, Read};
-use kmer::{CanonicalKmerIter, KmerTable};
+use bioseq::{Base, DnaSeq};
+use kmer::hash::hash_kmer;
+use kmer::{CanonicalKmerIter, Kmer, KmerTable};
+use rayon::prelude::*;
 
 /// Occurrence count and extension votes for one canonical k-mer.
 ///
@@ -78,53 +80,280 @@ pub enum Side {
     Right,
 }
 
-/// Map from canonical k-mer to its counts.
-pub type KmerCountMap = KmerTable<VertexCounts>;
+/// Bits of each singleton filter per k-mer occurrence in a partition. At
+/// the presets' 0.4-0.5 distinct k-mers per occurrence, a word of the
+/// first filter holds about three k-mers, and under 1% of singletons pass.
+const FILTER_BITS_PER_OCC: usize = 8;
 
-/// Count canonical k-mers (and their extension votes) across `reads` into
-/// one [`KmerTable`], then drop k-mers with fewer than `min_count`
-/// occurrences.
+/// Canonical k-mers and their counts, split into hash partitions, each its
+/// own [`KmerTable`]. Slot `s` of partition `p` is the global slot
+/// `p << shift | s`, so one index addresses every vertex.
+#[derive(Debug, Clone)]
+pub struct KmerCountMap {
+    k: usize,
+    parts: Vec<KmerTable<VertexCounts>>,
+    /// log2 of the largest partition's slot count.
+    shift: u32,
+}
+
+impl KmerCountMap {
+    fn from_parts(k: usize, parts: Vec<KmerTable<VertexCounts>>) -> KmerCountMap {
+        let largest = parts.iter().map(KmerTable::capacity).max().expect("one partition or more");
+        KmerCountMap { k, parts, shift: largest.trailing_zeros() }
+    }
+
+    /// The k the map was counted at.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Number of k-mers.
+    pub fn len(&self) -> usize {
+        self.parts.iter().map(KmerTable::len).sum()
+    }
+
+    /// True if the map holds no k-mer.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The global slot of a canonical k-mer, if present.
+    #[inline]
+    pub(crate) fn slot(&self, canon: &Kmer) -> Option<usize> {
+        let p = partition(canon, self.parts.len());
+        self.parts[p].slot(canon).map(|s| p << self.shift | s)
+    }
+
+    /// The counts of a canonical k-mer, if present.
+    pub fn get(&self, canon: &Kmer) -> Option<&VertexCounts> {
+        self.slot(canon).map(|slot| self.at(slot))
+    }
+
+    /// Number of global slots; every k-mer's slot is below it.
+    pub(crate) fn slot_count(&self) -> usize {
+        self.parts.len() << self.shift
+    }
+
+    /// The partition and its local slot for a global `slot`.
+    #[inline]
+    fn split(&self, slot: usize) -> (&KmerTable<VertexCounts>, usize) {
+        (&self.parts[slot >> self.shift], slot & ((1 << self.shift) - 1))
+    }
+
+    /// The counts in an occupied global `slot`.
+    #[inline]
+    pub(crate) fn at(&self, slot: usize) -> &VertexCounts {
+        let (table, s) = self.split(slot);
+        table.at(s)
+    }
+
+    /// The packed words of the k-mer in an occupied global `slot`; they
+    /// order as the k-mers do.
+    #[inline]
+    pub(crate) fn key_words(&self, slot: usize) -> &[u64] {
+        let (table, s) = self.split(slot);
+        table.key_words(s)
+    }
+
+    /// The k-mer in an occupied global `slot`.
+    pub(crate) fn kmer_at(&self, slot: usize) -> Kmer {
+        let (table, s) = self.split(slot);
+        table.key_at(s)
+    }
+
+    /// Every occupied global slot, partition by partition.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.parts
+            .iter()
+            .enumerate()
+            .flat_map(move |(p, table)| table.slots().map(move |s| p << self.shift | s))
+    }
+
+    /// Every k-mer with its counts, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (Kmer, &VertexCounts)> + '_ {
+        self.parts.iter().flat_map(KmerTable::iter)
+    }
+}
+
+/// The partition, of `parts`, that owns a canonical k-mer: a multiplicative
+/// hash of its first word, so the partition tables' own murmur placement
+/// stays uniform.
+#[inline]
+fn partition(canon: &Kmer, parts: usize) -> usize {
+    let mixed = canon.words()[0].wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
+    ((mixed * parts as u64) >> 32) as usize
+}
+
+/// Count canonical k-mers (and their extension votes) across `seqs`, then
+/// drop k-mers with fewer than `min_count` occurrences.
 ///
 /// This is the pipeline's "k-mer analysis" phase: the `min_count = 2`
 /// default implements the paper's "filtering out erroneous k-mers (those
-/// that occur only once)".
-pub fn count_kmers(reads: &[Read], k: usize, min_count: u32) -> KmerCountMap {
-    let mut table = KmerCountMap::new(k);
-    // A read's occurrences are gathered before any is inserted, so the
-    // inserts' cache misses overlap instead of waiting, one at a time, on
-    // the rolling window (about 1.5× faster at k=31).
-    let mut occurrences = Vec::new();
-    for read in reads {
-        let seq = &read.seq;
-        occurrences.clear();
-        occurrences.extend(CanonicalKmerIter::new(seq, k).map(|(pos, canon, fwd)| {
-            let left = (pos > 0).then(|| seq.base(pos - 1));
-            let right = (pos + k < seq.len()).then(|| seq.base(pos + k));
-            if fwd {
-                (canon, left, right)
-            } else {
-                // Reverse-complemented occurrence: neighbours swap sides and
-                // complement.
-                (canon, right.map(Base::complement), left.map(Base::complement))
+/// that occur only once)". The k-mers are split into one hash partition per
+/// rayon thread, and each thread counts its own partition over every
+/// sequence. With `min_count > 1` it reads the sequences twice. The first
+/// pass marks each k-mer in a Bloom filter, and a k-mer already marked
+/// there in a second one. The second pass counts exactly the k-mers marked
+/// in the second filter, so the table is allocated once and never holds
+/// most singletons. The counts are the same at any thread count and any
+/// false-positive rate.
+pub fn count_kmers<S: AsRef<DnaSeq>>(seqs: &[S], k: usize, min_count: u32) -> KmerCountMap {
+    // One non-generic body, compiled (and optimized) in this crate.
+    let seqs: Vec<&DnaSeq> = seqs.iter().map(AsRef::as_ref).collect();
+    count_seqs(&seqs, k, min_count)
+}
+
+fn count_seqs(seqs: &[&DnaSeq], k: usize, min_count: u32) -> KmerCountMap {
+    let parts = rayon::current_num_threads();
+    let occurrences: usize = seqs.iter().map(|s| (s.len() + 1).saturating_sub(k)).sum();
+    let filter_bits = occurrences / parts * FILTER_BITS_PER_OCC;
+    let ids: Vec<usize> = (0..parts).collect();
+    let tables = ids
+        .par_iter()
+        .map(|&part| {
+            let owned = Owned { k, part, parts };
+            owned.count(seqs, min_count, filter_bits)
+        })
+        .collect();
+    KmerCountMap::from_parts(k, tables)
+}
+
+/// Partition `part` of `parts` at one k.
+#[derive(Debug, Clone, Copy)]
+struct Owned {
+    k: usize,
+    part: usize,
+    parts: usize,
+}
+
+impl Owned {
+    /// This partition's table: k-mers with at least `min_count`
+    /// occurrences, sifted through two singleton filters of `filter_bits`
+    /// bits each when `min_count > 1`.
+    fn count(
+        self,
+        seqs: &[&DnaSeq],
+        min_count: u32,
+        filter_bits: usize,
+    ) -> KmerTable<VertexCounts> {
+        if min_count <= 1 {
+            let mut table = KmerTable::<VertexCounts>::new(self.k);
+            self.scan(seqs, |canon, hash, left, right| {
+                table.entry_hashed(canon, hash).add(left, right);
+            });
+            return table;
+        }
+        // Pass 1: a k-mer whose bits in `once` were already set is a
+        // candidate: a repeat, or a false positive that `retain` drops
+        // below. `twice` holds the candidates and counts them, so the table
+        // is allocated once, at its final size.
+        let (mut once, mut twice) = (Bloom::new(filter_bits), Bloom::new(filter_bits));
+        let mut candidates = 0;
+        self.scan(seqs, |_, hash, _, _| {
+            if once.insert(hash) && !twice.insert(hash) {
+                candidates += 1;
             }
-        }));
-        for (canon, left, right) in &occurrences {
-            table.entry(canon).add(*left, *right);
+        });
+        drop(once);
+        // Pass 2: exact counts and votes, for the candidates only. A few
+        // candidates share their bits in `twice` and went uncounted; the
+        // margin covers them.
+        let mut table =
+            KmerTable::<VertexCounts>::with_capacity(self.k, candidates + candidates / 16);
+        self.scan(seqs, |canon, hash, left, right| {
+            if twice.contains(hash) {
+                table.entry_hashed(canon, hash).add(left, right);
+            }
+        });
+        drop(twice);
+        table.retain(|v| v.count >= min_count);
+        table
+    }
+
+    /// Call `visit(canon, hash_kmer(canon), left, right)` for every
+    /// occurrence of a canonical k-mer of `seqs` that this partition owns;
+    /// `left` and `right` are its neighbours in the canonical orientation.
+    fn scan(self, seqs: &[&DnaSeq], mut visit: impl FnMut(&Kmer, u64, Option<Base>, Option<Base>)) {
+        let k = self.k;
+        // A sequence's occurrences are gathered before any is visited, so
+        // the visits' cache misses overlap instead of waiting, one at a
+        // time, on the rolling window (about 1.5× faster at k=31).
+        let mut owned = Vec::new();
+        for seq in seqs {
+            owned.clear();
+            owned.extend(
+                CanonicalKmerIter::new(seq, k)
+                    .filter(|(_, canon, _)| partition(canon, self.parts) == self.part)
+                    .map(|(pos, canon, fwd)| {
+                        let left = (pos > 0).then(|| seq.base(pos - 1));
+                        let right = (pos + k < seq.len()).then(|| seq.base(pos + k));
+                        if fwd {
+                            (canon, left, right)
+                        } else {
+                            // Reverse-complemented occurrence: neighbours
+                            // swap sides and complement.
+                            (canon, right.map(Base::complement), left.map(Base::complement))
+                        }
+                    }),
+            );
+            for (canon, left, right) in &owned {
+                visit(canon, hash_kmer(canon), *left, *right);
+            }
         }
     }
-    if min_count > 1 {
-        table.retain(|v| v.count >= min_count);
+}
+
+/// A blocked Bloom filter over k-mer hashes: each key sets two bits of one
+/// word, so a test costs one cache miss. The word comes from hash bits 12
+/// and up, the bits from bits 0-11.
+#[derive(Debug)]
+struct Bloom {
+    words: Vec<u64>,
+}
+
+impl Bloom {
+    /// A filter of at least `bits` bits (a power-of-two number of words).
+    fn new(bits: usize) -> Bloom {
+        Bloom { words: vec![0; bits.div_ceil(64).next_power_of_two()] }
     }
-    table
+
+    /// The word and the two bits of `hash`.
+    #[inline]
+    fn locate(&self, hash: u64) -> (usize, u64) {
+        let word = (hash >> 12) as usize & (self.words.len() - 1);
+        (word, 1u64 << (hash & 63) | 1u64 << (hash >> 6 & 63))
+    }
+
+    /// Set `hash`'s bits; true if they were all set already.
+    #[inline]
+    fn insert(&mut self, hash: u64) -> bool {
+        let (word, bits) = self.locate(hash);
+        let seen = self.words[word] & bits == bits;
+        self.words[word] |= bits;
+        seen
+    }
+
+    /// True if `hash`'s bits are all set.
+    #[inline]
+    fn contains(&self, hash: u64) -> bool {
+        let (word, bits) = self.locate(hash);
+        self.words[word] & bits == bits
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bioseq::DnaSeq;
-    use kmer::{Kmer, KmerIter};
+    use bioseq::Read;
+    use kmer::KmerIter;
     use proptest::prelude::*;
     use std::collections::HashMap;
+
+    /// `op` on a pool of `threads` threads, so `count_kmers` uses that many
+    /// partitions.
+    fn with_threads<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(op)
+    }
 
     fn read(s: &str) -> Read {
         Read::with_uniform_qual("r", DnaSeq::from_str_strict(s).unwrap(), 30)
@@ -310,7 +539,7 @@ mod tests {
                 reads.push(Read::with_uniform_qual("r", s.clone(), 30));
             }
         }
-        let mut table = count_kmers(&reads, 9, 1);
+        let mut table = with_threads(1, || count_kmers(&reads, 9, 1)).parts.remove(0);
         let before: Vec<(Kmer, VertexCounts)> = table.iter().map(|(km, v)| (km, *v)).collect();
         let capacity = table.capacity();
         table.retain(|v| v.count >= 3);
@@ -325,5 +554,76 @@ mod tests {
                 assert_eq!(table.get(km), None, "dropped {km} still present");
             }
         }
+    }
+
+    /// Reads from both strands of a random genome, a few with one
+    /// substitution, so some k-mers are singletons and some repeat.
+    fn noisy_reads(genome_len: usize, n: usize, seed: u64) -> Vec<Read> {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let genome = DnaSeq::from_codes((0..genome_len).map(|_| rng.gen_range(0..4)).collect());
+        (0..n)
+            .map(|_| {
+                let len = rng.gen_range(100..=150);
+                let mut codes =
+                    genome.subseq(rng.gen_range(0..genome_len - len), len).codes().to_vec();
+                if rng.gen_bool(0.3) {
+                    let at = rng.gen_range(0..len);
+                    codes[at] ^= rng.gen_range(1..4);
+                }
+                let s = DnaSeq::from_codes(codes);
+                Read::with_uniform_qual("r", if rng.gen_bool(0.5) { s.revcomp() } else { s }, 30)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn counts_match_the_oracle_at_1_2_and_4_threads() {
+        let reads = noisy_reads(1500, 120, 21);
+        for k in [15, 31, 33, 63, 65, 99] {
+            let oracle = oracle_counts(&reads, k);
+            for threads in [1, 2, 4] {
+                for min_count in [1, 2] {
+                    let map = with_threads(threads, || count_kmers(&reads, k, min_count));
+                    assert_eq!(map.parts.len(), threads, "one partition per thread");
+                    assert_matches_oracle(&map, &oracle, min_count);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_saturated_filter_still_matches_the_oracle() {
+        // 64 filter bits: a handful of k-mers set them all, so every later
+        // k-mer, singletons included, becomes a candidate.
+        let reads = noisy_reads(1000, 60, 4);
+        let k = 31;
+        let mut filter = Bloom::new(64);
+        for read in &reads {
+            for (_, canon, _) in CanonicalKmerIter::new(&read.seq, k) {
+                filter.insert(hash_kmer(&canon));
+            }
+        }
+        assert_eq!(filter.words, [u64::MAX], "the filter saturates");
+        let oracle = oracle_counts(&reads, k);
+        let seqs: Vec<&DnaSeq> = reads.iter().map(|r| &r.seq).collect();
+        for parts in [1, 2] {
+            for min_count in [2, 3] {
+                let tables = (0..parts)
+                    .map(|part| Owned { k, part, parts }.count(&seqs, min_count, 64))
+                    .collect();
+                let map = KmerCountMap::from_parts(k, tables);
+                assert_matches_oracle(&map, &oracle, min_count);
+            }
+        }
+    }
+
+    #[test]
+    fn borrowed_sequences_count_as_reads() {
+        // Counting sequences by reference equals counting reads.
+        let reads = noisy_reads(800, 40, 9);
+        let seqs: Vec<&DnaSeq> = reads.iter().map(|r| &r.seq).collect();
+        let oracle = oracle_counts(&reads, 21);
+        assert_matches_oracle(&count_kmers(&seqs, 21, 2), &oracle, 2);
     }
 }

@@ -78,7 +78,7 @@ impl DbgGraph {
 
     /// Number of slots; every vertex's slot is below it.
     pub fn slot_count(&self) -> usize {
-        self.map.capacity()
+        self.map.slot_count()
     }
 
     /// Vertex counts in a slot returned by [`DbgGraph::slot`].
@@ -86,11 +86,35 @@ impl DbgGraph {
         self.map.at(slot)
     }
 
-    /// Canonical k-mers in deterministic (sorted) order — traversal seeds.
-    pub fn sorted_vertices(&self) -> Vec<Kmer> {
-        let mut keys: Vec<Kmer> = self.map.iter().map(|(km, _)| km).collect();
-        keys.sort_unstable();
-        keys
+    /// The canonical k-mer in a vertex's slot.
+    pub fn kmer_at(&self, slot: usize) -> Kmer {
+        self.map.kmer_at(slot)
+    }
+
+    /// Every vertex's counts, in no particular order.
+    pub fn vertices(&self) -> impl Iterator<Item = &VertexCounts> + '_ {
+        self.map.iter().map(|(_, v)| v)
+    }
+
+    /// Every vertex's slot, in the sorted order of the vertices' k-mers —
+    /// traversal seeds, in an order that no partitioning changes. The sort
+    /// holds 16 bytes a vertex: the k-mer's first packed word, which
+    /// decides all but ties on the first 32 bases, and its slot.
+    pub fn sorted_slots(&self) -> impl Iterator<Item = usize> {
+        let mut seeds: Vec<(u64, u32)> = self
+            .map
+            .slots()
+            .map(|slot| {
+                let first = self.map.key_words(slot)[0];
+                (first, u32::try_from(slot).expect("fewer than 2^32 slots"))
+            })
+            .collect();
+        seeds.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0).then_with(|| {
+                self.map.key_words(a.1 as usize).cmp(self.map.key_words(b.1 as usize))
+            })
+        });
+        seeds.into_iter().map(|(_, slot)| slot as usize)
     }
 
     /// The unique extension base on the *walk-right* side of an oriented
@@ -129,6 +153,7 @@ mod tests {
     use super::*;
     use crate::counts::count_kmers;
     use bioseq::{DnaSeq, Read};
+    use proptest::prelude::*;
 
     fn graph_of(s: &str, k: usize) -> DbgGraph {
         let r = Read::with_uniform_qual("r", DnaSeq::from_str_strict(s).unwrap(), 30);
@@ -180,9 +205,47 @@ mod tests {
     #[test]
     fn sorted_vertices_deterministic() {
         let g = graph_of("TTACGGATTACCGGAA", 5);
-        let a = g.sorted_vertices();
-        let b = g.sorted_vertices();
+        let a: Vec<usize> = g.sorted_slots().collect();
+        let b: Vec<usize> = g.sorted_slots().collect();
         assert_eq!(a, b);
-        assert!(!a.is_empty());
+        assert_eq!(a.len(), g.len());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The seed slots visit every vertex once, in `Kmer` order, over two
+        /// partitions and at multi-word k. A variant genome with one
+        /// substitution gives k-mers that tie on their first packed word
+        /// (surely at k ≥ 63, where 30 or more windows hold the substitution
+        /// past base 32), so the order falls through to the later words.
+        #[test]
+        fn sorted_slots_visit_kmers_in_kmer_order(
+            genome in proptest::collection::vec(0u8..4, 300),
+            at in 100usize..200,
+            flip in 1u8..4,
+        ) {
+            let mut variant = genome.clone();
+            variant[at] ^= flip;
+            let reads: Vec<Read> = [genome, variant]
+                .into_iter()
+                .map(|codes| Read::with_uniform_qual("g", DnaSeq::from_codes(codes), 30))
+                .collect();
+            for k in [15, 31, 33, 63, 65, 99] {
+                let g = rayon::ThreadPoolBuilder::new()
+                    .num_threads(2)
+                    .build()
+                    .unwrap()
+                    .install(|| DbgGraph::new(k, count_kmers(&reads, k, 1)));
+                let visited: Vec<Kmer> = g.sorted_slots().map(|slot| g.kmer_at(slot)).collect();
+                let mut want: Vec<Kmer> = g.map.iter().map(|(km, _)| km).collect();
+                want.sort_unstable();
+                prop_assert_eq!(&visited, &want, "k={}", k);
+                if k >= 63 {
+                    let ties = visited.windows(2).filter(|w| w[0].words()[0] == w[1].words()[0]);
+                    prop_assert!(ties.count() > 0, "k={}: no tie on the first word", k);
+                }
+            }
+        }
     }
 }

@@ -35,18 +35,12 @@ impl GraphStats {
     }
 }
 
-/// Count how many bases on `side` are viable under the same rule the
-/// traversal uses.
-fn viable_count(graph: &DbgGraph, km: &kmer::Kmer, side: Side, min_votes: u16) -> usize {
-    graph.vertex(km).map_or(0, |v| v.viable_bases(side, min_votes))
-}
-
 /// Compute the census at the given vote threshold.
 pub fn graph_stats(graph: &DbgGraph, min_votes: u16) -> GraphStats {
     let mut s = GraphStats { vertices: graph.len(), ..Default::default() };
-    for km in graph.sorted_vertices() {
-        let l = viable_count(graph, &km, Side::Left, min_votes);
-        let r = viable_count(graph, &km, Side::Right, min_votes);
+    for v in graph.vertices() {
+        let l = v.viable_bases(Side::Left, min_votes);
+        let r = v.viable_bases(Side::Right, min_votes);
         match (l, r) {
             (1, 1) => s.interior += 1,
             (0, 0) => s.isolated += 1,
@@ -125,7 +119,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = DbgGraph::new(21, crate::KmerCountMap::new(21));
+        let g = DbgGraph::new(21, count_kmers(&[] as &[Read], 21, 2));
         let s = graph_stats(&g, 2);
         assert_eq!(s, GraphStats::default());
     }

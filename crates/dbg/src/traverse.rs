@@ -39,11 +39,11 @@ pub fn generate_contigs(graph: &DbgGraph, min_votes: u16) -> Vec<Contig> {
     let mut contigs = Vec::new();
     let mut next_id = 0u64;
 
-    for seed in graph.sorted_vertices() {
-        let seed_slot = graph.slot(&seed).expect("a sorted vertex is in the graph");
+    for seed_slot in graph.sorted_slots() {
         if visited.get(seed_slot) {
             continue;
         }
+        let seed = graph.kmer_at(seed_slot);
         let start = Oriented { canon: seed, fwd: true };
         visited.set(seed_slot);
 

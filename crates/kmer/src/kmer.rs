@@ -83,44 +83,40 @@ impl Kmer {
     }
 
     /// The k-mer obtained by dropping the first base and appending `b` —
-    /// one step of a rightward mer-walk.
+    /// one step of a rightward mer-walk. Touches the `⌈k/32⌉` words that
+    /// carry bases only.
     pub fn shift_right(&self, b: Base) -> Kmer {
-        let k = self.k();
-        let mut words = [0u64; KMER_WORDS];
-        // Shift the whole packed value right by one base (2 bits),
-        // propagating across word boundaries.
-        for (w, word) in words.iter_mut().enumerate() {
-            let mut v = self.words[w] >> 2;
-            if w + 1 < KMER_WORDS {
-                v |= (self.words[w + 1] & 3) << 62;
+        let (k, nwords) = (self.k(), self.k().div_ceil(32));
+        let mut words = self.words;
+        // Shift the packed value right by one base (2 bits), carrying across
+        // word boundaries; bits above 2k stay zero. Then insert the new
+        // base at position k-1, in the last word.
+        for w in 0..nwords {
+            words[w] >>= 2;
+            if w + 1 < nwords {
+                words[w] |= words[w + 1] << 62;
             }
-            *word = v;
         }
-        // Insert the new base at position k-1.
-        let j = k - 1;
-        words[j / 32] |= u64::from(b.code()) << ((j % 32) * 2);
-        let mut out = Kmer { words, k: self.k };
-        mask_high(&mut out.words, k);
-        out
+        words[nwords - 1] |= u64::from(b.code()) << (((k - 1) % 32) * 2);
+        Kmer { words, k: self.k }
     }
 
     /// The k-mer obtained by dropping the last base and prepending `b` —
-    /// one step of a leftward mer-walk.
+    /// one step of a leftward mer-walk. Touches the `⌈k/32⌉` words that
+    /// carry bases only.
     pub fn shift_left(&self, b: Base) -> Kmer {
-        let k = self.k();
-        let mut words = [0u64; KMER_WORDS];
-        // Shift left by one base.
-        for w in (0..KMER_WORDS).rev() {
-            let mut v = self.words[w] << 2;
+        let (k, nwords) = (self.k(), self.k().div_ceil(32));
+        let mut words = self.words;
+        // Shift left by one base, then drop the base pushed past k-1.
+        for w in (0..nwords).rev() {
+            words[w] <<= 2;
             if w > 0 {
-                v |= self.words[w - 1] >> 62;
+                words[w] |= words[w - 1] >> 62;
             }
-            words[w] = v;
         }
         words[0] |= u64::from(b.code());
-        let mut out = Kmer { words, k: self.k };
-        mask_high(&mut out.words, k);
-        out
+        words[nwords - 1] &= u64::MAX >> (64 * nwords - 2 * k);
+        Kmer { words, k: self.k }
     }
 
     /// Reverse complement, in O(words): complement each word, reverse its
@@ -255,21 +251,44 @@ impl Iterator for KmerIter<'_> {
 /// Iterator over the canonical k-mers of a sequence, left to right.
 ///
 /// It keeps a rolling forward window and a rolling reverse-complement
-/// window, so each step costs O(words) rather than the O(k) of
-/// [`Kmer::canonical`] on a fresh k-mer.
+/// window over the `⌈k/32⌉` words that carry bases, updated in place, so
+/// each step costs O(words) rather than the O(k) of [`Kmer::canonical`] on
+/// a fresh k-mer.
 pub struct CanonicalKmerIter<'a> {
-    seq: &'a DnaSeq,
+    codes: &'a [u8],
     k: usize,
+    nwords: usize,
+    /// Start of the next k-mer.
     pos: usize,
-    /// The forward k-mer at `pos - 1` and its reverse complement.
-    cur: Option<(Kmer, Kmer)>,
+    /// The k-mer at `pos - 1`. Before the first step: bases `0..k-1` at
+    /// positions `1..k` over a placeholder at position 0, which the first
+    /// step drops.
+    fwd: [u64; KMER_WORDS],
+    /// The reverse complement of `fwd` (before the first step, without the
+    /// placeholder).
+    rc: [u64; KMER_WORDS],
 }
 
 impl<'a> CanonicalKmerIter<'a> {
     /// Canonical k-mers of `seq`; yields nothing if `seq.len() < k`.
     pub fn new(seq: &'a DnaSeq, k: usize) -> CanonicalKmerIter<'a> {
         assert!((1..=MAX_K).contains(&k), "k={k} out of range");
-        CanonicalKmerIter { seq, k, pos: 0, cur: None }
+        let codes = seq.codes();
+        let mut it = CanonicalKmerIter {
+            codes,
+            k,
+            nwords: k.div_ceil(32),
+            pos: 0,
+            fwd: [0; KMER_WORDS],
+            rc: [0; KMER_WORDS],
+        };
+        // Base j at forward position j+1, complemented at rc position k-2-j.
+        for (j, &c) in codes.iter().take(k - 1).enumerate() {
+            let (f, r) = (j + 1, k - 2 - j);
+            it.fwd[f / 32] |= u64::from(c) << ((f % 32) * 2);
+            it.rc[r / 32] |= u64::from(3 - c) << ((r % 32) * 2);
+        }
+        it
     }
 }
 
@@ -278,26 +297,61 @@ impl Iterator for CanonicalKmerIter<'_> {
     /// forward k-mer is the canonical one (ties, i.e. palindromes, included).
     type Item = (usize, Kmer, bool);
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        if self.pos + self.k > self.seq.len() {
-            return None;
-        }
-        let (fwd, rc) = match self.cur {
-            Some((fwd, rc)) => {
-                let b = self.seq.base(self.pos + self.k - 1);
-                (fwd.shift_right(b), rc.shift_left(b.complement()))
-            }
-            None => {
-                let fwd = Kmer::from_seq(self.seq, 0, self.k);
-                (fwd, fwd.revcomp())
-            }
+        let &c = self.codes.get(self.pos + self.k - 1)?;
+        let (fwd, rc, k) = (&mut self.fwd, &mut self.rc, self.k);
+        // One instance per word count, so each loop unrolls.
+        let is_fwd = match self.nwords {
+            1 => roll::<1>(fwd, rc, k, c),
+            2 => roll::<2>(fwd, rc, k, c),
+            3 => roll::<3>(fwd, rc, k, c),
+            _ => roll::<4>(fwd, rc, k, c),
         };
-        self.cur = Some((fwd, rc));
         let at = self.pos;
         self.pos += 1;
-        let is_fwd = fwd.cmp_bases(&rc) != std::cmp::Ordering::Greater;
-        Some((at, if is_fwd { fwd } else { rc }, is_fwd))
+        let words = if is_fwd { *fwd } else { *rc };
+        Some((at, Kmer { words, k: k as u16 }, is_fwd))
     }
+}
+
+/// Roll a k-mer window of `N` words and its reverse complement one base
+/// on, appending `code`; true if the forward k-mer is canonical (sorts no
+/// later than its reverse complement by bases).
+#[inline(always)]
+fn roll<const N: usize>(
+    fwd: &mut [u64; KMER_WORDS],
+    rc: &mut [u64; KMER_WORDS],
+    k: usize,
+    code: u8,
+) -> bool {
+    // Forward: drop the first base, append `code` at position k-1.
+    for w in 0..N {
+        fwd[w] >>= 2;
+        if w + 1 < N {
+            fwd[w] |= fwd[w + 1] << 62;
+        }
+    }
+    // Position k-1 lies in word N-1, as N = ⌈k/32⌉.
+    fwd[N - 1] |= u64::from(code) << (((k - 1) % 32) * 2);
+    // Reverse complement: drop the last base, prepend the complement.
+    for w in (0..N).rev() {
+        rc[w] <<= 2;
+        if w > 0 {
+            rc[w] |= rc[w - 1] >> 62;
+        }
+    }
+    rc[0] |= u64::from(3 - code);
+    rc[N - 1] &= u64::MAX >> (64 * N - 2 * k);
+    // As `Kmer::cmp_bases`: the lowest differing base decides.
+    for w in 0..N {
+        let diff = fwd[w] ^ rc[w];
+        if diff != 0 {
+            let at = diff.trailing_zeros() & !1;
+            return (fwd[w] >> at) & 3 < (rc[w] >> at) & 3;
+        }
+    }
+    true
 }
 
 #[cfg(test)]

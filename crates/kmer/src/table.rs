@@ -5,11 +5,12 @@
 //! (not as whole [`Kmer`]s), values in a parallel `Vec<V>`, and occupancy in
 //! a [`SlotBits`] bitvector. Slots are probed linearly from
 //! [`crate::hash::hash_kmer`] (MurmurHash2 64A seeded with k). The slot
-//! count is a power of two and doubles when the load would pass 0.7;
-//! [`KmerTable::retain`] rebuilds the table at the survivors' size, so
+//! count is a power of two and doubles when the load would pass 0.7, unless
+//! [`KmerTable::with_capacity`] sized it up front; [`KmerTable::retain`]
+//! shrinks the table to the survivors' size or closes the gaps in place, so
 //! there are no tombstones.
 
-use crate::hash::murmur64a_words;
+use crate::hash::{hash_kmer, murmur64a_words};
 use crate::kmer::{Kmer, KMER_WORDS, MAX_K};
 
 /// Fewest slots a table ever has (a power of two).
@@ -18,6 +19,15 @@ const MIN_SLOTS: usize = 16;
 /// The table grows before the load would pass `LOAD_NUM / LOAD_DEN` (0.7).
 const LOAD_NUM: usize = 7;
 const LOAD_DEN: usize = 10;
+
+/// The fewest slots that hold `entries` entries under the load limit.
+fn slots_for(entries: usize) -> usize {
+    let mut slots = MIN_SLOTS;
+    while entries * LOAD_DEN > slots * LOAD_NUM {
+        slots *= 2;
+    }
+    slots
+}
 
 /// A fixed-size bitvector, one bit per table slot.
 #[derive(Debug, Clone)]
@@ -72,6 +82,11 @@ impl<V: Default> KmerTable<V> {
         KmerTable::with_slots(k, MIN_SLOTS)
     }
 
+    /// An empty table that holds `entries` entries without growing.
+    pub fn with_capacity(k: usize, entries: usize) -> KmerTable<V> {
+        KmerTable::with_slots(k, slots_for(entries))
+    }
+
     fn with_slots(k: usize, slots: usize) -> KmerTable<V> {
         assert!((1..=MAX_K).contains(&k), "k={k} out of range");
         debug_assert!(slots.is_power_of_two());
@@ -90,13 +105,19 @@ impl<V: Default> KmerTable<V> {
     ///
     /// Panics if `km.k()` differs from the table's k.
     pub fn entry(&mut self, km: &Kmer) -> &mut V {
+        self.entry_hashed(km, hash_kmer(km))
+    }
+
+    /// [`KmerTable::entry`] for a caller that already holds
+    /// `hash = hash_kmer(km)`.
+    pub fn entry_hashed(&mut self, km: &Kmer, hash: u64) -> &mut V {
         assert_eq!(km.k(), self.k, "k-mer length differs from the table's k");
-        let slot = match self.probe(km) {
+        let slot = match self.probe(km, hash) {
             Ok(slot) => slot,
             Err(mut slot) => {
                 if (self.len + 1) * LOAD_DEN > self.capacity() * LOAD_NUM {
                     self.rebuild(self.capacity() * 2);
-                    slot = self.probe(km).expect_err("key is absent after growing");
+                    slot = self.probe(km, hash).expect_err("key is absent after growing");
                 }
                 self.keys[slot * self.nwords..][..self.nwords]
                     .copy_from_slice(&km.words()[..self.nwords]);
@@ -108,21 +129,51 @@ impl<V: Default> KmerTable<V> {
         &mut self.vals[slot]
     }
 
-    /// Keep only the entries whose value passes `keep`, then rebuild the
-    /// table at the smallest size that holds the survivors under the load
-    /// limit.
+    /// Keep only the entries whose value passes `keep`, at the smallest
+    /// size that holds the survivors under the load limit. A table that
+    /// keeps its size closes the gaps in place, without a second copy.
     pub fn retain(&mut self, mut keep: impl FnMut(&V) -> bool) {
+        // The load limit leaves a free slot, which no probe crosses.
+        let free = (0..self.capacity()).find(|&slot| !self.used.get(slot)).expect("a free slot");
         for slot in 0..self.capacity() {
             if self.used.get(slot) && !keep(&self.vals[slot]) {
                 self.used.clear(slot);
+                self.vals[slot] = V::default();
                 self.len -= 1;
             }
         }
-        let mut slots = MIN_SLOTS;
-        while self.len * LOAD_DEN > slots * LOAD_NUM {
-            slots *= 2;
+        let slots = slots_for(self.len);
+        if slots < self.capacity() {
+            self.rebuild(slots);
+        } else {
+            self.close_gaps(free);
         }
-        self.rebuild(slots);
+    }
+
+    /// Move every entry to the first free slot of its probe, so no probe
+    /// crosses a cleared slot. `free` was free before the clearing, so
+    /// walking the slots from it meets each probe's slots in probe order;
+    /// entries only move back towards their home slot, and a slot an entry
+    /// vacates lies after every probe settled before it.
+    fn close_gaps(&mut self, free: usize) {
+        let mask = self.capacity() - 1;
+        let nwords = self.nwords;
+        for step in 1..self.capacity() {
+            let from = (free + step) & mask;
+            if !self.used.get(from) {
+                continue;
+            }
+            let mut to = self.home(&self.keys[from * nwords..][..nwords]) & mask;
+            while to != from && self.used.get(to) {
+                to = (to + 1) & mask;
+            }
+            if to != from {
+                self.keys.copy_within(from * nwords..(from + 1) * nwords, to * nwords);
+                self.vals.swap(from, to);
+                self.used.set(to);
+                self.used.clear(from);
+            }
+        }
     }
 
     /// Move every entry into a fresh table of `slots` slots.
@@ -175,12 +226,13 @@ impl<V> KmerTable<V> {
     }
 
     /// `Ok(slot)` holding `km`, or `Err(slot)`: the empty slot where the
-    /// probe for `km` ends.
+    /// probe for `km`, whose hash is `hash`, ends.
     #[inline]
-    fn probe(&self, km: &Kmer) -> Result<usize, usize> {
+    fn probe(&self, km: &Kmer, hash: u64) -> Result<usize, usize> {
+        debug_assert_eq!(hash, hash_kmer(km), "hash of another k-mer");
         let key = &km.words()[..self.nwords];
         let mask = self.capacity() - 1;
-        let mut slot = self.home(key) & mask;
+        let mut slot = hash as usize & mask;
         loop {
             if !self.used.get(slot) {
                 return Err(slot);
@@ -196,10 +248,17 @@ impl<V> KmerTable<V> {
     /// Slots are stable until the next insertion or [`KmerTable::retain`].
     #[inline]
     pub fn slot(&self, km: &Kmer) -> Option<usize> {
+        self.slot_hashed(km, hash_kmer(km))
+    }
+
+    /// [`KmerTable::slot`] for a caller that already holds
+    /// `hash = hash_kmer(km)`.
+    #[inline]
+    pub fn slot_hashed(&self, km: &Kmer, hash: u64) -> Option<usize> {
         if km.k() != self.k {
             return None;
         }
-        self.probe(km).ok()
+        self.probe(km, hash).ok()
     }
 
     /// The value for `km`, if present.
@@ -215,15 +274,29 @@ impl<V> KmerTable<V> {
         &self.vals[slot]
     }
 
+    /// The value in an occupied `slot`, mutably.
+    #[inline]
+    pub fn at_mut(&mut self, slot: usize) -> &mut V {
+        debug_assert!(self.used.get(slot), "slot {slot} is empty");
+        &mut self.vals[slot]
+    }
+
+    /// The packed words (`⌈k/32⌉` of them) of the k-mer in an occupied
+    /// `slot`. They order as the k-mers do.
+    #[inline]
+    pub fn key_words(&self, slot: usize) -> &[u64] {
+        &self.keys[slot * self.nwords..][..self.nwords]
+    }
+
     /// The k-mer stored in an occupied `slot`.
-    fn key_at(&self, slot: usize) -> Kmer {
+    pub fn key_at(&self, slot: usize) -> Kmer {
         let mut words = [0u64; KMER_WORDS];
-        words[..self.nwords].copy_from_slice(&self.keys[slot * self.nwords..][..self.nwords]);
+        words[..self.nwords].copy_from_slice(self.key_words(slot));
         Kmer::from_words(words, self.k)
     }
 
     /// Occupied slots, in slot order.
-    fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+    pub fn slots(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.capacity()).filter(|&slot| self.used.get(slot))
     }
 
@@ -293,6 +366,27 @@ mod tests {
         assert_eq!((t.get(&a), t.get(&b)), (Some(&10), Some(&20)));
         let walked: Vec<u32> = t.values().copied().collect();
         assert_eq!(t.values_mut().map(|v| *v).collect::<Vec<_>>(), walked);
+    }
+
+    #[test]
+    fn retain_in_place_keeps_every_probe_whole() {
+        // Dropping a few entries keeps the size, so the gaps are closed in
+        // place; with this many colliding 6-mers, most clusters lose a slot.
+        let mut t: KmerTable<u32> = KmerTable::new(6);
+        let keys: Vec<Kmer> = (0..2800u32)
+            .map(|i| kmer(&(0..6).map(|j| ((i >> (2 * j)) % 4) as u8).collect::<Vec<_>>()))
+            .collect();
+        for (i, km) in keys.iter().enumerate() {
+            *t.entry(km) = i as u32;
+        }
+        let capacity = t.capacity();
+        t.retain(|&v| v % 16 != 0);
+        assert_eq!(t.capacity(), capacity, "the size holds, so the gaps close in place");
+        for (i, km) in keys.iter().enumerate() {
+            let want = (i % 16 != 0).then_some(i as u32);
+            assert_eq!(t.get(km).copied(), want, "key {i}");
+        }
+        assert_eq!(t.len(), keys.iter().enumerate().filter(|(i, _)| i % 16 != 0).count());
     }
 
     proptest! {

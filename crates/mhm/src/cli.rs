@@ -186,7 +186,6 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
     let r1_path = cli.require("r1")?;
     let r2_path = cli.require("r2")?;
     let out = PathBuf::from(cli.require("out")?);
-    std::fs::create_dir_all(&out).map_err(|e| e.to_string())?;
 
     let (r1, r1_stats) = read_fastq_file(Path::new(r1_path))?;
     let (r2, r2_stats) = read_fastq_file(Path::new(r2_path))?;
@@ -274,6 +273,8 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
         ));
     }
 
+    // Only a run that succeeded leaves an output directory.
+    std::fs::create_dir_all(&out).map_err(|e| e.to_string())?;
     let f = File::create(out.join("contigs.fasta")).map_err(|e| e.to_string())?;
     fastq::write_fasta(
         BufWriter::new(f),
@@ -637,6 +638,14 @@ mod tests {
         for (args, flag) in &bad {
             let err = run(&argv(args)).expect_err(args);
             assert!(err.contains(flag), "{args}: {err}");
+        }
+        // A failed assemble leaves no output directory behind: neither an
+        // invalid k nor a missing --r1 file.
+        let missing_r1 =
+            format!("assemble --r1 {d}/absent_1.fq --r2 {d}/short_2.fq --out {d}/no_r1");
+        run(&argv(&missing_r1)).expect_err(&missing_r1);
+        for out in ["k0", "k129", "no_r1"] {
+            assert!(!Path::new(&d).join(out).exists(), "a failed run left {d}/{out}");
         }
 
         for (name, _, _) in &lanes {

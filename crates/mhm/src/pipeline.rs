@@ -295,8 +295,9 @@ pub fn run_pipeline(
     run_rounds(pairs, cfg, &[cfg.k])
 }
 
-/// Weight given to contig pseudo-reads when re-counting k-mers (so contig
-/// sequence passes the singleton filter on its own).
+/// Times each previous-round contig is counted with the reads when
+/// re-counting k-mers (so contig sequence passes the singleton filter on
+/// its own).
 const CONTIG_PSEUDO_WEIGHT: usize = 2;
 
 /// The assembly loop behind [`run_pipeline`] and [`crate::run_iterative`]:
@@ -377,18 +378,16 @@ fn run_round(
     timings: &mut PhaseTimings,
     stats: &mut PipelineStats,
 ) -> Result<(Vec<DnaSeq>, RoundStats), PipelineError> {
-    // k-mer analysis; the first round counts the reads in place.
+    // k-mer analysis over the reads plus the previous round's contigs,
+    // borrowed, each counted `CONTIG_PSEUDO_WEIGHT` times.
     let t = Instant::now();
-    let counts = {
-        let pseudo;
-        let count_over = if prev.is_empty() {
-            reads
-        } else {
-            pseudo = with_pseudo_reads(reads, prev);
-            &pseudo[..]
-        };
-        count_kmers(count_over, k, cfg.min_kmer_count)
-    };
+    let count_over: Vec<&DnaSeq> = reads
+        .iter()
+        .map(|r| &r.seq)
+        .chain(prev.iter().flat_map(|c| std::iter::repeat_n(c, CONTIG_PSEUDO_WEIGHT)))
+        .collect();
+    let counts = count_kmers(&count_over, k, cfg.min_kmer_count);
+    drop(count_over);
     let distinct_kmers = counts.len();
     timings.add(Phase::KmerAnalysis, t.elapsed().as_secs_f64());
 
@@ -451,19 +450,6 @@ fn run_round(
     Ok((extended, round))
 }
 
-/// The reads plus every contig of `contigs` as [`CONTIG_PSEUDO_WEIGHT`]
-/// quality-40 pseudo-reads.
-fn with_pseudo_reads(reads: &[Read], contigs: &[DnaSeq]) -> Vec<Read> {
-    let mut out = Vec::with_capacity(reads.len() + CONTIG_PSEUDO_WEIGHT * contigs.len());
-    out.extend_from_slice(reads);
-    for (i, c) in contigs.iter().enumerate() {
-        for w in 0..CONTIG_PSEUDO_WEIGHT {
-            out.push(Read::with_uniform_qual(format!("__contig_{i}_{w}"), c.clone(), 40));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,6 +458,11 @@ mod tests {
     };
 
     fn tiny_dataset() -> (datagen::Community, Vec<PairedRead>) {
+        dataset_of(3_000)
+    }
+
+    /// `n_pairs` read pairs from two 8-9 kb genomes.
+    fn dataset_of(n_pairs: usize) -> (datagen::Community, Vec<PairedRead>) {
         let community = generate_community(&CommunityConfig {
             n_species: 2,
             genome_len: (8_000, 9_000),
@@ -482,7 +473,7 @@ mod tests {
         let pairs = simulate_reads(
             &community,
             &ReadSimConfig {
-                n_pairs: 3_000,
+                n_pairs,
                 read_len: 100,
                 insert_mean: 240.0,
                 insert_sd: 15.0,
@@ -513,6 +504,31 @@ mod tests {
             assert!(result.timings.get(p) >= 0.0);
         }
         assert!(result.timings.get(Phase::LocalAssembly) > 0.0);
+    }
+
+    #[test]
+    fn contigs_are_identical_at_1_2_and_4_threads() {
+        // The thread count sets the number of k-mer partitions, among
+        // other things; no output may depend on it.
+        let (_, pairs) = dataset_of(1_000);
+        let cfg = PipelineConfig::default();
+        let schedule = crate::iterative::default_schedule(100);
+        let outputs = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            pool.install(|| {
+                let single = run_pipeline(&pairs, &cfg).expect("pipeline runs");
+                let looped = crate::run_iterative(&pairs, &cfg, &schedule);
+                let rendered = |r: &PipelineResult| -> Vec<DnaSeq> {
+                    r.scaffolds.iter().map(|s| s.render(&r.contigs)).collect()
+                };
+                (rendered(&single), single.contigs, rendered(&looped), looped.contigs)
+            })
+        };
+        let one = outputs(1);
+        assert!(!one.1.is_empty() && !one.3.is_empty());
+        for threads in [2, 4] {
+            assert!(outputs(threads) == one, "{threads} threads changed the assembly");
+        }
     }
 
     #[test]
