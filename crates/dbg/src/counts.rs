@@ -210,23 +210,20 @@ fn count_seqs(seqs: &[&DnaSeq], k: usize, min_count: u32) -> KmerCountMap {
     let ids: Vec<usize> = (0..parts).collect();
     let tables = ids
         .par_iter()
-        .map(|&part| {
-            let owned = Owned { k, part, parts };
-            owned.count(seqs, min_count, filter_bits)
-        })
+        .map(|&part| Partition { k, part, parts }.count(seqs, min_count, filter_bits))
         .collect();
     KmerCountMap::from_parts(k, tables)
 }
 
 /// Partition `part` of `parts` at one k.
 #[derive(Debug, Clone, Copy)]
-struct Owned {
+struct Partition {
     k: usize,
     part: usize,
     parts: usize,
 }
 
-impl Owned {
+impl Partition {
     /// This partition's table: k-mers with at least `min_count`
     /// occurrences, sifted through two singleton filters of `filter_bits`
     /// bits each when `min_count > 1`.
@@ -610,7 +607,7 @@ mod tests {
         for parts in [1, 2] {
             for min_count in [2, 3] {
                 let tables = (0..parts)
-                    .map(|part| Owned { k, part, parts }.count(&seqs, min_count, 64))
+                    .map(|part| Partition { k, part, parts }.count(&seqs, min_count, 64))
                     .collect();
                 let map = KmerCountMap::from_parts(k, tables);
                 assert_matches_oracle(&map, &oracle, min_count);

@@ -378,8 +378,8 @@ fn run_round(
     timings: &mut PhaseTimings,
     stats: &mut PipelineStats,
 ) -> Result<(Vec<DnaSeq>, RoundStats), PipelineError> {
-    // k-mer analysis over the reads plus the previous round's contigs,
-    // borrowed, each counted `CONTIG_PSEUDO_WEIGHT` times.
+    // k-mer analysis over the reads plus each previous-round contig
+    // `CONTIG_PSEUDO_WEIGHT` times, all borrowed.
     let t = Instant::now();
     let count_over: Vec<&DnaSeq> = reads
         .iter()
@@ -387,7 +387,6 @@ fn run_round(
         .chain(prev.iter().flat_map(|c| std::iter::repeat_n(c, CONTIG_PSEUDO_WEIGHT)))
         .collect();
     let counts = count_kmers(&count_over, k, cfg.min_kmer_count);
-    drop(count_over);
     let distinct_kmers = counts.len();
     timings.add(Phase::KmerAnalysis, t.elapsed().as_secs_f64());
 
