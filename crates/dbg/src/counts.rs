@@ -43,9 +43,15 @@ impl VertexCounts {
     /// easily reach 2 absolute votes, and without the relative gate they
     /// would fork — and fragment — every well-covered region.
     pub fn unique_ext(&self, side: Side, min_votes: u16) -> Option<Base> {
+        let votes = match side {
+            Side::Left => &self.left,
+            Side::Right => &self.right,
+        };
+        let total: u32 = votes.iter().map(|&v| u32::from(v)).sum();
         let mut found = None;
         for b in Base::ALL {
-            if self.is_viable(side, b, min_votes) {
+            let v = votes[b as usize];
+            if v >= min_votes && u32::from(v) * 10 >= total {
                 if found.is_some() {
                     return None; // fork
                 }
@@ -53,23 +59,6 @@ impl VertexCounts {
             }
         }
         found
-    }
-
-    /// Does `base` pass the viability gate on `side` (absolute votes and
-    /// ≥10% of the side's total)?
-    pub fn is_viable(&self, side: Side, base: Base, min_votes: u16) -> bool {
-        let votes = match side {
-            Side::Left => &self.left,
-            Side::Right => &self.right,
-        };
-        let total: u32 = votes.iter().map(|&v| u32::from(v)).sum();
-        let v = votes[base as usize];
-        v >= min_votes && u32::from(v) * 10 >= total
-    }
-
-    /// Number of viable bases on `side`.
-    pub fn viable_bases(&self, side: Side, min_votes: u16) -> usize {
-        Base::ALL.iter().filter(|&&b| self.is_viable(side, b, min_votes)).count()
     }
 }
 

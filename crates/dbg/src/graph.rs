@@ -1,4 +1,4 @@
-//! Oriented navigation over the implicit de Bruijn graph.
+//! The implicit de Bruijn graph, its vertices addressed by slot.
 
 use crate::counts::{KmerCountMap, Side, VertexCounts};
 use bioseq::Base;
@@ -10,35 +10,6 @@ use kmer::Kmer;
 pub struct DbgGraph {
     k: usize,
     map: KmerCountMap,
-}
-
-/// A vertex seen in a particular orientation during traversal.
-///
-/// `fwd == true` means the walk-direction k-mer equals the stored canonical
-/// k-mer; `fwd == false` means the walk sees its reverse complement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Oriented {
-    /// Canonical (stored) form.
-    pub canon: Kmer,
-    /// Orientation of the walk relative to the canonical form.
-    pub fwd: bool,
-}
-
-impl Oriented {
-    /// Orient `km` (an as-walked k-mer) to its canonical vertex.
-    pub fn from_walk_kmer(km: Kmer) -> Oriented {
-        let canon = km.canonical();
-        Oriented { canon, fwd: canon == km }
-    }
-
-    /// The k-mer as the walk sees it.
-    pub fn walk_kmer(&self) -> Kmer {
-        if self.fwd {
-            self.canon
-        } else {
-            self.canon.revcomp()
-        }
-    }
 }
 
 impl DbgGraph {
@@ -53,21 +24,6 @@ impl DbgGraph {
     /// The k the graph was built at.
     pub fn k(&self) -> usize {
         self.k
-    }
-
-    /// Number of vertices.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if the graph has no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Vertex counts for a canonical k-mer.
-    pub fn vertex(&self, canon: &Kmer) -> Option<&VertexCounts> {
-        self.map.get(canon)
     }
 
     /// The slot of a canonical k-mer's vertex: an index below
@@ -91,11 +47,6 @@ impl DbgGraph {
         self.map.kmer_at(slot)
     }
 
-    /// Every vertex's counts, in no particular order.
-    pub fn vertices(&self) -> impl Iterator<Item = &VertexCounts> + '_ {
-        self.map.iter().map(|(_, v)| v)
-    }
-
     /// Every vertex's slot, in the sorted order of the vertices' k-mers —
     /// traversal seeds, in an order that no partitioning changes. The sort
     /// holds 16 bytes a vertex: the k-mer's first packed word, which
@@ -117,34 +68,22 @@ impl DbgGraph {
         seeds.into_iter().map(|(_, slot)| slot as usize)
     }
 
-    /// The unique extension base on the *walk-right* side of an oriented
-    /// vertex, if any (translating orientation onto the stored votes).
-    pub fn unique_right_ext(&self, o: &Oriented, min_votes: u16) -> Option<Base> {
-        let v = self.map.get(&o.canon)?;
-        if o.fwd {
-            v.unique_ext(Side::Right, min_votes)
-        } else {
-            // Walk-right of the rc view is the complement of the stored left.
-            v.unique_ext(Side::Left, min_votes).map(Base::complement)
+    /// The unique extension base on side `side` of a walk that sees the
+    /// vertex in `slot` forward (`fwd`) or reverse-complemented: the stored
+    /// votes on that side, or the complemented votes on the other.
+    pub(crate) fn walk_ext(
+        &self,
+        slot: usize,
+        fwd: bool,
+        side: Side,
+        min_votes: u16,
+    ) -> Option<Base> {
+        let v = self.vertex_at(slot);
+        match (fwd, side) {
+            (true, side) => v.unique_ext(side, min_votes),
+            (false, Side::Left) => v.unique_ext(Side::Right, min_votes).map(Base::complement),
+            (false, Side::Right) => v.unique_ext(Side::Left, min_votes).map(Base::complement),
         }
-    }
-
-    /// The unique extension base on the *walk-left* side of an oriented
-    /// vertex, if any.
-    pub fn unique_left_ext(&self, o: &Oriented, min_votes: u16) -> Option<Base> {
-        let v = self.map.get(&o.canon)?;
-        if o.fwd {
-            v.unique_ext(Side::Left, min_votes)
-        } else {
-            v.unique_ext(Side::Right, min_votes).map(Base::complement)
-        }
-    }
-
-    /// Step the walk one base right: returns the next oriented vertex and
-    /// its slot if it exists in the graph.
-    pub fn step_right(&self, o: &Oriented, b: Base) -> Option<(Oriented, usize)> {
-        let next = Oriented::from_walk_kmer(o.walk_kmer().shift_right(b));
-        self.slot(&next.canon).map(|slot| (next, slot))
     }
 }
 
@@ -161,45 +100,49 @@ mod tests {
         DbgGraph::new(k, count_kmers(&[r, r2], k, 2))
     }
 
+    fn kmer(s: &str) -> Kmer {
+        Kmer::from_seq(&DnaSeq::from_str_strict(s).unwrap(), 0, s.len())
+    }
+
+    /// The slot of an as-walked k-mer's vertex and whether the walk sees
+    /// it forward.
+    fn view(g: &DbgGraph, km: Kmer) -> (usize, bool) {
+        let canon = km.canonical();
+        (g.slot(&canon).expect("vertex present"), canon == km)
+    }
+
     #[test]
     fn navigation_follows_sequence() {
         let g = graph_of("TTACGGA", 4);
-        let start = Oriented::from_walk_kmer(Kmer::from_seq(
-            &DnaSeq::from_str_strict("TTAC").unwrap(),
-            0,
-            4,
-        ));
-        let ext = g.unique_right_ext(&start, 2).expect("unique ext");
-        assert_eq!(ext, bioseq::Base::G);
-        let (next, slot) = g.step_right(&start, ext).expect("next vertex");
-        assert_eq!(g.slot(&next.canon), Some(slot));
-        assert_eq!(next.walk_kmer().to_string(), "TACG");
+        let (slot, fwd) = view(&g, kmer("TTAC"));
+        let ext = g.walk_ext(slot, fwd, Side::Right, 2).expect("unique ext");
+        assert_eq!(ext, Base::G);
+        let next = kmer("TTAC").shift_right(ext);
+        assert_eq!(next.to_string(), "TACG");
+        let (next_slot, next_fwd) = view(&g, next);
+        assert!(!next_fwd, "TACG is stored as CGTA");
+        // Walking on, the next vertex points back at the base shifted out.
+        assert_eq!(g.walk_ext(next_slot, next_fwd, Side::Left, 2), Some(Base::T));
     }
 
     #[test]
     fn orientation_symmetric_navigation() {
-        // Walking the rc strand must mirror the fwd walk.
+        // Walking the rc strand must mirror the fwd walk: one slot, seen
+        // in both orientations.
         let g = graph_of("TTACGGA", 4);
-        let fwd = Oriented::from_walk_kmer(Kmer::from_seq(
-            &DnaSeq::from_str_strict("TACG").unwrap(),
-            0,
-            4,
-        ));
-        let rc_view = Oriented::from_walk_kmer(fwd.walk_kmer().revcomp());
-        let right_of_fwd = g.unique_right_ext(&fwd, 2);
-        let left_of_rc = g.unique_left_ext(&rc_view, 2);
-        assert_eq!(right_of_fwd.map(bioseq::Base::complement), left_of_rc);
+        let (slot, fwd) = view(&g, kmer("TACG"));
+        let (rc_slot, rc_fwd) = view(&g, kmer("TACG").revcomp());
+        assert_eq!((rc_slot, rc_fwd), (slot, !fwd));
+        let right_of_fwd = g.walk_ext(slot, fwd, Side::Right, 2);
+        let left_of_rc = g.walk_ext(rc_slot, rc_fwd, Side::Left, 2);
+        assert_eq!(right_of_fwd, Some(Base::G));
+        assert_eq!(right_of_fwd.map(Base::complement), left_of_rc);
     }
 
     #[test]
     fn missing_vertex_is_none() {
         let g = graph_of("TTACGGA", 4);
-        let absent = Oriented::from_walk_kmer(Kmer::from_seq(
-            &DnaSeq::from_str_strict("CCCC").unwrap(),
-            0,
-            4,
-        ));
-        assert_eq!(g.unique_right_ext(&absent, 1), None);
+        assert_eq!(g.slot(&kmer("CCCC").canonical()), None);
     }
 
     #[test]
@@ -208,7 +151,7 @@ mod tests {
         let a: Vec<usize> = g.sorted_slots().collect();
         let b: Vec<usize> = g.sorted_slots().collect();
         assert_eq!(a, b);
-        assert_eq!(a.len(), g.len());
+        assert_eq!(a.len(), g.map.len());
     }
 
     proptest! {

@@ -1,18 +1,15 @@
 //! Unitig traversal: maximal unambiguous paths become contigs.
 
-use crate::graph::{DbgGraph, Oriented};
+use crate::counts::Side;
+use crate::graph::DbgGraph;
 use bioseq::DnaSeq;
-use kmer::SlotBits;
+use kmer::{Kmer, SlotBits};
 
-/// A contiguous assembled sequence with its mean k-mer depth.
+/// A contiguous assembled sequence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Contig {
-    /// Stable id within the generating run.
-    pub id: u64,
     /// The assembled sequence.
     pub seq: DnaSeq,
-    /// Mean occurrence count of the member k-mers.
-    pub depth: f64,
 }
 
 impl Contig {
@@ -37,81 +34,74 @@ impl Contig {
 pub fn generate_contigs(graph: &DbgGraph, min_votes: u16) -> Vec<Contig> {
     let mut visited = SlotBits::new(graph.slot_count());
     let mut contigs = Vec::new();
-    let mut next_id = 0u64;
 
     for seed_slot in graph.sorted_slots() {
         if visited.get(seed_slot) {
             continue;
         }
-        let seed = graph.kmer_at(seed_slot);
-        let start = Oriented { canon: seed, fwd: true };
         visited.set(seed_slot);
+        let seed = graph.kmer_at(seed_slot);
 
-        // Walk right from the seed, then right from the seed's rc view
-        // (= left of the seed), and stitch.
-        let (right_bases, mut member_counts) = walk(graph, start, min_votes, &mut visited);
-        let rc_start = Oriented { canon: seed, fwd: false };
-        let (left_bases_rc, more_counts) = walk(graph, rc_start, min_votes, &mut visited);
-        member_counts.extend(more_counts);
-
-        // Contig = rc(left walk) + seed + right walk.
-        let mut seq = DnaSeq::with_capacity(left_bases_rc.len() + graph.k() + right_bases.len());
-        let left_part: DnaSeq = left_bases_rc.iter().copied().collect();
-        seq.extend_from(&left_part.revcomp());
+        // Walk right from the seed, then right from its reverse complement
+        // (= left of the seed), and stitch: rc(left walk) + seed + right
+        // walk.
+        let right = walk(graph, seed_slot, true, seed, min_votes, &mut visited);
+        let left_rc = walk(graph, seed_slot, false, seed.revcomp(), min_votes, &mut visited);
+        let mut seq = DnaSeq::with_capacity(left_rc.len() + graph.k() + right.len());
+        seq.extend_from(&left_rc.revcomp());
         seq.extend_from(&seed.to_seq());
-        for b in &right_bases {
-            seq.push(*b);
-        }
-
-        member_counts.push(graph.vertex_at(seed_slot).count);
-        let depth =
-            member_counts.iter().map(|&c| f64::from(c)).sum::<f64>() / member_counts.len() as f64;
-
-        contigs.push(Contig { id: next_id, seq, depth });
-        next_id += 1;
+        seq.extend_from(&right);
+        contigs.push(Contig { seq });
     }
     contigs
 }
 
-/// Walk right from `start`, marking vertices visited; returns the appended
-/// bases and the counts of the vertices consumed.
+/// Walk right from the vertex in `slot`, which the walk sees forward
+/// (`fwd`) or reverse-complemented as `km`, marking the vertices it takes
+/// visited; returns the bases it appends. A step reads the current
+/// vertex's votes by slot and probes the table once, for the next vertex.
 fn walk(
     graph: &DbgGraph,
-    start: Oriented,
+    mut slot: usize,
+    mut fwd: bool,
+    mut km: Kmer,
     min_votes: u16,
     visited: &mut SlotBits,
-) -> (Vec<bioseq::Base>, Vec<u32>) {
-    let mut bases = Vec::new();
-    let mut counts = Vec::new();
-    let mut cur = start;
-    while let Some(ext) = graph.unique_right_ext(&cur, min_votes) {
-        let Some((next, slot)) = graph.step_right(&cur, ext) else {
+) -> DnaSeq {
+    let mut bases = DnaSeq::new();
+    while let Some(ext) = graph.walk_ext(slot, fwd, Side::Right, min_votes) {
+        let next = km.shift_right(ext);
+        // A palindrome equals its canonical form, so the walk sees it
+        // forward.
+        let canon = next.canonical();
+        let next_fwd = canon == next;
+        let Some(next_slot) = graph.slot(&canon) else {
             break;
         };
         // Mutual agreement: next's walk-left unique extension must be the
-        // base we just shifted out of `cur`.
-        let dropped = cur.walk_kmer().base(0);
-        if graph.unique_left_ext(&next, min_votes) != Some(dropped) {
+        // base we just shifted out of `km`.
+        if graph.walk_ext(next_slot, next_fwd, Side::Left, min_votes) != Some(km.base(0)) {
             break;
         }
-        if visited.get(slot) {
+        if visited.get(next_slot) {
             break; // already consumed (loop or another contig)
         }
-        visited.set(slot);
-        counts.push(graph.vertex_at(slot).count);
+        visited.set(next_slot);
         bases.push(ext);
-        cur = next;
+        (slot, fwd, km) = (next_slot, next_fwd, next);
     }
-    (bases, counts)
+    bases
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::counts::count_kmers;
-    use bioseq::Read;
+    use bioseq::{Base, Read};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
 
     fn random_genome(len: usize, seed: u64) -> DnaSeq {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -159,15 +149,6 @@ mod tests {
             genome.contains(&big.seq) || genome.contains(&big.seq.revcomp()),
             "assembled contig not a substring of the source genome"
         );
-    }
-
-    #[test]
-    fn depth_reflects_coverage() {
-        let genome = random_genome(1000, 7);
-        // stride 2 → ~50x k-mer coverage in the interior.
-        let contigs = assemble(&tile_reads(&genome, 100, 2), 31);
-        let big = contigs.iter().max_by_key(|c| c.len()).unwrap();
-        assert!(big.depth > 10.0, "depth {}", big.depth);
     }
 
     #[test]
@@ -253,5 +234,177 @@ mod tests {
     fn empty_input_empty_output() {
         let contigs = assemble(&[], 21);
         assert!(contigs.is_empty());
+    }
+
+    /// A vertex as a walk sees it: the canonical k-mer and whether the walk
+    /// reads it forward. With the three functions below it is the walk that
+    /// `generate_contigs` replaced, kept as its oracle: it looks a vertex up
+    /// by k-mer at every use, three times a step.
+    #[derive(Debug, Clone, Copy)]
+    struct Oriented {
+        canon: Kmer,
+        fwd: bool,
+    }
+
+    impl Oriented {
+        fn from_walk_kmer(km: Kmer) -> Oriented {
+            let canon = km.canonical();
+            Oriented { canon, fwd: canon == km }
+        }
+
+        fn walk_kmer(&self) -> Kmer {
+            if self.fwd {
+                self.canon
+            } else {
+                self.canon.revcomp()
+            }
+        }
+    }
+
+    fn unique_right_ext(g: &DbgGraph, o: &Oriented, min_votes: u16) -> Option<Base> {
+        let v = g.vertex_at(g.slot(&o.canon)?);
+        if o.fwd {
+            v.unique_ext(Side::Right, min_votes)
+        } else {
+            v.unique_ext(Side::Left, min_votes).map(Base::complement)
+        }
+    }
+
+    fn unique_left_ext(g: &DbgGraph, o: &Oriented, min_votes: u16) -> Option<Base> {
+        let v = g.vertex_at(g.slot(&o.canon)?);
+        if o.fwd {
+            v.unique_ext(Side::Left, min_votes)
+        } else {
+            v.unique_ext(Side::Right, min_votes).map(Base::complement)
+        }
+    }
+
+    fn step_right(g: &DbgGraph, o: &Oriented, b: Base) -> Option<Oriented> {
+        let next = Oriented::from_walk_kmer(o.walk_kmer().shift_right(b));
+        g.slot(&next.canon).map(|_| next)
+    }
+
+    /// The oracle's contigs, seeded in `Kmer` order, visited k-mers held
+    /// by value.
+    fn oracle_contigs(g: &DbgGraph, min_votes: u16) -> Vec<DnaSeq> {
+        let mut visited = HashSet::new();
+        let mut contigs = Vec::new();
+        for seed_slot in g.sorted_slots() {
+            let seed = g.kmer_at(seed_slot);
+            if !visited.insert(seed) {
+                continue;
+            }
+            let right =
+                oracle_walk(g, Oriented { canon: seed, fwd: true }, min_votes, &mut visited);
+            let left =
+                oracle_walk(g, Oriented { canon: seed, fwd: false }, min_votes, &mut visited);
+            let mut seq = left.into_iter().collect::<DnaSeq>().revcomp();
+            seq.extend_from(&seed.to_seq());
+            right.into_iter().for_each(|b| seq.push(b));
+            contigs.push(seq);
+        }
+        contigs
+    }
+
+    fn oracle_walk(
+        g: &DbgGraph,
+        start: Oriented,
+        min_votes: u16,
+        visited: &mut HashSet<Kmer>,
+    ) -> Vec<Base> {
+        let mut bases = Vec::new();
+        let mut cur = start;
+        while let Some(ext) = unique_right_ext(g, &cur, min_votes) {
+            let Some(next) = step_right(g, &cur, ext) else {
+                break;
+            };
+            if unique_left_ext(g, &next, min_votes) != Some(cur.walk_kmer().base(0)) {
+                break;
+            }
+            if !visited.insert(next.canon) {
+                break;
+            }
+            bases.push(ext);
+            cur = next;
+        }
+        bases
+    }
+
+    /// A genome for `k` with every shape the walk must stop at or pass
+    /// through: a hairpin (an arm then its reverse complement, whose middle
+    /// k-mers revisit earlier vertices), a palindromic k-mer at even k
+    /// flanked by random sequence, and a repeated segment (forks at both
+    /// ends).
+    fn planted_genome(
+        body: &[u8],
+        arm: &[u8],
+        half: &[u8],
+        repeat: (usize, usize),
+        k: usize,
+    ) -> DnaSeq {
+        let piece = |codes: &[u8]| DnaSeq::from_codes(codes.to_vec());
+        let mut g = piece(&body[..200]);
+        g.extend_from(&piece(arm));
+        g.extend_from(&piece(arm).revcomp());
+        g.extend_from(&piece(&body[200..350]));
+        if k.is_multiple_of(2) {
+            let half = piece(&half[..k / 2]);
+            g.extend_from(&half);
+            g.extend_from(&half.revcomp());
+        }
+        g.extend_from(&piece(&body[350..450]));
+        g.extend_from(&piece(&body[repeat.0..repeat.0 + repeat.1]));
+        g.extend_from(&piece(&body[450..]));
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The slot walk yields the oracle's contigs, in its order, at k
+        /// around the word boundaries, with and without votes of one, on
+        /// one and two partitions. Reads carry single-base errors and come
+        /// from one strand or both: from one strand, a palindromic k-mer's
+        /// two sides vote differently, so the orientation it is seen in
+        /// decides the walk.
+        #[test]
+        fn slot_walk_matches_the_oriented_walk(
+            body in proptest::collection::vec(0u8..4, 600),
+            arm in proptest::collection::vec(0u8..4, 40),
+            half in proptest::collection::vec(0u8..4, 50),
+            repeat in (0usize..300, 40usize..120),
+            spans in proptest::collection::vec(
+                ((0usize..1000, 100usize..150), any::<bool>(), (0usize..300, 1u8..4)),
+                60..90,
+            ),
+            one_strand in any::<bool>(),
+        ) {
+            for k in [15, 16, 31, 32, 33, 63, 64, 99] {
+                let genome = planted_genome(&body, &arm, &half, repeat, k);
+                let reads: Vec<Read> = spans
+                    .iter()
+                    .map(|&((start, len), rc, (at, flip))| {
+                        let start = start % (genome.len() - len);
+                        let mut codes = genome.subseq(start, len).codes().to_vec();
+                        if at < len {
+                            codes[at] ^= flip;
+                        }
+                        let s = DnaSeq::from_codes(codes);
+                        Read::with_uniform_qual("r", if rc && !one_strand { s.revcomp() } else { s }, 30)
+                    })
+                    .collect();
+                for min_votes in [1u16, 2] {
+                    let mut by_threads = Vec::new();
+                    for threads in [1, 2] {
+                        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+                        let g = pool.install(|| DbgGraph::new(k, count_kmers(&reads, k, u32::from(min_votes))));
+                        let got: Vec<DnaSeq> = generate_contigs(&g, min_votes).into_iter().map(|c| c.seq).collect();
+                        prop_assert_eq!(&got, &oracle_contigs(&g, min_votes), "k={} min_votes={} threads={}", k, min_votes, threads);
+                        by_threads.push(got);
+                    }
+                    prop_assert_eq!(&by_threads[0], &by_threads[1], "k={} min_votes={}", k, min_votes);
+                }
+            }
+        }
     }
 }

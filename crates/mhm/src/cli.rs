@@ -9,7 +9,7 @@
 
 use crate::errors::ErrorKind;
 use crate::iterative::{default_schedule, try_run_iterative};
-use crate::pipeline::{run_pipeline, EngineChoice, PipelineConfig};
+use crate::pipeline::{run_pipeline, EngineChoice, Phase, PipelineConfig};
 use crate::report::render_run;
 use crate::stats::{evaluate_against_refs, AssemblyStats};
 use bioseq::fastq::{self, NPolicy};
@@ -21,6 +21,7 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// Parsed command line.
 #[derive(Debug, Clone, Default)]
@@ -106,15 +107,13 @@ USAGE:
 
   mhm2rs assemble --r1 FILE --r2 FILE --out DIR
       [--k N] [--gpu] [--kernel v1|v2] [--iterative] [--refs FILE] [--sanitize]
-      [--overlap] [--cpu-words-per-s R]
+      [--overlap]
       Assemble paired FASTQ into contigs.fasta + scaffolds.fasta.
       --sanitize runs the GPU engine under gpucheck (memcheck + racecheck +
       synccheck) and appends its findings to the report; implies --gpu.
       --overlap runs local assembly on the CPU/GPU overlap driver with the
       work-stealing scheduler, which prices the CPU engine at a fixed
-      modeled rate (default 2.8e7 estimated words/s).
-      --cpu-words-per-s R sets that modeled rate to R words/s; it implies
-      --overlap.
+      modeled rate (2.8e7 estimated words/s).
       --iterative runs k = 21, 33, 55, 77, 99 up to the read length; it
       cannot be combined with --k.
       Unknown flags are rejected.
@@ -176,7 +175,6 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
         "refs",
         "sanitize",
         "overlap",
-        "cpu-words-per-s",
     ])?;
     if cli.has("iterative") && cli.get("k").is_some() {
         return Err("--k cannot be combined with --iterative, which derives its k schedule \
@@ -187,25 +185,16 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
     let r2_path = cli.require("r2")?;
     let out = PathBuf::from(cli.require("out")?);
 
+    let t = Instant::now();
     let (r1, r1_stats) = read_fastq_file(Path::new(r1_path))?;
     let (r2, r2_stats) = read_fastq_file(Path::new(r2_path))?;
+    let read_s = t.elapsed().as_secs_f64();
     let ingest_malformed = r1_stats.skipped_malformed + r2_stats.skipped_malformed;
     let pairs = fastq::pair_up(r1, r2).map_err(|e| e.to_string())?;
 
     let mut cfg = PipelineConfig { k: cli.get_num("k", 31)?, ..Default::default() };
     let sanitize = cli.has("sanitize");
-    let rate_override = match cli.get("cpu-words-per-s") {
-        None => None,
-        Some(v) => {
-            let rate: f64 =
-                v.parse().map_err(|_| format!("--cpu-words-per-s: cannot parse {v:?}"))?;
-            if !rate.is_finite() || rate <= 0.0 {
-                return Err(format!("--cpu-words-per-s must be a positive rate, got {rate}"));
-            }
-            Some(rate)
-        }
-    };
-    let overlap = cli.has("overlap") || rate_override.is_some();
+    let overlap = cli.has("overlap");
     if sanitize || overlap || cli.has("gpu") || cli.get("kernel").is_some() {
         let version = match cli.get("kernel").unwrap_or("v2") {
             "v1" => KernelVersion::V1,
@@ -217,11 +206,7 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
             device = device.with_sanitizer();
         }
         cfg.engine = if overlap {
-            let mut steal = locassm::StealConfig::default();
-            if let Some(rate) = rate_override {
-                steal.cpu_words_per_s = rate;
-            }
-            let schedule = locassm::SchedulePolicy::WorkSteal(steal);
+            let schedule = locassm::SchedulePolicy::WorkSteal(locassm::StealConfig::default());
             EngineChoice::Overlap { device, version, schedule }
         } else {
             EngineChoice::Gpu { device, version }
@@ -242,30 +227,22 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
     };
     // The k is the one number the CLI hands the library unchecked, so the
     // library's invalid-input error is about `--k`.
-    let result = result.map_err(|e| match e.kind {
+    let mut result = result.map_err(|e| match e.kind {
         ErrorKind::InvalidInput(_) => format!("--k: {e}"),
         _ => e.to_string(),
     })?;
-    if ingest_malformed > 0 {
-        report.push_str(&format!("ingest: skipped {ingest_malformed} malformed FASTQ records\n"));
-    }
-    report.push_str(&render_run(&result));
     let scaffolds: Vec<DnaSeq> =
         result.scaffolds.iter().map(|s| s.render(&result.contigs)).collect();
-    let contigs = result.contigs;
-
-    let stats = AssemblyStats::of(&contigs);
-    report.push_str(&format!("\ncontigs:   {}\n", stats.render()));
-    let sstats = AssemblyStats::of(&scaffolds);
-    report.push_str(&format!("scaffolds: {}\n", sstats.render()));
-
+    let contigs = &result.contigs;
+    let mut summary = format!("\ncontigs:   {}\n", AssemblyStats::of(contigs).render());
+    summary.push_str(&format!("scaffolds: {}\n", AssemblyStats::of(&scaffolds).render()));
     if let Some(refs_path) = cli.get("refs") {
         let f = File::open(refs_path).map_err(|e| e.to_string())?;
         let (refs, _) =
             fastq::parse_fasta(BufReader::new(f), NPolicy::Drop).map_err(|e| e.to_string())?;
         let ref_seqs: Vec<DnaSeq> = refs.into_iter().map(|(_, s)| s).collect();
-        let eval = evaluate_against_refs(&contigs, &ref_seqs, 31.min(cfg.k));
-        report.push_str(&format!(
+        let eval = evaluate_against_refs(contigs, &ref_seqs, 31.min(cfg.k));
+        summary.push_str(&format!(
             "vs refs:   genome fraction {:.1}%, precision {:.1}% (k={})\n",
             eval.genome_fraction * 100.0,
             eval.precision * 100.0,
@@ -273,24 +250,27 @@ pub fn run_assemble(cli: &CliArgs) -> Result<String, String> {
         ));
     }
 
-    // Only a run that succeeded leaves an output directory.
+    // Only a run that succeeded leaves an output directory. The file I/O
+    // row measures the FASTQ reads and these writes.
+    let t = Instant::now();
     std::fs::create_dir_all(&out).map_err(|e| e.to_string())?;
-    let f = File::create(out.join("contigs.fasta")).map_err(|e| e.to_string())?;
-    fastq::write_fasta(
-        BufWriter::new(f),
-        contigs.iter().enumerate().map(|(i, c)| (format!("contig_{i}"), c.clone())),
-        80,
-    )
-    .map_err(|e| e.to_string())?;
-    let f = File::create(out.join("scaffolds.fasta")).map_err(|e| e.to_string())?;
-    fastq::write_fasta(
-        BufWriter::new(f),
-        scaffolds.iter().enumerate().map(|(i, s)| (format!("scaffold_{i}"), s.clone())),
-        80,
-    )
-    .map_err(|e| e.to_string())?;
+    write_fasta_file(&out.join("contigs.fasta"), "contig", contigs)?;
+    write_fasta_file(&out.join("scaffolds.fasta"), "scaffold", &scaffolds)?;
+    result.timings.add(Phase::FileIo, read_s + t.elapsed().as_secs_f64());
 
+    if ingest_malformed > 0 {
+        report.push_str(&format!("ingest: skipped {ingest_malformed} malformed FASTQ records\n"));
+    }
+    report.push_str(&render_run(&result));
+    report.push_str(&summary);
     Ok(report)
+}
+
+/// Write `seqs` to `path` as FASTA records `{prefix}_0`, `{prefix}_1`, ….
+fn write_fasta_file(path: &Path, prefix: &str, seqs: &[DnaSeq]) -> Result<(), String> {
+    let f = File::create(path).map_err(|e| e.to_string())?;
+    let records = seqs.iter().enumerate().map(|(i, s)| (format!("{prefix}_{i}"), s.clone()));
+    fastq::write_fasta(BufWriter::new(f), records, 80).map_err(|e| e.to_string())
 }
 
 fn write_fastq_file(path: &Path, reads: &[bioseq::Read]) -> Result<(), String> {
@@ -493,49 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn cpu_rate_flag_drives_the_scheduler() {
-        let dir = std::env::temp_dir().join(format!("mhm2rs_cpu_rate_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let out = dir.to_string_lossy().to_string();
-        run(&argv(&format!("simulate --out {out} --preset arctic --scale 0.01")))
-            .expect("simulate");
-
-        run(&argv(&format!(
-            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm"
-        )))
-        .expect("cpu assemble");
-        let cpu = std::fs::read_to_string(dir.join("asm/contigs.fasta")).unwrap();
-
-        // --cpu-words-per-s alone implies --overlap and sets the modeled CPU
-        // rate the report prints. Contigs stay byte-identical.
-        let report = run(&argv(&format!(
-            "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq --out {out}/asm_pin \
-             --cpu-words-per-s 1e6"
-        )))
-        .expect("pinned-rate assemble");
-        assert!(report.contains("overlap scheduler (work-steal)"), "{report}");
-        let model_line = report
-            .lines()
-            .find(|l| l.trim_start().starts_with("cpu rate model"))
-            .unwrap_or_else(|| panic!("no cpu rate model line: {report}"));
-        assert!(model_line.contains("1.000e6 words/s"), "{model_line}");
-        let pinned = std::fs::read_to_string(dir.join("asm_pin/contigs.fasta")).unwrap();
-        assert_eq!(cpu, pinned);
-
-        // Bad rates are rejected up front.
-        for bad in ["0", "-5", "nan", "inf", "squid"] {
-            let err = run(&argv(&format!(
-                "assemble --r1 {out}/reads_1.fastq --r2 {out}/reads_2.fastq \
-                 --out {out}/asm_bad --cpu-words-per-s {bad}"
-            )))
-            .expect_err("bad rate must be rejected");
-            assert!(err.contains("cpu-words-per-s"), "{bad}: {err}");
-        }
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn unknown_flags_are_rejected_by_name() {
         // Deleted scheduler flags and typos must fail loudly: silently
         // dropping `--overlpa` would run the CPU engine instead.
@@ -544,6 +481,7 @@ mod tests {
             ("--per-bin-rates", "--per-bin-rates"),
             ("--adaptive-batch", "--adaptive-batch"),
             ("--calibrate", "--calibrate"),
+            ("--cpu-words-per-s 1e6", "--cpu-words-per-s"),
             ("--overlpa", "--overlpa"),
         ] {
             let err = run(&argv(&format!("assemble --r1 a.fq --r2 b.fq --out asm {extra}")))

@@ -28,8 +28,6 @@ pub struct PipelineError {
 /// The failure itself.
 #[derive(Debug)]
 pub enum ErrorKind {
-    /// Serialization or file I/O failed.
-    Io(std::io::Error),
     /// The local-assembly driver violated an internal invariant.
     Engine(locassm::DriverError),
     /// Structurally invalid input.
@@ -37,11 +35,6 @@ pub enum ErrorKind {
 }
 
 impl PipelineError {
-    /// An I/O failure during `phase`.
-    pub fn io(phase: Phase, source: std::io::Error) -> PipelineError {
-        PipelineError { phase, kind: ErrorKind::Io(source) }
-    }
-
     /// An engine invariant violation during `phase`.
     pub fn engine(phase: Phase, source: locassm::DriverError) -> PipelineError {
         PipelineError { phase, kind: ErrorKind::Engine(source) }
@@ -57,7 +50,6 @@ impl fmt::Display for PipelineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "pipeline failed during {}: ", self.phase.name())?;
         match &self.kind {
-            ErrorKind::Io(e) => write!(f, "I/O error: {e}"),
             ErrorKind::Engine(e) => write!(f, "engine error: {e}"),
             ErrorKind::InvalidInput(d) => write!(f, "invalid input: {d}"),
         }
@@ -67,7 +59,6 @@ impl fmt::Display for PipelineError {
 impl std::error::Error for PipelineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match &self.kind {
-            ErrorKind::Io(e) => Some(e),
             ErrorKind::Engine(e) => Some(e),
             ErrorKind::InvalidInput(_) => None,
         }
@@ -84,13 +75,5 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("merge reads"), "{s}");
         assert!(s.contains("empty read set"), "{s}");
-    }
-
-    #[test]
-    fn io_errors_carry_a_source() {
-        use std::error::Error;
-        let e = PipelineError::io(Phase::FileIo, std::io::Error::other("disk gone"));
-        assert!(e.source().is_some());
-        assert!(e.to_string().contains("file I/O"));
     }
 }

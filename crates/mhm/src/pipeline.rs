@@ -194,8 +194,6 @@ pub struct PipelineStats {
     /// Summed: tasks skipped because their CPU run panicked (their contigs
     /// keep their unextended sequence).
     pub la_failed_tasks: usize,
-    /// Run: bytes of the in-memory scaffold FASTA (single-k runs only).
-    pub fasta_bytes: usize,
 }
 
 /// What one k round did. Every field describes that round only.
@@ -346,22 +344,6 @@ pub fn run_rounds(
     let t = Instant::now();
     let scaffolds = scaffold_contigs(&contigs, pairs, &cfg.scaffold);
     timings.add(Phase::Scaffolding, t.elapsed().as_secs_f64());
-
-    // File I/O: serialize to an in-memory sink (callers persist if they
-    // want a file — the cost is the serialization itself). Single k only,
-    // as `perfbench/harness` mirrors it (ROADMAP item 1).
-    if ks.len() == 1 {
-        let t = Instant::now();
-        let mut sink = Vec::new();
-        let records = scaffolds
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (format!("scaffold_{i}"), s.render(&contigs)));
-        bioseq::fastq::write_fasta(&mut sink, records, 80)
-            .map_err(|e| PipelineError::io(Phase::FileIo, e))?;
-        stats.fasta_bytes = sink.len();
-        timings.add(Phase::FileIo, t.elapsed().as_secs_f64());
-    }
 
     Ok(PipelineResult { contigs, scaffolds, timings, stats, rounds })
 }
