@@ -62,18 +62,22 @@ pub fn collect_candidates(
         .enumerate()
         .flat_map_iter(|(ri, read)| {
             let hits = align_read(idx, contigs, read, &params.align);
+            let rlen = read.len() as i64;
+            let min_overhang = params.min_overhang as i64;
             let mut out = Vec::new();
             for h in hits {
                 let clen = contigs[h.contig as usize].len() as i64;
-                let oriented = if h.rc { read.revcomp() } else { read.clone() };
-                let rlen = oriented.len() as i64;
-                let right_overhang = h.offset + rlen - clen;
-                let left_overhang = -h.offset;
-                if right_overhang >= params.min_overhang as i64 && h.offset < clen {
-                    out.push((ri, h.contig, true, oriented.clone()));
+                let right = h.offset + rlen - clen >= min_overhang && h.offset < clen;
+                let left = -h.offset >= min_overhang && h.offset + rlen > 0;
+                if !right && !left {
+                    continue;
                 }
-                if left_overhang >= params.min_overhang as i64 && h.offset + rlen > 0 {
+                let oriented = if h.rc { read.revcomp() } else { read.clone() };
+                if right && left {
+                    out.push((ri, h.contig, true, oriented.clone()));
                     out.push((ri, h.contig, false, oriented));
+                } else {
+                    out.push((ri, h.contig, right, oriented));
                 }
             }
             out
@@ -183,6 +187,52 @@ mod tests {
         let idx = SeedIndex::build(&contigs, 17, 500);
         let cands = collect_candidates(&contigs, &[], &idx, &CandidateParams::default());
         assert_eq!(cands[0].total(), 0);
+    }
+
+    /// Contig = genome[400..600) and reads genome[p..p+100) for p = 0, 10,
+    /// …: a read overhangs the right end by p - 500 bases and the left by
+    /// 400 - p, and overlaps the contig by at least 30 bases when
+    /// 330 <= p <= 570.
+    #[test]
+    fn ends_get_the_reads_that_hang_past_them() {
+        let (contigs, reads, idx) = setup();
+        let cands = collect_candidates(&contigs, &reads, &idx, &CandidateParams::default());
+        let ids = |v: &[Read]| v.iter().map(|r| r.id.clone()).collect::<Vec<_>>();
+        let want = |ps: std::ops::RangeInclusive<usize>| {
+            ps.step_by(10).map(|p| format!("r{p}")).collect::<Vec<_>>()
+        };
+        assert_eq!(ids(&cands[0].right), want(510..=570));
+        assert_eq!(ids(&cands[0].left), want(330..=390));
+    }
+
+    /// The candidate sets, capped or not, are the same at 1, 2 and 4
+    /// threads, for reads from either strand.
+    #[test]
+    fn same_candidates_at_any_thread_count() {
+        let (contigs, mut reads, _) = setup();
+        for r in reads.iter_mut().skip(1).step_by(3) {
+            *r = r.revcomp();
+        }
+        for max_candidates in [3000, 4] {
+            let p = CandidateParams { max_candidates, ..Default::default() };
+            let run = |threads| {
+                rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(
+                    || {
+                        let idx = SeedIndex::build(&contigs, 17, 500);
+                        collect_candidates(&contigs, &reads, &idx, &p)
+                    },
+                )
+            };
+            let one = run(1);
+            // Seven reads hang past each end; the cap of 4 cuts both.
+            let want = max_candidates.min(7);
+            assert_eq!((one[0].right.len(), one[0].left.len()), (want, want));
+            for threads in [2, 4] {
+                let other = run(threads);
+                assert_eq!(one[0].right, other[0].right, "{threads} threads");
+                assert_eq!(one[0].left, other[0].left, "{threads} threads");
+            }
+        }
     }
 
     #[test]

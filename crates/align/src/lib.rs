@@ -4,7 +4,8 @@
 //!
 //! The aligner is seed-and-extend:
 //!
-//! 1. [`index::SeedIndex`] — canonical k-mer index over the contigs;
+//! 1. [`index::SeedIndex`] — canonical k-mer index over the contigs, built
+//!    one hash partition per thread;
 //! 2. [`aligner::align_read`] — seed lookup, diagonal grouping, and ungapped
 //!    verification (substitution-only short reads make gaps rare; a banded
 //!    Smith–Waterman, [`sw::banded_sw`], is provided for gapped rescoring

@@ -1,8 +1,9 @@
-//! Criterion bench: the alignment phase — seed-index build, read
-//! alignment throughput, and the banded-SW "aln kernel".
+//! Criterion bench: the alignment phase — seed-index build at 1 and 2
+//! threads (one hash partition per thread), read alignment throughput,
+//! candidate collection, and the banded-SW "aln kernel".
 
 use align::sw::{banded_sw, SwScoring};
-use align::{align_read, AlignParams, SeedIndex};
+use align::{align_read, collect_candidates, AlignParams, CandidateParams, SeedIndex};
 use bioseq::{DnaSeq, Read};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -28,9 +29,12 @@ fn bench_aligner(c: &mut Criterion) {
     let mut group = c.benchmark_group("aligner");
     group.sample_size(10).measurement_time(Duration::from_secs(3));
 
-    group.bench_function("index_build_50x2kb", |b| {
-        b.iter(|| black_box(SeedIndex::build(&contigs, 17, 200)))
-    });
+    for threads in [1, 2] {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+        group.bench_function(format!("index_build_50x2kb_{threads}t"), |b| {
+            b.iter(|| pool.install(|| black_box(SeedIndex::build(&contigs, 17, 200))))
+        });
+    }
 
     let idx = SeedIndex::build(&contigs, 17, 200);
     let params = AlignParams::default();
@@ -40,6 +44,11 @@ fn bench_aligner(c: &mut Criterion) {
                 black_box(align_read(&idx, &contigs, r, &params));
             }
         })
+    });
+
+    let cand = CandidateParams::default();
+    group.bench_function("collect_candidates_200_reads", |b| {
+        b.iter(|| black_box(collect_candidates(&contigs, &reads, &idx, &cand)))
     });
 
     let q = random_seq(150, 999);

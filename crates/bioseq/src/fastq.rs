@@ -10,6 +10,8 @@
 use crate::qual;
 use crate::read::{PairedRead, Read};
 use crate::seq::DnaSeq;
+use std::borrow::Borrow;
+use std::fmt::Display;
 use std::io::{self, BufRead, Write};
 
 /// What to do with reads whose sequence contains non-ACGT characters.
@@ -259,17 +261,18 @@ pub fn pair_up(r1: Vec<Read>, r2: Vec<Read>) -> Result<Vec<PairedRead>, ParseErr
     Ok(r1.into_iter().zip(r2).map(|(a, b)| PairedRead::new(a, b)).collect())
 }
 
-/// Write sequences in FASTA format with `width`-column wrapping, then flush
-/// `w` (as [`write_fastq`] does).
-pub fn write_fasta<W: Write>(
+/// Write `(id, sequence)` records in FASTA format with `width`-column
+/// wrapping, then flush `w` (as [`write_fastq`] does). A record may own its
+/// sequence or borrow it.
+pub fn write_fasta<W: Write, S: Borrow<DnaSeq>>(
     mut w: W,
-    records: impl IntoIterator<Item = (String, DnaSeq)>,
+    records: impl IntoIterator<Item = (impl Display, S)>,
     width: usize,
 ) -> io::Result<()> {
     let width = width.max(1);
     for (id, seq) in records {
         writeln!(w, ">{id}")?;
-        let ascii = seq.to_ascii();
+        let ascii = seq.borrow().to_ascii();
         for chunk in ascii.chunks(width) {
             w.write_all(chunk)?;
             writeln!(w)?;
@@ -446,7 +449,7 @@ mod tests {
             ("c2".to_string(), DnaSeq::from_str_strict("TT").unwrap()),
         ];
         let mut buf = Vec::new();
-        write_fasta(&mut buf, seqs.clone(), 5).unwrap();
+        write_fasta(&mut buf, seqs.iter().map(|(id, seq)| (id, seq)), 5).unwrap();
         let (parsed, dropped) = parse_fasta(Cursor::new(buf), NPolicy::Drop).unwrap();
         assert_eq!(dropped, 0);
         assert_eq!(parsed, seqs);
@@ -459,7 +462,7 @@ mod tests {
         // only the flush can see the error.
         let full = || io::BufWriter::new(std::fs::File::create("/dev/full").unwrap());
         let seq = DnaSeq::from_str_strict("ACGT").unwrap();
-        assert!(write_fasta(full(), [("c".to_string(), seq.clone())], 80).is_err());
+        assert!(write_fasta(full(), [("c", &seq)], 80).is_err());
         let read = Read::with_uniform_qual("r", seq, 30);
         assert!(write_fastq(full(), &[read]).is_err());
     }

@@ -1,7 +1,7 @@
 //! Canonical k-mer counting with per-side extension votes.
 
 use bioseq::{Base, DnaSeq};
-use kmer::hash::hash_kmer;
+use kmer::hash::{hash_kmer, partition};
 use kmer::{CanonicalKmerIter, Kmer, KmerTable};
 use rayon::prelude::*;
 
@@ -162,15 +162,6 @@ impl KmerCountMap {
     pub fn iter(&self) -> impl Iterator<Item = (Kmer, &VertexCounts)> + '_ {
         self.parts.iter().flat_map(KmerTable::iter)
     }
-}
-
-/// The partition, of `parts`, that owns a canonical k-mer: a multiplicative
-/// hash of its first word, so the partition tables' own murmur placement
-/// stays uniform.
-#[inline]
-fn partition(canon: &Kmer, parts: usize) -> usize {
-    let mixed = canon.words()[0].wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
-    ((mixed * parts as u64) >> 32) as usize
 }
 
 /// Count canonical k-mers (and their extension votes) across `seqs`, then

@@ -63,6 +63,15 @@ pub fn hash_kmer(km: &Kmer) -> u64 {
     murmur64a_words(&km.words()[..nwords], km.k() as u64)
 }
 
+/// The hash partition, of `parts`, that owns a canonical k-mer: a
+/// multiplicative hash of its first word, independent of the murmur
+/// placement inside a partition's table so that placement stays uniform.
+#[inline]
+pub fn partition(canon: &Kmer, parts: usize) -> usize {
+    let mixed = canon.words()[0].wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
+    ((mixed * parts as u64) >> 32) as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,8 +10,9 @@
 //!    read sets; the banded-SW rescoring pass is the "aln kernel" slice;
 //! 5. **local assembly** (`locassm`) — CPU or simulated-GPU engine;
 //! 6. **scaffolding** ([`scaffold`]) — read-pair links join contigs;
-//! 7. **file I/O** — reading the FASTQ lanes and writing the FASTA files,
-//!    timed by `mhm2rs assemble` ([`cli`]); library runs do no file I/O.
+//! 7. **file I/O** — reading and pairing the FASTQ lanes and writing the
+//!    FASTA files, timed by `mhm2rs assemble` ([`cli`]); library runs do no
+//!    file I/O.
 //!
 //! Phases 2–5 form one k round. [`run_rounds`] is the one assembly loop:
 //! it merges the reads, runs a round per k (from the second round on, the
